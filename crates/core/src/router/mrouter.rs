@@ -3,12 +3,12 @@
 //! the switching-fabric configuration (§II-B) and the periodic tree
 //! repair scan (robustness extension).
 
-use super::{Role, ScmpRouter, TIMER_EXPIRY_BASE, TIMER_REPAIR};
+use super::{Role, ScmpDomain, ScmpRouter, TIMER_EXPIRY_BASE, TIMER_REPAIR};
 use crate::message::ScmpMsg;
 use crate::session::SessionDb;
 use crate::tree_packet::{BranchPacket, TreePacket};
 use scmp_fabric::{GroupRequest, SandwichFabric};
-use scmp_net::{NodeId, OnDemandPaths, PathProvider, Topology};
+use scmp_net::{Metric, NodeId, PathProvider, Topology};
 use scmp_sim::{Ctx, GroupId, Packet};
 use scmp_telemetry::HealthTrigger;
 use scmp_tree::{Dcdm, MulticastTree};
@@ -42,6 +42,24 @@ pub(super) fn record_tree_health(
     );
 }
 
+/// The path tables the m-router plans trees over right now: the
+/// domain's construction-time `P_sl`/`P_lc` tables while every link and
+/// router is up (a direct index at paper scale), the engine's live view
+/// — trees over whatever is alive, per liveness epoch — while anything
+/// is down. Both root their trees with the same Dijkstra, so the switch
+/// is invisible except that a degraded plan never crosses a dead link.
+pub(super) fn planning_paths<'a>(
+    domain: &'a ScmpDomain,
+    ctx: &Ctx<'a, ScmpMsg>,
+) -> &'a dyn PathProvider {
+    let live = ctx.routes();
+    if live.degraded() {
+        live
+    } else {
+        &*domain.paths
+    }
+}
+
 /// m-router-only state.
 #[derive(Debug)]
 pub struct MRouterState {
@@ -71,11 +89,21 @@ pub struct MRouterState {
     /// then on the promoted node heartbeats and mirrors membership back,
     /// making the survivor pair symmetric again.
     pub(super) peer_alive: bool,
-    /// Nodes the previous repair scan found unreachable from this
-    /// m-router (empty in a healthy domain). The scan diffs its fresh
-    /// reachability view against this set to detect a partition forming
-    /// (degraded mode) and healing (reconciliation).
+    /// Nodes unreachable from this m-router as of `scanned_epoch`
+    /// (empty in a healthy domain). A scan at a new liveness epoch diffs
+    /// its fresh reachability view against this set to detect a
+    /// partition forming (degraded mode) and healing (reconciliation).
     pub(super) unreachable: BTreeSet<NodeId>,
+    /// The liveness epoch `unreachable` was computed at (`None` before
+    /// the first scan): reachability cannot change while it stands.
+    scanned_epoch: Option<u64>,
+    /// The last scan found no tree to mend. Until the epoch moves no
+    /// tree can become damaged and no logged member can become both
+    /// reachable and off its tree — JOIN/LEAVE plan over the live view
+    /// and keep the mirror whole — so scans at `scanned_epoch` are
+    /// skipped. Cleared by whatever installs trees planned over another
+    /// view (the takeover rebuild).
+    pub(super) scan_clean: bool,
 }
 
 impl MRouterState {
@@ -91,6 +119,8 @@ impl MRouterState {
             heartbeat_seq: 0,
             peer_alive: false,
             unreachable: BTreeSet::new(),
+            scanned_epoch: None,
+            scan_clean: false,
         }
     }
 
@@ -176,6 +206,23 @@ impl ScmpRouter {
         }
     }
 
+    /// Mirror one membership change to the sync peer, if there is one.
+    fn mirror_membership(
+        &self,
+        group: GroupId,
+        txn: u64,
+        member: NodeId,
+        joined: bool,
+        ctx: &mut Ctx<'_, ScmpMsg>,
+    ) {
+        if let Some(peer) = self.sync_peer() {
+            ctx.unicast(
+                peer,
+                Packet::control_keyed(group, txn, ScmpMsg::StandbySync { member, joined }),
+            );
+        }
+    }
+
     // ------------------------------------------------------------------
     // m-router: centralized tree construction (§III-D)
     // ------------------------------------------------------------------
@@ -195,12 +242,27 @@ impl ScmpRouter {
         state.sessions.register_group(group);
         state.sessions.record(ctx.now(), group, requester, true);
         state.assign_fabric_port(group);
+        // Plan over what is alive: a join during a fault grafts around
+        // the dead links instead of across them.
+        let paths = planning_paths(&domain, ctx);
+        if paths.unicast_delay(requester, me).is_none() {
+            // Cut off from us right now (its JOIN was already in
+            // flight): it is on the books, and the repair scan readopts
+            // it once the liveness epoch that reconnects it arrives —
+            // the scan walks the mirrored trees, so the group needs one.
+            state
+                .trees
+                .entry(group)
+                .or_insert_with(|| MulticastTree::new(domain.topo.node_count(), me));
+            self.mirror_membership(group, txn, requester, true, ctx);
+            return;
+        }
         let gen = state.next_gen(group);
         let tree = state
             .trees
             .remove(&group)
             .unwrap_or_else(|| MulticastTree::new(domain.topo.node_count(), me));
-        let mut dcdm = Dcdm::with_tree(&domain.topo, &*domain.paths, tree, domain.config.bound);
+        let mut dcdm = Dcdm::with_tree(&domain.topo, paths, tree, domain.config.bound);
         let outcome = dcdm.join(requester);
         let tree = dcdm.into_tree();
 
@@ -265,19 +327,7 @@ impl ScmpRouter {
             unreachable!()
         };
         state.trees.insert(group, tree);
-        if let Some(peer) = self.sync_peer() {
-            ctx.unicast(
-                peer,
-                Packet::control_keyed(
-                    group,
-                    txn,
-                    ScmpMsg::StandbySync {
-                        member: requester,
-                        joined: true,
-                    },
-                ),
-            );
-        }
+        self.mirror_membership(group, txn, requester, true, ctx);
     }
 
     pub(super) fn m_handle_leave(
@@ -309,7 +359,12 @@ impl ScmpRouter {
         let Some(tree) = state.trees.remove(&group) else {
             return;
         };
-        let mut dcdm = Dcdm::with_tree(&domain.topo, &*domain.paths, tree, domain.config.bound);
+        let mut dcdm = Dcdm::with_tree(
+            &domain.topo,
+            planning_paths(&domain, ctx),
+            tree,
+            domain.config.bound,
+        );
         dcdm.leave(requester);
         let tree = dcdm.into_tree();
         // The physical prune travels hop-by-hop from the leaving DR
@@ -340,19 +395,7 @@ impl ScmpRouter {
                 TIMER_EXPIRY_BASE + group.0 as u64,
             );
         }
-        if let Some(peer) = self.sync_peer() {
-            ctx.unicast(
-                peer,
-                Packet::control_keyed(
-                    group,
-                    txn,
-                    ScmpMsg::StandbySync {
-                        member: requester,
-                        joined: false,
-                    },
-                ),
-            );
-        }
+        self.mirror_membership(group, txn, requester, false, ctx);
     }
 
     /// Expiry timer fired for a group: if it is still memberless, tear
@@ -384,38 +427,51 @@ impl ScmpRouter {
 
     /// Periodic repair scan. The m-router already owns the domain's
     /// link-state database (§II-D), so it learns about dead links and
-    /// routers from the IGP; here that view is the simulator's liveness
-    /// state. Every mirrored tree is assessed against it, and a damaged
+    /// routers from the IGP; here that view is the engine's live path
+    /// view. Every mirrored tree is assessed against it, and a damaged
     /// tree — or a tree missing a reachable logged member, e.g. after a
-    /// partition heals — is rebuilt by re-running DCDM over the
-    /// surviving topology. Pruned-off routers get explicit flushes so
-    /// stale entries cannot black-hole later traffic.
+    /// partition heals — is rebuilt by re-running DCDM over whatever is
+    /// alive. Pruned-off routers get explicit flushes so stale entries
+    /// cannot black-hole later traffic.
+    ///
+    /// Everything the scan looks at is a function of the liveness epoch
+    /// and of the mirror, and JOIN/LEAVE keep the mirror whole, so a
+    /// scan at the epoch of a scan that found nothing to mend has
+    /// nothing to find either and returns at once.
     pub(super) fn m_repair_scan(&mut self, ctx: &mut Ctx<'_, ScmpMsg>) {
         let _span = scmp_telemetry::TimedScope::new(scmp_telemetry::Span::RepairScan);
         let domain = Arc::clone(&self.domain);
         let me = self.me;
-        if !self.is_m_router() {
+        let Role::MRouter(state) = &mut self.role else {
             return; // role changed since the timer was armed
-        }
+        };
         let interval = domain.config.repair_interval;
         if interval > 0 {
             // Re-arm first so a scan can never silence itself.
             ctx.set_timer(interval, TIMER_REPAIR);
         }
-        let surviving = ctx.surviving_topology();
-        let reachable = scmp_net::metrics::reachable_set(&surviving, me);
-        // Partition bookkeeping: diff the fresh reachability view
-        // against the previous scan's. Everything here is a no-op in a
-        // healthy domain — fault-free runs stay byte-identical.
-        let unreachable_now: BTreeSet<NodeId> = domain
-            .topo
-            .nodes()
-            .filter(|v| *v != me && !reachable[v.index()])
-            .collect();
-        {
-            let Role::MRouter(state) = &mut self.role else {
-                unreachable!()
-            };
+        let epoch = ctx.routes().epoch();
+        let same_epoch = state.scanned_epoch == Some(epoch);
+        if same_epoch && state.scan_clean {
+            if !state.unreachable.is_empty() {
+                ctx.record_partition_degraded_tick();
+            }
+            ctx.record_repair_scan(false);
+            return;
+        }
+        ctx.record_repair_scan(true);
+        let paths = planning_paths(&domain, ctx);
+        // Reachable = has a distance in the tree rooted here.
+        let reach = paths.tree(me, Metric::Delay);
+        let reachable = |v: NodeId| reach.distance(v).is_some();
+        // Partition bookkeeping: at a new liveness epoch, diff the fresh
+        // reachability view against the previous one. Everything here is
+        // a no-op in a healthy domain — fault-free runs stay
+        // byte-identical.
+        if !same_epoch {
+            state.scanned_epoch = Some(epoch);
+            let unreachable_now: BTreeSet<NodeId> =
+                domain.topo.nodes().filter(|&v| !reachable(v)).collect();
             if unreachable_now != state.unreachable {
                 let newly_stranded = unreachable_now.difference(&state.unreachable).count();
                 let healed: Vec<NodeId> = state
@@ -431,7 +487,7 @@ impl ScmpRouter {
                         .keys()
                         .flat_map(|&g| state.sessions.members_from_log(g))
                         .filter(|m| unreachable_now.contains(m))
-                        .collect::<BTreeSet<NodeId>>()
+                        .collect::<BTreeSet<_>>()
                         .len();
                     ctx.record_partition(unreachable_now.len() as u32, stranded_members as u32);
                 }
@@ -457,36 +513,30 @@ impl ScmpRouter {
                 }
                 state.unreachable = unreachable_now;
             }
-            if !state.unreachable.is_empty() {
-                ctx.record_partition_degraded_tick();
-            }
+        }
+        if !state.unreachable.is_empty() {
+            ctx.record_partition_degraded_tick();
         }
         // Phase 1 (read-only): which groups need surgery?
-        let mut damaged: Vec<GroupId> = Vec::new();
-        {
-            let Role::MRouter(state) = &self.role else {
-                unreachable!()
-            };
-            for (&group, tree) in &state.trees {
+        let damaged: Vec<GroupId> = state
+            .trees
+            .iter()
+            .filter(|&(&group, tree)| {
                 let damage =
                     scmp_tree::repair::assess(tree, |v| ctx.node_up(v), |a, b| ctx.link_up(a, b));
                 let readopt = state
                     .sessions
                     .members_from_log(group)
-                    .into_iter()
-                    .any(|m| !tree.is_member(m) && reachable[m.index()]);
-                if !damage.is_intact() || readopt {
-                    damaged.push(group);
-                }
-            }
-        }
+                    .iter()
+                    .any(|&m| !tree.is_member(m) && reachable(m));
+                !damage.is_intact() || readopt
+            })
+            .map(|(&group, _)| group)
+            .collect();
+        state.scan_clean = damaged.is_empty();
         if damaged.is_empty() {
             return;
         }
-        // On-demand over the surviving view: only the trees rooted at
-        // the reachable members and the m-router are computed, not all
-        // 2n — repair touches a handful of sources even in big domains.
-        let paths = OnDemandPaths::from_topology(&surviving);
         for group in damaged {
             // The scan originates its own causal transaction per group,
             // so repair cascades correlate like join/leave cascades do.
@@ -499,8 +549,9 @@ impl ScmpRouter {
             let members: Vec<NodeId> = state
                 .sessions
                 .members_from_log(group)
-                .into_iter()
-                .filter(|&m| paths.unicast_delay(m, me).is_some())
+                .iter()
+                .copied()
+                .filter(|&m| reachable(m))
                 .collect();
             let old_nodes = state
                 .trees
@@ -516,7 +567,10 @@ impl ScmpRouter {
                 .map(|t| members.iter().filter(|&&m| !t.is_member(m)).count())
                 .unwrap_or(members.len());
             let gen = state.next_gen(group);
-            let mut dcdm = Dcdm::new(&surviving, &paths, me, domain.config.bound);
+            // Only the trees rooted at the reachable members and the
+            // m-router are computed, not all 2n — repair touches a
+            // handful of sources even in big domains.
+            let mut dcdm = Dcdm::new(&domain.topo, paths, me, domain.config.bound);
             for &m in &members {
                 dcdm.join(m);
             }
@@ -535,11 +589,18 @@ impl ScmpRouter {
             // ones keep stale state, which generation stamps and the
             // §III-F forwarding-set check neutralise.
             for v in old_nodes {
-                if v != me && !tree.contains(v) && reachable[v.index()] {
+                if v != me && !tree.contains(v) && reachable(v) {
                     ctx.unicast(v, Packet::control_keyed(group, txn, ScmpMsg::Flush { gen }));
                 }
             }
-            record_tree_health(group, HealthTrigger::Repair, &surviving, &paths, &tree, ctx);
+            record_tree_health(
+                group,
+                HealthTrigger::Repair,
+                &domain.topo,
+                paths,
+                &tree,
+                ctx,
+            );
             if readopted > 0 {
                 ctx.record_reconcile(group.0, readopted as u32, gen);
             }

@@ -143,7 +143,8 @@ impl ScmpRouter {
             let members: Vec<NodeId> = state
                 .sessions
                 .members_from_log(group)
-                .into_iter()
+                .iter()
+                .copied()
                 .filter(|&m| paths.unicast_delay(m, me).is_some())
                 .collect();
             if members.is_empty() {
@@ -184,6 +185,10 @@ impl ScmpRouter {
                 unreachable!()
             };
             state.trees.insert(group, tree);
+            // Planned around the primary, not over the live view: a
+            // member only reachable through it is off this tree and a
+            // dead link may be on it, for the repair scan to find.
+            state.scan_clean = false;
         }
     }
 }

@@ -455,6 +455,49 @@ fn repair_scan_idle_when_network_healthy() {
 }
 
 #[test]
+fn healthy_scans_are_skipped_after_the_first() {
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.repair_interval = 1_000;
+    let mut e = build(fig5(), cfg);
+    for (t, n) in [(0, 4u32), (3_500, 3), (7_500, 5)] {
+        e.schedule_app(t, NodeId(n), AppEvent::Join(G));
+    }
+    e.run_until(100_500);
+    // The liveness epoch never moves and JOINs keep the mirror whole:
+    // only the very first tick has anything to look at.
+    let stats = e.stats();
+    assert_eq!(stats.liveness_epochs, 0);
+    assert_eq!(stats.repair_scans_full, 1);
+    assert_eq!(stats.repair_scans_skipped, 99);
+    assert_eq!(stats.spf_runs, 0, "healthy routes come from the tables");
+}
+
+#[test]
+fn join_in_flight_when_its_requester_is_cut_off_is_readopted() {
+    use scmp_sim::FaultEvent;
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.repair_interval = 2_000;
+    let mut e = build(fig5(), cfg);
+    // Node 4 hangs off 1-4 alone. Its JOIN leaves at 0 and reaches the
+    // m-router at 12 (4-1-0); the link dies at 5, so the JOIN is
+    // processed for a requester nothing can reach.
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    let (a, b) = (NodeId(1), NodeId(4));
+    e.schedule_fault(5, FaultEvent::LinkDown { a, b });
+    e.run_until(1_000);
+    let m = e.router(NodeId(0)).m_state().unwrap();
+    assert_eq!(m.sessions.members_from_log(G), [NodeId(4)], "on the books");
+    assert!(m.tree(G).is_none_or(|t| !t.contains(NodeId(4))));
+    // The heal moves the epoch; the next scan grafts it back.
+    e.schedule_fault(3_000, FaultEvent::LinkUp { a, b });
+    e.schedule_app(6_000, NodeId(0), AppEvent::Send { group: G, tag: 1 });
+    e.run_until(10_000);
+    assert_eq!(e.stats().delivery_count(G, 1, NodeId(4)), 1);
+    let m = e.router(NodeId(0)).m_state().unwrap();
+    assert!(m.tree(G).unwrap().is_member(NodeId(4)));
+}
+
+#[test]
 fn repair_readopts_member_after_partition_heals() {
     use scmp_sim::FaultEvent;
     let mut cfg = ScmpConfig::new(NodeId(0));

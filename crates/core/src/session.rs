@@ -40,6 +40,9 @@ pub struct SessionDb {
     next_group: u32,
     sessions: BTreeMap<GroupId, SessionState>,
     log: Vec<AccountingRecord>,
+    /// Current members per group, in first-join order — what a replay
+    /// of `log` would yield, kept up to date by [`SessionDb::record`].
+    members: BTreeMap<GroupId, Vec<NodeId>>,
 }
 
 impl SessionDb {
@@ -50,6 +53,7 @@ impl SessionDb {
             next_group: 1,
             sessions: BTreeMap::new(),
             log: Vec::new(),
+            members: BTreeMap::new(),
         }
     }
 
@@ -100,6 +104,12 @@ impl SessionDb {
             node,
             joined,
         });
+        let members = self.members.entry(group).or_default();
+        if !joined {
+            members.retain(|&n| n != node);
+        } else if !members.contains(&node) {
+            members.push(node);
+        }
     }
 
     /// The full accounting log.
@@ -107,23 +117,12 @@ impl SessionDb {
         &self.log
     }
 
-    /// Members of `group` according to the log (join/leave replay) — used
-    /// by the standby m-router to rebuild trees after a takeover.
-    pub fn members_from_log(&self, group: GroupId) -> Vec<NodeId> {
-        let mut members = Vec::new();
-        for r in &self.log {
-            if r.group != group {
-                continue;
-            }
-            if r.joined {
-                if !members.contains(&r.node) {
-                    members.push(r.node);
-                }
-            } else {
-                members.retain(|&n| n != r.node);
-            }
-        }
-        members
+    /// Members of `group` according to the log, in first-join order: a
+    /// join adds the node unless present, a leave removes it. Maintained
+    /// by [`SessionDb::record`], so this is a lookup — the repair scan
+    /// asks per group per tick, every LEAVE asks once.
+    pub fn members_from_log(&self, group: GroupId) -> &[NodeId] {
+        self.members.get(&group).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -163,6 +162,45 @@ mod tests {
         db.record(50, GroupId(2), NodeId(9), true); // other group, ignored
         assert_eq!(db.members_from_log(g), vec![NodeId(5), NodeId(7)]);
         assert_eq!(db.log().len(), 5);
+    }
+
+    /// The definition `members_from_log` is maintained against: replay
+    /// the whole log.
+    fn replay(db: &SessionDb, group: GroupId) -> Vec<NodeId> {
+        let mut members = Vec::new();
+        for r in db.log().iter().filter(|r| r.group == group) {
+            if !r.joined {
+                members.retain(|&n| n != r.node);
+            } else if !members.contains(&r.node) {
+                members.push(r.node);
+            }
+        }
+        members
+    }
+
+    #[test]
+    fn maintained_members_equal_log_replay() {
+        use rand::Rng;
+        for seed in 0..32 {
+            let mut rng = scmp_net::rng::rng_for("session-db", seed);
+            let mut db = SessionDb::new();
+            for step in 0..400u64 {
+                // Few nodes and groups, joins twice as likely as leaves:
+                // duplicate joins, leaves of non-members and re-joins
+                // after a leave all occur.
+                let g = GroupId(rng.gen_range(1..4));
+                let node = NodeId(rng.gen_range(0..6));
+                db.record(step, g, node, rng.gen_range(0..3) > 0);
+                if step % 16 == 0 {
+                    for g in (1..4).map(GroupId) {
+                        assert_eq!(db.members_from_log(g), replay(&db, g), "seed {seed}");
+                    }
+                }
+            }
+            for g in (1..5).map(GroupId) {
+                assert_eq!(db.members_from_log(g), replay(&db, g), "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl DijkstraScratch {
 ///
 /// Runs in `O(m log n)`; zero-weight links are allowed (the Waxman model
 /// can draw delay 0). Allocates fresh working memory per call — hot
-/// paths (the on-demand path provider, [`crate::RoutingTables`]) use
+/// paths (the path providers, [`crate::RoutingTables`]) use
 /// [`dijkstra_with`] and a shared [`DijkstraScratch`] instead.
 pub fn dijkstra(topo: &Topology, source: NodeId, metric: Metric) -> ShortestPathTree {
     dijkstra_with(topo, source, metric, &mut DijkstraScratch::new())
@@ -151,6 +151,23 @@ pub fn dijkstra_with(
     source: NodeId,
     metric: Metric,
     scratch: &mut DijkstraScratch,
+) -> ShortestPathTree {
+    dijkstra_masked(topo, source, metric, scratch, |_, _| true)
+}
+
+/// [`dijkstra_with`] over the sub-graph whose half-edges satisfy
+/// `usable(half_edge_index, neighbour)` (see
+/// [`Topology::half_edge_base`]). Skipping an edge is the same as the
+/// edge not existing: neighbour order and the tie-break are untouched,
+/// so the result equals a run over a topology rebuilt without the
+/// masked links — what lets [`crate::LivePaths`] answer for a degraded
+/// domain without copying it.
+pub(crate) fn dijkstra_masked(
+    topo: &Topology,
+    source: NodeId,
+    metric: Metric,
+    scratch: &mut DijkstraScratch,
+    usable: impl Fn(usize, NodeId) -> bool,
 ) -> ShortestPathTree {
     let n = topo.node_count();
     let (mut dist, mut pred) = scratch.take_bufs(n);
@@ -166,7 +183,11 @@ pub fn dijkstra_with(
             continue;
         }
         done[v.index()] = true;
-        for e in topo.neighbors(v) {
+        let base = topo.half_edge_base(v);
+        for (i, e) in topo.neighbors(v).iter().enumerate() {
+            if !usable(base + i, e.to) {
+                continue;
+            }
             let nd = d + metric.of(e.weight);
             let slot = &mut dist[e.to.index()];
             // Strict improvement, or equal distance via a smaller-id

@@ -159,10 +159,24 @@ impl Topology {
     /// Weight of the link `a—b`, if the link exists. Binary search over
     /// the sorted neighbour slice — `O(log deg)`.
     pub fn link(&self, a: NodeId, b: NodeId) -> Option<LinkWeight> {
-        let ns = self.neighbors(a);
-        ns.binary_search_by_key(&b, |e| e.to)
+        self.half_edge(a, b).map(|i| self.adj_edges[i].weight)
+    }
+
+    /// Position of `node`'s first half-edge in the CSR array:
+    /// `neighbors(node)[i]` is half-edge `half_edge_base(node) + i`.
+    /// Per-link state (the live view's cut mask) is indexed by it.
+    #[inline]
+    pub fn half_edge_base(&self, node: NodeId) -> usize {
+        self.adj_off[node.index()] as usize
+    }
+
+    /// CSR index of the half-edge `a → b`, if the link exists
+    /// (`O(log deg)`). The reverse direction is a different index.
+    pub fn half_edge(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        self.neighbors(a)
+            .binary_search_by_key(&b, |e| e.to)
             .ok()
-            .map(|i| ns[i].weight)
+            .map(|i| self.half_edge_base(a) + i)
     }
 
     /// True iff nodes `a` and `b` are directly linked.
@@ -234,8 +248,10 @@ impl Topology {
     /// satisfy `keep_node` and which themselves satisfy `keep_link`.
     /// Node ids are preserved (excluded nodes stay, isolated), so
     /// routing state indexed by [`NodeId`] keeps working. This is the
-    /// "surviving topology" used by failure-injection experiments: the
-    /// m-router re-plans trees over `subtopology(node_up, link_up)`.
+    /// "surviving topology" of a failure-injection experiment spelled
+    /// out as a graph — the simulator itself never copies one
+    /// ([`crate::LivePaths`] masks the static graph); the tests rebuild
+    /// it to check the masked answers against.
     pub fn subtopology(
         &self,
         mut keep_node: impl FnMut(NodeId) -> bool,

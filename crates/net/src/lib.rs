@@ -15,11 +15,15 @@
 //!   [`OnDemandPaths`] computes source trees lazily behind a bounded LRU
 //!   so 10k-node domains don't pay `O(n²)` memory. [`provider_for`]
 //!   picks by size.
-//! * [`RoutingTables`] — per-node unicast next-hop tables derived from the
-//!   shortest-delay paths; the link-state unicast routing protocol the
-//!   paper assumes is running in the domain. Dense matrix at paper
-//!   scale, lazy per-destination rows beyond
-//!   [`routing::DENSE_MAX_NODES`].
+//! * [`LivePaths`] — the live path view: the static topology, a liveness
+//!   mask with an epoch, and the paths over whatever is alive. The
+//!   link-state unicast routing protocol the paper assumes is running in
+//!   the domain; every layer of the simulator queries this one value.
+//! * [`RoutingTables`] — per-node unicast next-hop tables of a fixed
+//!   topology, derived from the shortest-delay paths: the view's healthy
+//!   state (dense matrix at paper scale, lazy per-destination rows
+//!   beyond [`routing::DENSE_MAX_NODES`]) and the oracle its degraded
+//!   answers are tested against.
 //! * [`topology`] — generators: the paper's Waxman model (§IV-A), a
 //!   GT-ITM-like flat random model with target average degree (§IV-B),
 //!   a transit–stub model, the classic ARPANET map, and regular test
@@ -28,6 +32,7 @@
 pub mod dijkstra;
 pub mod export;
 pub mod graph;
+pub mod live;
 pub mod metrics;
 pub mod paths;
 pub mod provider;
@@ -37,6 +42,7 @@ pub mod topology;
 
 pub use dijkstra::{dijkstra, dijkstra_with, DijkstraScratch, Metric, ShortestPathTree};
 pub use graph::{EdgeRef, LinkWeight, NodeId, Topology, TopologyBuilder};
+pub use live::LivePaths;
 pub use paths::AllPairsPaths;
 pub use provider::{provider_for, shared_provider_for, CacheStats, OnDemandPaths, PathProvider};
 pub use routing::RoutingTables;

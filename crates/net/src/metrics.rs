@@ -76,7 +76,9 @@ pub fn profile(topo: &Topology, metric: Metric) -> TopologyProfile {
 /// Nodes reachable from `src` over the topology's links, as a dense
 /// membership vector (`out[v] == true` iff `v` is connected to `src`).
 /// On a surviving (post-failure) topology this is the set of routers a
-/// repair can still serve; everything else is partitioned away.
+/// repair can still serve; everything else is partitioned away. (The
+/// repair scan itself reads reachability off a [`crate::LivePaths`]
+/// tree; the partition proptests use this as the independent check.)
 pub fn reachable_set(topo: &Topology, src: crate::graph::NodeId) -> Vec<bool> {
     let n = topo.node_count();
     let mut seen = vec![false; n];

@@ -102,8 +102,7 @@ impl PathProvider for AllPairsPaths {
     }
 
     // invalidate(): default no-op — the tables are a snapshot of the
-    // topology they were computed from and are rebuilt wholesale on
-    // reconvergence.
+    // topology they were computed from.
 
     fn resident_path_bytes(&self) -> usize {
         self.by_delay

@@ -122,13 +122,102 @@ struct Slot {
     last_used: u64,
 }
 
-struct OnDemandState {
-    cache: HashMap<(u32, Metric), Slot>,
+/// A bounded deterministic-LRU of interned shortest-path trees plus the
+/// Dijkstra scratch that fills it — the memo behind [`OnDemandPaths`]
+/// and behind [`crate::LivePaths`]' per-epoch trees.
+///
+/// At most `capacity` trees are resident; the least-recently-used entry
+/// is evicted (ties broken toward the smaller key so eviction order is
+/// deterministic). Evicted or cleared trees that nothing else still
+/// references donate their buffers back to the scratch pool.
+pub(crate) struct TreeCache {
+    capacity: usize,
+    slots: HashMap<(u32, Metric), Slot>,
     scratch: DijkstraScratch,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl TreeCache {
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity >= 1, "cache must hold at least one tree");
+        TreeCache {
+            capacity,
+            slots: HashMap::new(),
+            scratch: DijkstraScratch::new(),
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// The tree for `(root, metric)`: a hash lookup on a hit; on a miss
+    /// `run` computes it with the cache's scratch and it is interned.
+    pub(crate) fn get_or_run(
+        &mut self,
+        root: NodeId,
+        metric: Metric,
+        run: impl FnOnce(&mut DijkstraScratch) -> ShortestPathTree,
+    ) -> Arc<ShortestPathTree> {
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(slot) = self.slots.get_mut(&(root.0, metric)) {
+            slot.last_used = tick;
+            self.hits += 1;
+            return Arc::clone(&slot.tree);
+        }
+        self.misses += 1;
+        if self.slots.len() >= self.capacity {
+            // Evict the LRU entry; tie-break toward the smaller key so
+            // eviction (and thus the scratch pool state) is
+            // deterministic for identical query sequences.
+            let victim = self
+                .slots
+                .iter()
+                .min_by_key(|(&(id, m), slot)| (slot.last_used, id, m as u8))
+                .map(|(&k, _)| k)
+                .expect("cache non-empty");
+            let slot = self.slots.remove(&victim).expect("victim present");
+            self.evictions += 1;
+            if let Ok(tree) = Arc::try_unwrap(slot.tree) {
+                self.scratch.recycle(tree);
+            }
+        }
+        let tree = Arc::new(run(&mut self.scratch));
+        self.slots.insert(
+            (root.0, metric),
+            Slot {
+                tree: Arc::clone(&tree),
+                last_used: tick,
+            },
+        );
+        tree
+    }
+
+    /// Forget every tree (the counters and the scratch pool survive).
+    pub(crate) fn clear(&mut self) {
+        for (_, slot) in self.slots.drain() {
+            if let Ok(tree) = Arc::try_unwrap(slot.tree) {
+                self.scratch.recycle(tree);
+            }
+        }
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            resident: self.slots.len(),
+        }
+    }
+
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.slots.values().map(|s| s.tree.resident_bytes()).sum()
+    }
 }
 
 /// Lazy, memoized source-tree provider with a bounded LRU of interned
@@ -141,8 +230,7 @@ struct OnDemandState {
 ///   order is deterministic). Evicted trees that nothing else still
 ///   references donate their buffers back to the scratch pool.
 /// * [`OnDemandPaths::set_topology`] swaps in a new topology view and
-///   invalidates — the hook the m-router's repair scan uses when links
-///   die or heal. Plain [`PathProvider::invalidate`] keeps the topology
+///   invalidates. Plain [`PathProvider::invalidate`] keeps the topology
 ///   and drops the memoized trees.
 ///
 /// Interior state sits behind a `Mutex`, so a provider can be shared
@@ -150,17 +238,16 @@ struct OnDemandState {
 /// single-threaded access the lock is uncontended.
 pub struct OnDemandPaths {
     topo: Arc<Topology>,
-    capacity: usize,
-    state: Mutex<OnDemandState>,
+    state: Mutex<TreeCache>,
 }
 
 impl fmt::Debug for OnDemandPaths {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let stats = self.stats();
+        let st = self.state.lock().expect("provider lock");
         f.debug_struct("OnDemandPaths")
             .field("nodes", &self.topo.node_count())
-            .field("capacity", &self.capacity)
-            .field("stats", &stats)
+            .field("capacity", &st.capacity)
+            .field("stats", &st.stats())
             .finish()
     }
 }
@@ -184,18 +271,9 @@ impl OnDemandPaths {
 
     /// Provider with an explicit LRU capacity (≥ 1).
     pub fn with_capacity(topo: Arc<Topology>, capacity: usize) -> Self {
-        assert!(capacity >= 1, "cache must hold at least one tree");
         OnDemandPaths {
             topo,
-            capacity,
-            state: Mutex::new(OnDemandState {
-                cache: HashMap::new(),
-                scratch: DijkstraScratch::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            state: Mutex::new(TreeCache::new(capacity)),
         }
     }
 
@@ -204,9 +282,9 @@ impl OnDemandPaths {
         &self.topo
     }
 
-    /// Swap in a new topology (fault/repair reconvergence) and drop
-    /// every memoized tree. The Dijkstra scratch pool survives, so
-    /// re-population after a repair scan reuses the old allocations.
+    /// Swap in a new topology and drop every memoized tree. The
+    /// Dijkstra scratch pool survives, so re-population reuses the old
+    /// allocations.
     pub fn set_topology(&mut self, topo: Arc<Topology>) {
         self.topo = topo;
         self.invalidate();
@@ -214,13 +292,7 @@ impl OnDemandPaths {
 
     /// Cache counters (hits/misses/evictions/resident).
     pub fn stats(&self) -> CacheStats {
-        let st = self.state.lock().expect("provider lock");
-        CacheStats {
-            hits: st.hits,
-            misses: st.misses,
-            evictions: st.evictions,
-            resident: st.cache.len(),
-        }
+        self.state.lock().expect("provider lock").stats()
     }
 }
 
@@ -230,58 +302,20 @@ impl PathProvider for OnDemandPaths {
     }
 
     fn tree(&self, src: NodeId, metric: Metric) -> Arc<ShortestPathTree> {
-        let st = &mut *self.state.lock().expect("provider lock");
-        st.tick += 1;
-        let tick = st.tick;
-        if let Some(slot) = st.cache.get_mut(&(src.0, metric)) {
-            slot.last_used = tick;
-            st.hits += 1;
-            return Arc::clone(&slot.tree);
-        }
-        st.misses += 1;
-        if st.cache.len() >= self.capacity {
-            // Evict the LRU entry; tie-break toward the smaller key so
-            // eviction (and thus the scratch pool state) is
-            // deterministic for identical query sequences.
-            let victim = st
-                .cache
-                .iter()
-                .min_by_key(|(&(id, m), slot)| (slot.last_used, id, m as u8))
-                .map(|(&k, _)| k)
-                .expect("cache non-empty");
-            let slot = st.cache.remove(&victim).expect("victim present");
-            st.evictions += 1;
-            if let Ok(tree) = Arc::try_unwrap(slot.tree) {
-                st.scratch.recycle(tree);
-            }
-        }
-        let tree = Arc::new(dijkstra_with(&self.topo, src, metric, &mut st.scratch));
-        st.cache.insert(
-            (src.0, metric),
-            Slot {
-                tree: Arc::clone(&tree),
-                last_used: tick,
-            },
-        );
-        tree
+        self.state
+            .lock()
+            .expect("provider lock")
+            .get_or_run(src, metric, |scratch| {
+                dijkstra_with(&self.topo, src, metric, scratch)
+            })
     }
 
     fn invalidate(&self) {
-        let st = &mut *self.state.lock().expect("provider lock");
-        let slots: Vec<Slot> = st.cache.drain().map(|(_, s)| s).collect();
-        for slot in slots {
-            if let Ok(tree) = Arc::try_unwrap(slot.tree) {
-                st.scratch.recycle(tree);
-            }
-        }
+        self.state.lock().expect("provider lock").clear();
     }
 
     fn resident_path_bytes(&self) -> usize {
-        let st = self.state.lock().expect("provider lock");
-        st.cache
-            .values()
-            .map(|s| s.tree.resident_bytes())
-            .sum::<usize>()
+        self.state.lock().expect("provider lock").resident_bytes()
     }
 }
 

@@ -12,6 +12,14 @@
 //! loop-free *by construction* even in the presence of zero-delay links
 //! and equal-cost ties — unlike stitching together per-source trees.
 //!
+//! Tables describe one fixed topology. The simulator's notion of "the
+//! IGP right now" is [`crate::LivePaths`], which holds one of these for
+//! the fault-free domain and answers from per-epoch trees (same
+//! destination-rooted rule) while anything is down; nothing rebuilds a
+//! table when a link fails. [`RoutingTables::compute_dense`] over a
+//! surviving topology is the oracle the view's degraded answers are
+//! tested against.
+//!
 //! Two representations sit behind one API:
 //!
 //! * **Dense** — the historical `n × n` flat table, `n` Dijkstra runs up
@@ -20,8 +28,7 @@
 //!   untouched.
 //! * **Lazy** — per-destination rows computed on first query and cached.
 //!   A 10k-node domain where traffic touches 40 destinations holds 40
-//!   rows (1.6 MB), not a 400 MB matrix; fault reconvergence rebuilds
-//!   only the rows that are actually re-queried.
+//!   rows (1.6 MB), not a 400 MB matrix.
 //!
 //! Because each row is a pure function of (topology, dst), lazy tables
 //! return byte-identical routes regardless of query order.
@@ -98,7 +105,8 @@ impl RoutingTables {
         }
     }
 
-    /// Force the dense `n × n` representation regardless of size.
+    /// Force the dense `n × n` representation regardless of size (the
+    /// test oracle for [`crate::LivePaths`]).
     pub fn compute_dense(topo: &Topology) -> Self {
         let n = topo.node_count();
         let mut next = vec![NONE; n * n];

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use scmp_net::rng::rng_for;
 use scmp_net::topology::{gt_itm_flat, transit_stub, waxman, GtItmConfig, WaxmanConfig};
 use scmp_net::{
-    dijkstra, AllPairsPaths, Metric, NodeId, OnDemandPaths, PathProvider, RoutingTables,
+    dijkstra, AllPairsPaths, LivePaths, Metric, NodeId, OnDemandPaths, PathProvider, RoutingTables,
+    Topology,
 };
 
 fn small_waxman(seed: u64, n: usize) -> scmp_net::Topology {
@@ -158,5 +159,124 @@ proptest! {
     fn on_demand_matches_all_pairs_transit_stub(seed in 0u64..500, stub in 1usize..4) {
         let t = small_transit_stub(seed, stub);
         assert_provider_matches(&t)?;
+    }
+}
+
+/// The live view against the implementation it replaced, as oracle:
+/// whatever the mask, `route` must equal the dense tables rebuilt over
+/// the surviving topology and `tree` a plain Dijkstra over it, field
+/// for field.
+fn assert_view_matches_rebuild(
+    view: &LivePaths,
+    down_nodes: &[bool],
+    cut: &[bool],
+) -> Result<(), TestCaseError> {
+    let topo = view.topo();
+    let edges = topo.edges();
+    let surviving = topo.subtopology(
+        |v| !down_nodes[v.index()],
+        |a, b| {
+            !cut[edges
+                .binary_search_by_key(&(a, b), |&(a, b, _)| (a, b))
+                .unwrap()]
+        },
+    );
+    let dense = RoutingTables::compute_dense(&surviving);
+    for src in topo.nodes() {
+        for dst in topo.nodes() {
+            prop_assert_eq!(view.route(src, dst), dense.route(src, dst));
+            prop_assert_eq!(view.next_hop(src, dst), dense.next_hop(src, dst));
+        }
+        for metric in [Metric::Delay, Metric::Cost] {
+            let got = view.tree(src, metric);
+            let want = dijkstra(&surviving, src, metric);
+            prop_assert_eq!(got.source(), want.source());
+            prop_assert_eq!(got.metric(), want.metric());
+            for v in topo.nodes() {
+                prop_assert_eq!(got.distance(v), want.distance(v));
+                prop_assert_eq!(got.predecessor(v), want.predecessor(v));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Drive `topo`'s view through a seeded sequence of link/node down/up
+/// events, then a full partition (every edge between the low and the
+/// high half of the node ids) and its heal, then restore whatever is
+/// still down — checking against the rebuild oracle after every step.
+fn assert_live_view_differential(topo: Topology, seed: u64) -> Result<(), TestCaseError> {
+    use rand::Rng;
+    let mut rng = rng_for("prop-live", seed);
+    let n = topo.node_count();
+    let edges = topo.edges().to_vec();
+    let mut view = LivePaths::new(topo);
+    let mut down_nodes = vec![false; n];
+    let mut cut = vec![false; edges.len()];
+    assert_view_matches_rebuild(&view, &down_nodes, &cut)?;
+    for _ in 0..10 {
+        // Toggling keeps roughly half the events failures, half repairs.
+        if rng.gen_range(0..4) == 0 {
+            let v = rng.gen_range(0..n);
+            down_nodes[v] = !down_nodes[v];
+            view.set_node_down(NodeId(v as u32), down_nodes[v]);
+        } else {
+            let e = rng.gen_range(0..edges.len());
+            cut[e] = !cut[e];
+            // Endpoint order must not matter.
+            view.set_link_down(edges[e].1, edges[e].0, cut[e]);
+        }
+        assert_view_matches_rebuild(&view, &down_nodes, &cut)?;
+    }
+    let crossing: Vec<usize> = (0..edges.len())
+        .filter(|&e| (edges[e].0.index() < n / 2) != (edges[e].1.index() < n / 2))
+        .collect();
+    let before = cut.clone();
+    for &e in &crossing {
+        cut[e] = true;
+        view.set_link_down(edges[e].0, edges[e].1, true);
+    }
+    prop_assert_eq!(view.route(NodeId(0), NodeId(n as u32 - 1)), None);
+    assert_view_matches_rebuild(&view, &down_nodes, &cut)?;
+    for &e in &crossing {
+        cut[e] = before[e];
+        view.set_link_down(edges[e].0, edges[e].1, before[e]);
+    }
+    assert_view_matches_rebuild(&view, &down_nodes, &cut)?;
+    // The last heal: from here on routes come from the construction-time
+    // tables again, and no shortest-path tree is ever computed for them.
+    for v in 0..n {
+        view.set_node_down(NodeId(v as u32), false);
+    }
+    for &(a, b, _) in &edges {
+        view.set_link_down(a, b, false);
+    }
+    prop_assert!(!view.degraded());
+    let spf_before = view.spf_runs();
+    let healthy = RoutingTables::compute_dense(view.topo());
+    for src in view.topo().nodes() {
+        for dst in view.topo().nodes() {
+            prop_assert_eq!(view.route(src, dst), healthy.route(src, dst));
+            prop_assert_eq!(view.next_hop(src, dst), healthy.next_hop(src, dst));
+        }
+    }
+    prop_assert_eq!(view.spf_runs(), spf_before);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Live view ≡ rebuild-everything on Waxman graphs.
+    #[test]
+    fn live_view_matches_rebuild_waxman(seed in 0u64..500, n in 4usize..16) {
+        assert_live_view_differential(small_waxman(seed, n), seed)?;
+    }
+
+    /// Same equivalence on hierarchical transit–stub graphs (many
+    /// equal-cost ties inside the stubs).
+    #[test]
+    fn live_view_matches_rebuild_transit_stub(seed in 0u64..500, stub in 1usize..3) {
+        assert_live_view_differential(small_transit_stub(seed, stub), seed)?;
     }
 }

@@ -1,5 +1,5 @@
-//! The simulation engine proper: the event loop, fault application,
-//! IGP reconvergence and tracing.
+//! The simulation engine proper: the event loop, fault application and
+//! tracing.
 
 use super::queue::{EventKind, EventQueue};
 use super::telemetry::Telemetry;
@@ -9,7 +9,7 @@ use crate::channel::ChannelModel;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::packet::{GroupId, PacketClass};
 use crate::stats::SimStats;
-use scmp_net::{NodeId, RoutingTables, Topology};
+use scmp_net::{LivePaths, NodeId, Topology};
 use scmp_telemetry::{
     DropReason, Event, EventKind as TeleKind, GaugeSample, RingSink, Sink, Span, TimedScope,
     TrafficClass,
@@ -17,13 +17,15 @@ use scmp_telemetry::{
 
 /// The router factory signature: constructs one node's protocol state.
 /// `Send` so a whole engine can be handed to a sweep worker thread.
-type RouterFactory<R> = Box<dyn FnMut(NodeId, &Topology, &RoutingTables) -> R + Send>;
+type RouterFactory<R> = Box<dyn FnMut(NodeId, &Topology, &LivePaths) -> R + Send>;
 
-/// The simulation engine: owns the topology, routing tables, per-node
-/// protocol state, the transport condition and the event queue.
+/// The simulation engine: owns the live path view (topology, liveness,
+/// routes), per-node protocol state, the transport condition and the
+/// event queue.
 pub struct Engine<R: Router> {
-    topo: Topology,
-    routes: RoutingTables,
+    /// The domain's IGP: the one place liveness changes and the one
+    /// place anything asks for a path.
+    paths: LivePaths,
     routers: Vec<R>,
     /// The router factory, kept so a crashed router can be cold-restarted
     /// with factory-fresh state (see [`FaultEvent::RouterCrash`]).
@@ -104,26 +106,30 @@ fn fault_event_kind(fault: &FaultEvent) -> TeleKind {
 
 impl<R: Router> Engine<R> {
     /// Build an engine; `make` constructs the protocol state for each
-    /// router (it receives the topology and unicast tables so protocols
-    /// can precompute). The factory is retained: a
+    /// router (it receives the topology and the live path view so
+    /// protocols can precompute). The factory is retained: a
     /// [`FaultEvent::RouterCrash`] wipes the node's state and a later
     /// recovery rebuilds it through the same factory.
     pub fn new(
         topo: Topology,
-        mut make: impl FnMut(NodeId, &Topology, &RoutingTables) -> R + Send + 'static,
+        mut make: impl FnMut(NodeId, &Topology, &LivePaths) -> R + Send + 'static,
     ) -> Self {
-        let routes = RoutingTables::compute(&topo);
-        let routers = topo.nodes().map(|v| make(v, &topo, &routes)).collect();
-        let n = topo.node_count();
+        // The healthy unicast tables are built here, eagerly: deferring
+        // them would charge the first join of every fresh engine.
+        let paths = LivePaths::new(topo);
+        let routers = paths
+            .topo()
+            .nodes()
+            .map(|v| make(v, paths.topo(), &paths))
+            .collect();
         Engine {
-            topo,
-            routes,
+            paths,
             routers,
             make: Box::new(make),
             queue: EventQueue::new(),
             now: 0,
             stats: SimStats::default(),
-            transport: Transport::new(n),
+            transport: Transport::new(),
             started: false,
             event_limit: 50_000_000,
             events_processed: 0,
@@ -205,7 +211,7 @@ impl<R: Router> Engine<R> {
 
     /// The topology being simulated.
     pub fn topo(&self) -> &Topology {
-        &self.topo
+        self.paths.topo()
     }
 
     /// Collected statistics.
@@ -224,7 +230,7 @@ impl<R: Router> Engine<R> {
     /// *claims the role* — so post-run probes (the stress oracle's
     /// split-brain check among them) must filter on liveness.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        self.transport.node_up(node)
+        self.paths.node_up(node)
     }
 
     /// Override the runaway-protection event limit (default 50M).
@@ -245,18 +251,18 @@ impl<R: Router> Engine<R> {
     }
 
     /// Mark a node up/down. Packets, timers and app events addressed to a
-    /// down node are discarded when they fire. The unicast routing
-    /// tables reconverge immediately (modelling the domain's link-state
-    /// IGP reacting to the failure).
+    /// down node are discarded when they fire. The domain's link-state
+    /// IGP reacts at once: the live view's epoch moves, and every route
+    /// asked for from now on avoids the node.
     pub fn set_node_down(&mut self, node: NodeId, down: bool) {
-        self.transport.set_node_down(node, down);
-        self.reconverge_routes();
+        self.paths.set_node_down(node, down);
+        self.sync_path_counters();
     }
 
     /// True while any node or link is out of service — the failure
     /// window for the during-failure overhead counters.
     pub fn degraded(&self) -> bool {
-        self.transport.degraded()
+        self.paths.degraded()
     }
 
     /// Schedule a fault at absolute time `time`. Faults share the event
@@ -266,11 +272,11 @@ impl<R: Router> Engine<R> {
         assert!(time >= self.now, "cannot schedule in the past");
         match fault {
             FaultEvent::LinkDown { a, b } | FaultEvent::LinkUp { a, b } => {
-                assert!(self.topo.has_link(a, b), "no such link {a:?}-{b:?}");
+                assert!(self.topo().has_link(a, b), "no such link {a:?}-{b:?}");
             }
             FaultEvent::RouterCrash { node } | FaultEvent::RouterRecover { node } => {
                 assert!(
-                    node.index() < self.topo.node_count(),
+                    node.index() < self.topo().node_count(),
                     "no such node {node:?}"
                 );
             }
@@ -288,16 +294,16 @@ impl<R: Router> Engine<R> {
     /// [`FaultPlan::validate`] first for a `Result`.
     pub fn schedule_fault_plan(&mut self, plan: &FaultPlan) {
         let specs = plan
-            .expand(&self.topo)
+            .expand(self.topo())
             .expect("fault plan invalid for this topology");
         for spec in &specs {
             self.schedule_fault(spec.time, spec.to_event());
         }
     }
 
-    /// Apply a fault that fired: flip liveness, reconverge the IGP, and
-    /// cold-restart crashed routers. Recovery re-runs `on_start` on the
-    /// rebuilt state machine.
+    /// Apply a fault that fired: flip liveness (O(1) — see
+    /// [`LivePaths`]) and cold-restart crashed routers. Recovery re-runs
+    /// `on_start` on the rebuilt state machine.
     fn apply_fault(&mut self, fault: FaultEvent) {
         if fault.is_failure() {
             self.stats.note_fault(self.now);
@@ -308,46 +314,41 @@ impl<R: Router> Engine<R> {
             FaultEvent::RouterCrash { node } => {
                 // Wipe the protocol state now; the node stays down (all
                 // events addressed to it are discarded) until recovery.
-                self.routers[node.index()] = (self.make)(node, &self.topo, &self.routes);
+                self.routers[node.index()] = (self.make)(node, self.paths.topo(), &self.paths);
                 self.set_node_down(node, true);
             }
             FaultEvent::RouterRecover { node } => {
                 self.set_node_down(node, false);
-                let degraded = self.transport.degraded();
                 let mut ctx = Ctx {
                     now: self.now,
                     node,
-                    topo: &self.topo,
-                    routes: &self.routes,
+                    paths: &self.paths,
                     queue: &mut self.queue,
                     stats: &mut self.stats,
                     transport: &mut self.transport,
                     tele: &mut self.tele,
-                    degraded,
                 };
                 self.routers[node.index()].on_start(&mut ctx);
             }
         }
     }
 
-    /// Mark a link up/down (both directions); the unicast routing tables
-    /// reconverge immediately.
+    /// Mark a link up/down (both directions); routes asked for from now
+    /// on avoid it.
+    ///
+    /// # Panics
+    /// If the topology has no such link.
     pub fn set_link_down(&mut self, a: NodeId, b: NodeId, down: bool) {
-        assert!(self.topo.has_link(a, b), "no such link {a:?}-{b:?}");
-        self.transport.set_link_down(a, b, down);
-        self.reconverge_routes();
+        self.paths.set_link_down(a, b, down);
+        self.sync_path_counters();
     }
 
-    /// Recompute the unicast next-hop tables over the surviving links.
-    fn reconverge_routes(&mut self) {
-        use scmp_net::graph::TopologyBuilder;
-        let mut b = TopologyBuilder::new(self.topo.node_count());
-        for &(a, bb, w) in self.topo.edges() {
-            if self.transport.link_alive(a, bb) {
-                b.add_link(a, bb, w);
-            }
-        }
-        self.routes = RoutingTables::compute(&b.build());
+    /// Copy the live view's work counters into the statistics (they are
+    /// read between runs, so once per run and per manual liveness change
+    /// is enough).
+    fn sync_path_counters(&mut self) {
+        self.stats.spf_runs = self.paths.spf_runs();
+        self.stats.liveness_epochs = self.paths.epoch();
     }
 
     fn start_if_needed(&mut self) {
@@ -355,19 +356,16 @@ impl<R: Router> Engine<R> {
             return;
         }
         self.started = true;
-        let degraded = self.transport.degraded();
         for i in 0..self.routers.len() {
             let node = NodeId(i as u32);
             let mut ctx = Ctx {
                 now: self.now,
                 node,
-                topo: &self.topo,
-                routes: &self.routes,
+                paths: &self.paths,
                 queue: &mut self.queue,
                 stats: &mut self.stats,
                 transport: &mut self.transport,
                 tele: &mut self.tele,
-                degraded,
             };
             self.routers[i].on_start(&mut ctx);
         }
@@ -396,7 +394,7 @@ impl<R: Router> Engine<R> {
             self.tele.maybe_sample(
                 self.now,
                 self.queue.len(),
-                &self.transport,
+                &self.paths,
                 self.stats.distinct_deliveries() as u64,
             );
             // Faults are infrastructure events: they fire regardless of
@@ -408,7 +406,7 @@ impl<R: Router> Engine<R> {
                 self.apply_fault(fault);
                 continue;
             }
-            if !self.transport.node_up(node) {
+            if !self.paths.node_up(node) {
                 if let EventKind::Deliver { pkt, .. } = &kind {
                     self.stats.drops += 1;
                     if self.tele.on() {
@@ -473,17 +471,14 @@ impl<R: Router> Engine<R> {
                 };
                 self.tele.emit(self.now, node, tk);
             }
-            let degraded = self.transport.degraded();
             let mut ctx = Ctx {
                 now: self.now,
                 node,
-                topo: &self.topo,
-                routes: &self.routes,
+                paths: &self.paths,
                 queue: &mut self.queue,
                 stats: &mut self.stats,
                 transport: &mut self.transport,
                 tele: &mut self.tele,
-                degraded,
             };
             match kind {
                 EventKind::Deliver { from, pkt, .. } => {
@@ -494,6 +489,7 @@ impl<R: Router> Engine<R> {
                 EventKind::Fault(_) => unreachable!("handled above"),
             }
         }
+        self.sync_path_counters();
         processed
     }
 

@@ -7,7 +7,7 @@ use super::transport::Transport;
 use super::SimTime;
 use crate::packet::{GroupId, Packet, PacketClass, ORIGIN_UNSET};
 use crate::stats::SimStats;
-use scmp_net::{NodeId, RoutingTables, Topology};
+use scmp_net::{LivePaths, NodeId, Topology};
 use scmp_telemetry::{DropReason, EventKind as TeleKind, HealthTrigger};
 use std::fmt;
 
@@ -16,15 +16,11 @@ use std::fmt;
 pub struct Ctx<'a, M> {
     pub(super) now: SimTime,
     pub(super) node: NodeId,
-    pub(super) topo: &'a Topology,
-    pub(super) routes: &'a RoutingTables,
+    pub(super) paths: &'a LivePaths,
     pub(super) queue: &'a mut EventQueue<M>,
     pub(super) stats: &'a mut SimStats,
     pub(super) transport: &'a mut Transport,
     pub(super) tele: &'a mut Telemetry,
-    /// True while any link or node is down: overhead charged in this
-    /// window also accumulates into the during-failure counters.
-    pub(super) degraded: bool,
 }
 
 impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
@@ -39,13 +35,16 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
     }
 
     /// The topology (read-only).
-    pub fn topo(&self) -> &Topology {
-        self.topo
+    pub fn topo(&self) -> &'a Topology {
+        self.paths.topo()
     }
 
-    /// The domain's unicast routing tables (read-only).
-    pub fn routes(&self) -> &RoutingTables {
-        self.routes
+    /// The domain's live path view — the link-state IGP every router can
+    /// consult: unicast next hops, shortest-path trees over whatever is
+    /// alive, the liveness mask and its epoch. The borrow outlives the
+    /// `&self`, so a protocol can plan over it and send in one breath.
+    pub fn routes(&self) -> &'a LivePaths {
+        self.paths
     }
 
     fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind<M>) {
@@ -56,21 +55,22 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
     /// Models the domain's link-state IGP view, which every router —
     /// and in particular the m-router's repair scan — can consult.
     pub fn link_up(&self, a: NodeId, b: NodeId) -> bool {
-        self.transport.link_alive(a, b)
+        self.paths.link_alive(a, b)
     }
 
     /// Is router `v` currently in service (per the IGP view)?
     pub fn node_up(&self, v: NodeId) -> bool {
-        self.transport.node_up(v)
+        self.paths.node_up(v)
     }
 
-    /// The topology restricted to live nodes and links — what a repair
-    /// algorithm should plan over. Node ids are preserved.
-    pub fn surviving_topology(&self) -> Topology {
-        self.topo.subtopology(
-            |v| self.transport.node_up(v),
-            |a, b| !self.transport.link_cut(a, b),
-        )
+    /// Count one periodic repair-scan pass: `full` when it assessed the
+    /// trees, otherwise one the liveness epoch let it skip.
+    pub fn record_repair_scan(&mut self, full: bool) {
+        if full {
+            self.stats.repair_scans_full += 1;
+        } else {
+            self.stats.repair_scans_skipped += 1;
+        }
     }
 
     /// Record a completed tree repair: the elapsed time since the most
@@ -339,13 +339,13 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
             pkt.origin = self.node;
         }
         let key = (pkt.group.0, pkt.tag);
-        let Some(w) = self.topo.link(self.node, to) else {
+        let Some(w) = self.paths.topo().link(self.node, to) else {
             debug_assert!(false, "{:?} is not a neighbour of {:?}", to, self.node);
             self.stats.drops += 1;
             self.trace_drop(DropReason::NonNeighbour, Some(to), Some(key));
             return;
         };
-        if !self.transport.link_alive(self.node, to) {
+        if !self.paths.link_alive(self.node, to) {
             self.stats.drops += 1;
             self.trace_drop(DropReason::DeadLink, None, Some(key));
             return;
@@ -465,7 +465,7 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
             );
             return;
         }
-        let Some(route) = self.routes.route(self.node, dst) else {
+        let Some(route) = self.paths.route(self.node, dst) else {
             self.stats.drops += 1;
             self.trace_drop(DropReason::NoRoute, None, Some(key));
             return;
@@ -481,7 +481,7 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         let mut duplicate = false;
         for hop in route.windows(2) {
             let (a, b) = (hop[0], hop[1]);
-            if !self.transport.link_alive(a, b) {
+            if !self.paths.link_alive(a, b) {
                 self.stats.drops += 1;
                 self.trace_drop(DropReason::DeadLink, None, Some(key));
                 return;
@@ -492,7 +492,7 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
                 self.trace_drop(DropReason::QueueFull, None, Some(key));
                 return;
             };
-            let w = self.topo.link(a, b).expect("route follows links");
+            let w = self.paths.topo().link(a, b).expect("route follows links");
             self.charge(pkt.class, w.cost);
             let roll = self.transport.channel_roll(a, b);
             if roll.drop {
@@ -582,14 +582,14 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
             PacketClass::Data => {
                 self.stats.data_overhead += cost;
                 self.stats.data_hops += 1;
-                if self.degraded {
+                if self.paths.degraded() {
                     self.stats.data_overhead_during_failure += cost;
                 }
             }
             PacketClass::Control => {
                 self.stats.protocol_overhead += cost;
                 self.stats.control_hops += 1;
-                if self.degraded {
+                if self.paths.degraded() {
                     self.stats.control_overhead_during_failure += cost;
                 }
             }

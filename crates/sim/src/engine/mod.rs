@@ -3,12 +3,14 @@
 //! * [`queue`] — the arena-backed event queue: the binary heap orders
 //!   small `(time, seq, slot)` keys while packet payloads wait in a
 //!   free-list arena.
-//! * [`transport`] — link liveness and the finite-capacity FIFO-server
-//!   model ([`CapacityModel`]), unit-testable without an engine.
+//! * [`transport`] — the finite-capacity FIFO-server model
+//!   ([`CapacityModel`]) and the channel impairments, unit-testable
+//!   without an engine. (Liveness and routes are not here: the engine
+//!   owns one [`scmp_net::LivePaths`] and everything asks it.)
 //! * [`ctx`] — [`Ctx`], the per-dispatch handle protocols use to send,
 //!   unicast, arm timers and record deliveries.
-//! * [`core`] — [`Engine`] itself: event loop, fault application, IGP
-//!   reconvergence, tracing.
+//! * [`core`] — [`Engine`] itself: event loop, fault application,
+//!   tracing.
 //! * [`runner`] — [`EngineRunner`], the object-safe erasure of
 //!   `Engine<R>` used by the protocol registry and scenario drivers.
 //! * `telemetry` — the engine's seam to `scmp-telemetry`: the owned

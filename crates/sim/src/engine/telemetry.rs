@@ -7,9 +7,8 @@
 //! predictable branch per would-be event and never constructs an
 //! [`Event`].
 
-use super::transport::Transport;
 use super::SimTime;
-use scmp_net::NodeId;
+use scmp_net::{LivePaths, NodeId};
 use scmp_telemetry::{Event, EventKind, GaugeSample, NullSink, Sink};
 
 /// The engine's telemetry state: sink, cached enable flag, gauge
@@ -76,7 +75,7 @@ impl Telemetry {
         &mut self,
         now: SimTime,
         queue_depth: usize,
-        transport: &Transport,
+        paths: &LivePaths,
         deliveries: u64,
     ) {
         let Some(interval) = self.gauge_interval else {
@@ -88,8 +87,8 @@ impl Telemetry {
         let sample = GaugeSample {
             time: now,
             queue_depth: queue_depth as u64,
-            down_links: transport.down_link_count() as u64,
-            down_nodes: transport.down_node_count() as u64,
+            down_links: paths.down_link_count() as u64,
+            down_nodes: paths.down_node_count() as u64,
             deliveries,
         };
         self.gauges.push(sample);

@@ -673,7 +673,7 @@ fn fault_on_missing_link_panics() {
 }
 
 #[test]
-fn surviving_topology_reflects_faults() {
+fn live_view_reflects_faults() {
     struct Probe;
     #[derive(Clone, Debug)]
     struct M;
@@ -681,15 +681,26 @@ fn surviving_topology_reflects_faults() {
         type Msg = M;
         fn on_packet(&mut self, _: NodeId, _: Packet<M>, _: &mut Ctx<'_, M>) {}
         fn on_app(&mut self, _: AppEvent, ctx: &mut Ctx<'_, M>) {
-            let surv = ctx.surviving_topology();
-            // Node 2 crashed, link 0-1 cut: only 3-4 remains.
-            assert_eq!(surv.edge_count(), 1);
-            assert!(surv.has_link(NodeId(3), NodeId(4)));
+            use scmp_net::PathProvider;
+            // Node 2 crashed, link 0-1 cut: what a handler sees through
+            // its context is the ring minus both.
             assert!(!ctx.node_up(NodeId(2)));
             assert!(!ctx.link_up(NodeId(0), NodeId(1)));
+            assert!(!ctx.link_up(NodeId(2), NodeId(3)), "dead endpoint");
+            let live = ctx.routes();
+            assert!(live.degraded());
+            assert_eq!(live.epoch(), 2);
+            assert_eq!(live.route(NodeId(0), NodeId(3)), Some(path(&[0, 4, 3])));
+            assert_eq!(live.next_hop(NodeId(0), NodeId(3)), Some(NodeId(4)));
+            assert_eq!(live.route(NodeId(0), NodeId(1)), None, "1 is cut off");
+            assert_eq!(live.unicast_delay(NodeId(0), NodeId(3)), Some(2));
+            assert_eq!(live.unicast_delay(NodeId(0), NodeId(2)), None);
         }
     }
-    let topo = line(5, LinkWeight::new(1, 1));
+    fn path(ids: &[u32]) -> Vec<NodeId> {
+        ids.iter().map(|&i| NodeId(i)).collect()
+    }
+    let topo = scmp_net::topology::regular::ring(5, LinkWeight::new(1, 1));
     let mut e: Engine<Probe> = Engine::new(topo, |_, _, _| Probe);
     e.schedule_fault(5, FaultEvent::RouterCrash { node: NodeId(2) });
     e.schedule_fault(
@@ -702,6 +713,46 @@ fn surviving_topology_reflects_faults() {
     e.schedule_app(10, NodeId(0), AppEvent::Leave(GroupId(0)));
     e.run_to_quiescence();
     assert!(e.degraded());
+    assert_eq!(e.stats().liveness_epochs, 2);
+    assert_eq!(e.stats().spf_runs, 3, "trees rooted at 3, 1 and 0");
+}
+
+#[test]
+fn flap_storm_costs_one_tree_per_epoch_and_queried_root() {
+    // 6 links × 4 cycles on a 5×5 grid; every router unicasts to node 0
+    // every 10 ticks throughout. Rebuilding the tables per link event
+    // cost n Dijkstra runs each (25 × 48 here); the live view runs one
+    // per liveness epoch and root actually asked for — and node 0 is the
+    // only root anybody asks for.
+    let topo = scmp_net::topology::regular::grid(5, 5, LinkWeight::new(2, 3));
+    let mut e: Engine<Flood> = Engine::new(topo, |me, _, _| Flood {
+        me,
+        seen: Default::default(),
+    });
+    let storm = FaultKind::FlapStorm {
+        seed: 7,
+        links: 6,
+        cycles: 4,
+        period: 200,
+    };
+    e.schedule_fault_plan(&FaultPlan::new().at(100, storm));
+    for t in (0..1_200).step_by(10) {
+        for v in 1..25 {
+            e.schedule_app(t, NodeId(v), AppEvent::Join(GroupId(1)));
+        }
+    }
+    e.run_to_quiescence();
+    let stats = e.stats();
+    assert!(!e.degraded(), "the storm ends with every link back up");
+    assert_eq!(stats.liveness_epochs, 6 * 4 * 2);
+    assert!(stats.spf_runs > 0, "degraded routes are computed");
+    let distinct_roots = 1;
+    assert!(
+        stats.spf_runs <= stats.liveness_epochs * distinct_roots,
+        "{} trees for {} epochs",
+        stats.spf_runs,
+        stats.liveness_epochs
+    );
 }
 
 #[test]

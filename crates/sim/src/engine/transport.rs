@@ -1,16 +1,18 @@
-//! Link liveness and the finite-capacity link model.
+//! The finite-capacity link model and the channel impairments.
 //!
-//! [`Transport`] owns everything the engine knows about the physical
-//! network's current condition: which nodes and links are in service,
-//! and — when a [`CapacityModel`] is installed — how long each directed
-//! link stays busy serialising earlier packets. It holds no reference to
-//! the engine, the event queue or the statistics, so its arithmetic is
-//! unit-testable in isolation (see the tests at the bottom).
+//! [`Transport`] owns what a packet meets on a live link: when a
+//! [`CapacityModel`] is installed, how long each directed link stays
+//! busy serialising earlier packets; when a [`ChannelModel`] is, what
+//! the wire does to it. Which links and routers are alive at all is the
+//! live path view's business ([`scmp_net::LivePaths`]). It holds no
+//! reference to the engine, the event queue or the statistics, so its
+//! arithmetic is unit-testable in isolation (see the tests at the
+//! bottom).
 
 use super::SimTime;
 use crate::channel::{ChannelModel, ChannelOutcome};
 use scmp_net::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Finite link-capacity model (off by default).
 ///
@@ -66,30 +68,19 @@ pub struct LinkSlot {
     pub waited: SimTime,
 }
 
-/// The network's physical condition: node/link liveness plus the
-/// per-link busy horizon of the capacity model.
+/// The per-link busy horizon of the capacity model plus the channel
+/// impairment streams.
+#[derive(Default)]
 pub struct Transport {
-    node_down: Vec<bool>,
-    /// Count of `true` entries in `node_down` (kept in sync so the
-    /// degraded-window test is O(1) per event).
-    down_nodes: usize,
-    link_down: HashSet<(NodeId, NodeId)>,
     capacity: Option<CapacityModel>,
     channel: Option<ChannelModel>,
     link_busy: HashMap<(NodeId, NodeId), SimTime>,
 }
 
 impl Transport {
-    /// A fully-up transport over `nodes` routers, infinite bandwidth.
-    pub fn new(nodes: usize) -> Self {
-        Transport {
-            node_down: vec![false; nodes],
-            down_nodes: 0,
-            link_down: HashSet::new(),
-            capacity: None,
-            channel: None,
-            link_busy: HashMap::new(),
-        }
+    /// Infinite bandwidth, perfect channels.
+    pub fn new() -> Self {
+        Transport::default()
     }
 
     /// Enable the finite link-capacity model (default: infinite
@@ -111,68 +102,6 @@ impl Transport {
             Some(ch) => ch.roll(a, b),
             None => ChannelOutcome::default(),
         }
-    }
-
-    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a < b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Mark a node up/down.
-    pub fn set_node_down(&mut self, node: NodeId, down: bool) {
-        let cur = &mut self.node_down[node.index()];
-        if *cur != down {
-            *cur = down;
-            if down {
-                self.down_nodes += 1;
-            } else {
-                self.down_nodes -= 1;
-            }
-        }
-    }
-
-    /// Mark a link up/down (both directions; endpoint order irrelevant).
-    pub fn set_link_down(&mut self, a: NodeId, b: NodeId, down: bool) {
-        let key = Self::key(a, b);
-        if down {
-            self.link_down.insert(key);
-        } else {
-            self.link_down.remove(&key);
-        }
-    }
-
-    /// Is router `v` currently in service?
-    pub fn node_up(&self, v: NodeId) -> bool {
-        !self.node_down[v.index()]
-    }
-
-    /// Is the link itself cut (ignoring endpoint liveness)?
-    pub fn link_cut(&self, a: NodeId, b: NodeId) -> bool {
-        self.link_down.contains(&Self::key(a, b))
-    }
-
-    /// Is the link `a`–`b` (and both endpoints) currently usable?
-    pub fn link_alive(&self, a: NodeId, b: NodeId) -> bool {
-        !self.link_cut(a, b) && self.node_up(a) && self.node_up(b)
-    }
-
-    /// True while any node or link is out of service — the failure
-    /// window for the during-failure overhead counters.
-    pub fn degraded(&self) -> bool {
-        self.down_nodes > 0 || !self.link_down.is_empty()
-    }
-
-    /// Number of links currently administratively down (gauge metric).
-    pub fn down_link_count(&self) -> usize {
-        self.link_down.len()
-    }
-
-    /// Number of routers currently down (gauge metric).
-    pub fn down_node_count(&self) -> usize {
-        self.down_nodes
     }
 
     /// Reserve transmission time on the directed link `a -> b` starting
@@ -211,7 +140,7 @@ mod tests {
 
     #[test]
     fn free_mode_departs_immediately() {
-        let mut t = Transport::new(2);
+        let mut t = Transport::new();
         for ready in [0, 5, 3] {
             // No capacity model: no serialisation, no queue, no state.
             assert_eq!(
@@ -226,7 +155,7 @@ mod tests {
 
     #[test]
     fn backlog_at_start_equals_ready_is_zero() {
-        let mut t = Transport::new(2);
+        let mut t = Transport::new();
         t.set_capacity(CapacityModel::uniform(10, 0));
         // queue_limit 0: only a packet that starts the instant it is
         // ready (start == ready, backlog 0/tx = 0) is accepted.
@@ -267,7 +196,7 @@ mod tests {
 
     #[test]
     fn queue_limit_boundary_is_inclusive() {
-        let mut t = Transport::new(2);
+        let mut t = Transport::new();
         t.set_capacity(CapacityModel::uniform(10, 2));
         // All ready at 0: backlogs are 0, 10, 20, 30 ticks = 0, 1, 2, 3
         // waiting packets. Exactly queue_limit (2) is accepted; one more
@@ -289,7 +218,7 @@ mod tests {
 
     #[test]
     fn per_node_tx_override_applies_to_sender_only() {
-        let mut t = Transport::new(2);
+        let mut t = Transport::new();
         t.set_capacity(CapacityModel::uniform(10, 100).with_node_tx(A, 2));
         // A's fast ports serialise in 2 ticks...
         assert_eq!(t.reserve_link(A, B, 0).unwrap().depart, 2);
@@ -307,29 +236,10 @@ mod tests {
 
     #[test]
     fn directions_queue_independently() {
-        let mut t = Transport::new(2);
+        let mut t = Transport::new();
         t.set_capacity(CapacityModel::uniform(10, 1));
         assert_eq!(t.reserve_link(A, B, 0).unwrap().depart, 10);
         // The reverse direction is a separate FIFO server.
         assert_eq!(t.reserve_link(B, A, 0).unwrap().depart, 10);
-    }
-
-    #[test]
-    fn liveness_bookkeeping() {
-        let mut t = Transport::new(3);
-        assert!(t.link_alive(A, B));
-        assert!(!t.degraded());
-        t.set_link_down(B, A, true); // endpoint order must not matter
-        assert!(t.link_cut(A, B));
-        assert!(!t.link_alive(A, B));
-        assert!(t.degraded());
-        t.set_link_down(A, B, false);
-        assert!(!t.degraded());
-        t.set_node_down(NodeId(2), true);
-        t.set_node_down(NodeId(2), true); // idempotent: counted once
-        assert!(t.degraded());
-        assert!(!t.node_up(NodeId(2)));
-        t.set_node_down(NodeId(2), false);
-        assert!(!t.degraded());
     }
 }

@@ -18,7 +18,8 @@
 //! * `LinkDown` removes a link from service in both directions; packets
 //!   in flight on it were already committed and still arrive, packets
 //!   sent afterwards drop. The domain's unicast IGP reconverges
-//!   immediately.
+//!   immediately (the live path view's epoch moves; routes are
+//!   recomputed when next asked for).
 //! * `RouterCrash` takes a node out of service *and wipes its protocol
 //!   state* — on recovery the router is rebuilt from the engine's
 //!   factory exactly as at simulation start (a cold restart), and its

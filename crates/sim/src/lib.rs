@@ -23,8 +23,9 @@
 //! scenario replays identically across runs and machines.
 //!
 //! The engine is layered (see [`engine`]): an arena-backed event queue
-//! (`engine::queue`) keeps heap entries small, the link-liveness and
-//! capacity arithmetic lives in [`Transport`] (`engine::transport`,
+//! (`engine::queue`) keeps heap entries small, liveness and routes are
+//! one [`scmp_net::LivePaths`] owned by the engine, the capacity
+//! arithmetic lives in [`Transport`] (`engine::transport`,
 //! unit-testable without an engine), protocols talk to the network
 //! through [`Ctx`] (`engine::ctx`), and the event loop itself is
 //! `engine::core`. [`EngineRunner`] erases `Engine<R>` so heterogeneous

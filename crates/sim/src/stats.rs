@@ -95,6 +95,19 @@ pub struct SimStats {
     /// Post-heal reconciliations completed (stranded members readopted
     /// under an epoch-guarded tree merge).
     pub reconciliations: u64,
+    /// Shortest-path trees the live path view computed on demand (one
+    /// per root, metric and liveness epoch actually queried; the
+    /// construction-time tables are not counted). Exact work counter:
+    /// identical at any `--jobs`, never part of [`SimStats::report`].
+    pub spf_runs: u64,
+    /// Liveness changes applied (links cut/restored, routers
+    /// crashed/recovered; re-asserting a state is not a change).
+    pub liveness_epochs: u64,
+    /// Periodic repair-scan passes that assessed the mirrored trees.
+    pub repair_scans_full: u64,
+    /// Periodic repair-scan passes skipped because the liveness epoch
+    /// had not moved since a scan that found nothing to mend.
+    pub repair_scans_skipped: u64,
 }
 
 impl SimStats {

@@ -224,7 +224,11 @@ impl<'a> Dcdm<'a> {
                 .multicast_delay(self.topo, r)
                 .expect("on-tree node");
             for &metric in &self.candidate_metrics {
-                let p = self.paths.path(s, r, metric).expect("connected");
+                // An on-tree router `s` cannot reach is no graft point
+                // (a mirror tree not yet mended after a partition).
+                let Some(p) = self.paths.path(s, r, metric) else {
+                    continue;
+                };
                 let w = self.topo.path_weight(&p).expect("valid path");
                 let ml_s = ml_r + w.delay;
                 if ml_s > limit {

@@ -97,6 +97,14 @@ scale:
 scale-smoke:
     cargo run --release -p scmp-bench --bin scale -- --smoke --jobs 2
 
+# The repo's benchmark (benchmark/, its own package) at CI size: builds
+# it offline against the library crates, runs all five workloads with
+# their output checks in < 15 s, then its unit tests. `benchmark/run.sh`
+# without --quick is the measured run; see benchmark/README.md.
+bench-quick:
+    benchmark/run.sh --quick
+    cargo test -q --manifest-path benchmark/Cargo.toml
+
 # Query a JSONL telemetry trace, e.g.:
 #   just inspect bench_results/failstorm_trace.jsonl --audit
 inspect +args:

@@ -46,6 +46,14 @@ part_b=$(cargo run -q --release -p scmp-bench --bin scenario -- \
     echo "partition smoke diverged between --jobs 2 and serial" >&2
     exit 1
 }
+# The repo's benchmark is a package of its own (benchmark/, outside the
+# workspace) that builds against the library crates' public API, and a
+# PR that claims a gain may not edit it. Build it offline, run every
+# workload at CI size (output checks, digests and the traced pass
+# included) and its unit tests, so a library change that breaks it
+# fails here instead of in the acceptance pipeline.
+benchmark/run.sh --quick >/dev/null
+cargo test -q --manifest-path benchmark/Cargo.toml
 # Fast loss-invariant scenario: 5% and 15% control-plane loss on the
 # fig-scale topology — eventual grafting, no duplicate delivery, no
 # spurious takeover.

@@ -12,7 +12,8 @@
 //!
 //! What stays here is the engine-internal structure the corpus checks
 //! cannot see: the shape of the repaired tree, the paper's delay
-//! constraint on the converged tree, and failure-window accounting.
+//! constraint on the converged tree, failure-window accounting, and a
+//! join planned while a link is down.
 //!
 //! The Fig. 5d tree for members {3, 4, 5} rooted at the m-router 0 is
 //! 0-1-4, 0-2, 2-3, 2-5 — so cutting 0-2 severs the limb feeding 3 and
@@ -134,4 +135,46 @@ fn flapping_link_converges_to_constraint_satisfying_tree() {
         tree.tree_delay(&topo),
         bound
     );
+}
+
+/// A JOIN processed while an on-path link is down is planned over the
+/// live view: the new branch goes around the dead link at once and
+/// carries data before the next scan tick — no repair is ever needed.
+/// (Planned over the static tables, the BRANCH would leave over dead
+/// link 0-2 and member 5 would hear nothing until a scan noticed.)
+#[test]
+fn join_during_a_fault_grafts_around_the_dead_link() {
+    let mut e = build_scmp_engine(fig5(), robust_config());
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    // Healthy, node 5 reaches the m-router over 5-2-0.
+    let plan = FaultPlan::new().at(2_100, FaultKind::LinkDown { a: 0, b: 2 });
+    plan.validate(e.topo()).unwrap();
+    e.schedule_fault_plan(&plan);
+    // Scan ticks fall on multiples of REPAIR_INTERVAL: join and send
+    // between the ticks at 4 000 and 6 000.
+    e.schedule_app(4_100, NodeId(5), AppEvent::Join(G));
+    e.schedule_app(4_500, NodeId(1), AppEvent::Send { group: G, tag: 1 });
+    e.run_until(3 * REPAIR_INTERVAL - 1);
+
+    let stats = e.stats();
+    assert_eq!(
+        stats.delivery_count(G, 1, NodeId(5)),
+        1,
+        "joiner not served"
+    );
+    assert_eq!(stats.delivery_count(G, 1, NodeId(4)), 1);
+    assert_eq!(stats.repairs, 0, "nothing was ever broken");
+    assert_eq!(
+        stats.retransmissions, 0,
+        "the BRANCH got through first time"
+    );
+    let tree = e.router(NodeId(0)).m_state().unwrap().tree(G).unwrap();
+    assert_eq!(tree.validate(Some(e.topo())), Ok(()));
+    assert!(tree.is_member(NodeId(5)));
+    for (p, c) in tree.edges() {
+        assert!(
+            (p.0.min(c.0), p.0.max(c.0)) != (0, 2),
+            "graft crosses dead link 0-2"
+        );
+    }
 }

@@ -8,7 +8,7 @@
 //!   on-tree router ("2m paths"); restricting to one family shows what
 //!   each contributes to tree cost/delay.
 
-use crate::netperf::{self, Protocol, TopologyKind};
+use crate::netperf::{self, TopologyKind};
 use rand::seq::SliceRandom;
 use scmp_core::router::ScmpConfig;
 use scmp_net::rng::rng_for;
@@ -116,13 +116,6 @@ pub fn run_paths(seeds: u64) -> Vec<PathSetPoint> {
         });
     }
     out
-}
-
-/// Sanity accessor reused by the `protocols` Criterion bench: run one
-/// small SCMP scenario end to end and return its total overhead.
-pub fn smoke_protocol_run(proto: Protocol) -> u64 {
-    let m = netperf::run_one(TopologyKind::Arpanet, proto, 6, 0);
-    m.data_overhead + m.protocol_overhead
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::message::ScmpMsg;
 use crate::tree_packet::{BranchPacket, TreePacket};
 use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet};
+use scmp_telemetry::EventKind;
 
 impl ScmpRouter {
     // ------------------------------------------------------------------
@@ -487,7 +488,12 @@ impl ScmpRouter {
         let delay = retry << attempt.min(BACKOFF_CAP);
         p.deadline = now + delay;
         ctx.send(child, pkt);
-        ctx.record_retransmit(group.0, child, attempt, tag);
+        ctx.observe(EventKind::Retransmit {
+            group: group.0,
+            to: child.0,
+            attempt,
+            tag,
+        });
         ctx.set_timer(delay, super::tree_retry_token(group, child));
     }
 

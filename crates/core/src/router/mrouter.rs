@@ -10,7 +10,7 @@ use crate::tree_packet::{BranchPacket, TreePacket};
 use scmp_fabric::{GroupRequest, SandwichFabric};
 use scmp_net::{Metric, NodeId, PathProvider, Topology};
 use scmp_sim::{Ctx, GroupId, Packet};
-use scmp_telemetry::HealthTrigger;
+use scmp_telemetry::{EventKind, HealthTrigger};
 use scmp_tree::{Dcdm, MulticastTree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -31,15 +31,15 @@ pub(super) fn record_tree_health(
         return;
     }
     let h = scmp_tree::health(topo, paths, tree);
-    ctx.record_tree_health(
-        group,
+    ctx.observe(EventKind::TreeHealth {
+        group: group.0,
         trigger,
-        h.members,
-        h.depth,
-        h.cost,
-        h.stretch_milli,
-        h.delay_var,
-    );
+        members: h.members,
+        depth: h.depth,
+        cost: h.cost,
+        stretch_milli: h.stretch_milli,
+        delay_var: h.delay_var,
+    });
 }
 
 /// The path tables the m-router plans trees over right now: the
@@ -489,10 +489,15 @@ impl ScmpRouter {
                         .filter(|m| unreachable_now.contains(m))
                         .collect::<BTreeSet<_>>()
                         .len();
-                    ctx.record_partition(unreachable_now.len() as u32, stranded_members as u32);
+                    ctx.observe(EventKind::Partition {
+                        stranded: unreachable_now.len() as u32,
+                        members: stranded_members as u32,
+                    });
                 }
                 if !healed.is_empty() {
-                    ctx.record_heal(healed.len() as u32);
+                    ctx.observe(EventKind::Heal {
+                        restored: healed.len() as u32,
+                    });
                     // Reconciliation, step 1 (dual-root rule): a
                     // promoted standby re-announces its mastership to
                     // every healed node. The far side may still believe
@@ -602,7 +607,11 @@ impl ScmpRouter {
                 ctx,
             );
             if readopted > 0 {
-                ctx.record_reconcile(group.0, readopted as u32, gen);
+                ctx.observe(EventKind::Reconcile {
+                    group: group.0,
+                    readopted: readopted as u32,
+                    epoch: gen,
+                });
             }
             let Role::MRouter(state) = &mut self.role else {
                 unreachable!()

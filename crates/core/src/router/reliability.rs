@@ -43,7 +43,7 @@ use super::{ScmpRouter, BACKOFF_CAP, TIMER_ANNOUNCE_BASE, TIMER_NACK_BASE};
 use crate::message::ScmpMsg;
 use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet, PacketClass};
-use scmp_telemetry::pack_ctl_tag;
+use scmp_telemetry::{pack_ctl_tag, EventKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Most missing sequences NACKed per timer round; the rest wait for the
@@ -372,7 +372,13 @@ impl ScmpRouter {
             // not a repair; only count it when this router would have
             // NACKed for it.
             if self.rel_responsible(group, origin) {
-                ctx.record_recovery(group.0, origin.0, seq, tag, now.saturating_sub(detected));
+                ctx.observe(EventKind::Recovery {
+                    group: group.0,
+                    origin: origin.0,
+                    seq,
+                    tag,
+                    latency: now.saturating_sub(detected),
+                });
             }
         }
         self.rel_arm_nack_if_needed(group, origin, &cfg, ctx);
@@ -459,7 +465,12 @@ impl ScmpRouter {
         for seq in wanted {
             let tag = pack_ctl_tag(origin.0, seq as u32);
             let pkt = Packet::control_keyed(group, tag, ScmpMsg::Nack { origin, seq });
-            ctx.record_nack(group.0, origin.0, seq, tag);
+            ctx.observe(EventKind::Nack {
+                group: group.0,
+                origin: origin.0,
+                seq,
+                tag,
+            });
             if encap {
                 // m-router chasing the unicast encapsulation leg.
                 ctx.unicast(origin, pkt);
@@ -499,7 +510,12 @@ impl ScmpRouter {
         let group = pkt.group;
         let key = (group.0, origin.0, seq);
         if let Some((tag, created_at)) = self.rel.cache.get(key) {
-            ctx.record_repair_hit(group.0, origin.0, seq, tag);
+            ctx.observe(EventKind::RepairHit {
+                group: group.0,
+                origin: origin.0,
+                seq,
+                tag,
+            });
             let repair = Packet {
                 class: PacketClass::Control,
                 group,
@@ -520,7 +536,12 @@ impl ScmpRouter {
             }
             return;
         }
-        ctx.record_repair_miss(group.0, origin.0, seq, pkt.tag);
+        ctx.observe(EventKind::RepairMiss {
+            group: group.0,
+            origin: origin.0,
+            seq,
+            tag: pkt.tag,
+        });
         if origin == self.me {
             // Our own payload aged out of our cache: unrecoverable.
             ctx.drop_packet_keyed(group, pkt.tag);
@@ -534,7 +555,12 @@ impl ScmpRouter {
                 // upstream; park the requester until the repair flows
                 // down (duplicate-NACK suppression).
                 entry.waiters.insert(from);
-                ctx.record_nack_suppressed(group.0, origin.0, seq, pkt.tag);
+                ctx.observe(EventKind::NackSuppress {
+                    group: group.0,
+                    origin: origin.0,
+                    seq,
+                    tag: pkt.tag,
+                });
                 return;
             }
         }

@@ -9,6 +9,7 @@ use crate::session::SessionDb;
 use crate::tree_packet::TreePacket;
 use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet, SimTime};
+use scmp_telemetry::EventKind;
 use scmp_tree::Dcdm;
 use std::sync::Arc;
 
@@ -66,7 +67,7 @@ impl ScmpRouter {
             }
         }
         self.m_router = me;
-        ctx.record_takeover();
+        ctx.observe(EventKind::Takeover);
         ctx.set_timer(domain.config.takeover_rebuild_delay, TIMER_REBUILD);
     }
 

@@ -1,18 +1,16 @@
-//! The simulation engine proper: the event loop, fault application and
-//! tracing.
+//! The simulation engine proper: the event loop and fault application.
 
 use super::queue::{EventKind, EventQueue};
 use super::telemetry::Telemetry;
 use super::transport::{CapacityModel, Transport};
-use super::{AppEvent, Ctx, Router, SimTime, TraceKind, TraceRecord};
+use super::{AppEvent, Ctx, Router, SimTime};
 use crate::channel::ChannelModel;
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::packet::{GroupId, PacketClass};
+use crate::packet::{Packet, PacketClass};
 use crate::stats::SimStats;
 use scmp_net::{LivePaths, NodeId, Topology};
 use scmp_telemetry::{
-    DropReason, Event, EventKind as TeleKind, GaugeSample, RingSink, Sink, Span, TimedScope,
-    TrafficClass,
+    DropReason, Event, EventKind as TeleKind, GaugeSample, Sink, Span, TimedScope, TrafficClass,
 };
 
 /// The router factory signature: constructs one node's protocol state.
@@ -41,59 +39,6 @@ pub struct Engine<R: Router> {
     tele: Telemetry,
 }
 
-/// Map a structured telemetry event back onto the legacy trace
-/// vocabulary. Kinds the old trace never carried (local deliveries,
-/// non-legacy drops, repairs, gauges) map to `None`, which keeps
-/// pre-telemetry golden traces byte-identical.
-fn legacy_record(ev: &Event) -> Option<TraceRecord> {
-    let node = NodeId(ev.node);
-    let kind = match ev.kind {
-        TeleKind::Join { group } => TraceKind::App(AppEvent::Join(GroupId(group))),
-        TeleKind::Leave { group } => TraceKind::App(AppEvent::Leave(GroupId(group))),
-        TeleKind::Send { group, tag } => TraceKind::App(AppEvent::Send {
-            group: GroupId(group),
-            tag,
-        }),
-        TeleKind::Deliver {
-            from,
-            class,
-            group,
-            tag,
-            ..
-        } => TraceKind::Deliver {
-            from: NodeId(from),
-            class: match class {
-                TrafficClass::Data => PacketClass::Data,
-                TrafficClass::Control => PacketClass::Control,
-            },
-            group: GroupId(group),
-            tag,
-        },
-        TeleKind::Timer { token } => TraceKind::Timer { token },
-        TeleKind::LinkDown { a, b } => TraceKind::Fault(FaultEvent::LinkDown {
-            a: NodeId(a),
-            b: NodeId(b),
-        }),
-        TeleKind::LinkUp { a, b } => TraceKind::Fault(FaultEvent::LinkUp {
-            a: NodeId(a),
-            b: NodeId(b),
-        }),
-        TeleKind::RouterCrash => TraceKind::Fault(FaultEvent::RouterCrash { node }),
-        TeleKind::RouterRecover => TraceKind::Fault(FaultEvent::RouterRecover { node }),
-        TeleKind::Drop {
-            reason: DropReason::NonNeighbour,
-            to: Some(to),
-            ..
-        } => TraceKind::NonNeighbourDrop { to: NodeId(to) },
-        _ => return None,
-    };
-    Some(TraceRecord {
-        time: ev.time,
-        node,
-        kind,
-    })
-}
-
 /// The structured form of a scheduled fault.
 fn fault_event_kind(fault: &FaultEvent) -> TeleKind {
     match *fault {
@@ -101,6 +46,16 @@ fn fault_event_kind(fault: &FaultEvent) -> TeleKind {
         FaultEvent::LinkUp { a, b } => TeleKind::LinkUp { a: a.0, b: b.0 },
         FaultEvent::RouterCrash { .. } => TeleKind::RouterCrash,
         FaultEvent::RouterRecover { .. } => TeleKind::RouterRecover,
+    }
+}
+
+/// A drop, at the receiving end, of a packet still in hand.
+fn drop_of<M>(reason: DropReason, pkt: &Packet<M>) -> TeleKind {
+    TeleKind::Drop {
+        reason,
+        to: None,
+        group: Some(pkt.group.0),
+        tag: Some(pkt.tag),
     }
 }
 
@@ -149,15 +104,6 @@ impl<R: Router> Engine<R> {
         self.transport.set_channel(model);
     }
 
-    /// Enable event tracing into a bounded in-memory ring (disabled by
-    /// default). This is the compatibility shim over [`Engine::set_sink`]:
-    /// it installs a [`RingSink`] large enough for every debugging-scale
-    /// scenario, and [`Engine::trace`] projects its events back onto the
-    /// legacy [`TraceRecord`] vocabulary.
-    pub fn enable_trace(&mut self) {
-        self.set_sink(Box::new(RingSink::new(1 << 20)));
-    }
-
     /// Install a telemetry sink. The sink's enable flag is cached, so a
     /// [`scmp_telemetry::NullSink`] keeps the hot path at one branch per
     /// would-be event.
@@ -192,16 +138,6 @@ impl<R: Router> Engine<R> {
     /// Flush the telemetry sink (streaming sinks buffer).
     pub fn flush_telemetry(&mut self) {
         self.tele.flush();
-    }
-
-    /// The recorded trace in the legacy vocabulary (empty when tracing
-    /// is disabled). Telemetry-only event kinds are omitted.
-    pub fn trace(&self) -> Vec<TraceRecord> {
-        self.tele
-            .snapshot_events()
-            .iter()
-            .filter_map(legacy_record)
-            .collect()
     }
 
     /// Current simulation time.
@@ -305,9 +241,6 @@ impl<R: Router> Engine<R> {
     /// [`LivePaths`]) and cold-restart crashed routers. Recovery re-runs
     /// `on_start` on the rebuilt state machine.
     fn apply_fault(&mut self, fault: FaultEvent) {
-        if fault.is_failure() {
-            self.stats.note_fault(self.now);
-        }
         match fault {
             FaultEvent::LinkDown { a, b } => self.set_link_down(a, b, true),
             FaultEvent::LinkUp { a, b } => self.set_link_down(a, b, false),
@@ -349,6 +282,12 @@ impl<R: Router> Engine<R> {
     fn sync_path_counters(&mut self) {
         self.stats.spf_runs = self.paths.spf_runs();
         self.stats.liveness_epochs = self.paths.epoch();
+    }
+
+    /// The engine's own observations (faults, dispatches, drops at a
+    /// dead node or a failed checksum) enter where the routers' do.
+    fn observe(&mut self, node: NodeId, kind: TeleKind) {
+        self.tele.observe(&mut self.stats, self.now, node, kind);
     }
 
     fn start_if_needed(&mut self) {
@@ -400,27 +339,13 @@ impl<R: Router> Engine<R> {
             // Faults are infrastructure events: they fire regardless of
             // the target's liveness (a crashed node can still recover).
             if let EventKind::Fault(fault) = kind {
-                if self.tele.on() {
-                    self.tele.emit(self.now, node, fault_event_kind(&fault));
-                }
+                self.observe(node, fault_event_kind(&fault));
                 self.apply_fault(fault);
                 continue;
             }
             if !self.paths.node_up(node) {
                 if let EventKind::Deliver { pkt, .. } = &kind {
-                    self.stats.drops += 1;
-                    if self.tele.on() {
-                        self.tele.emit(
-                            self.now,
-                            node,
-                            TeleKind::Drop {
-                                reason: DropReason::DeadNode,
-                                to: None,
-                                group: Some(pkt.group.0),
-                                tag: Some(pkt.tag),
-                            },
-                        );
-                    }
+                    self.observe(node, drop_of(DropReason::DeadNode, pkt));
                 }
                 continue;
             }
@@ -432,20 +357,7 @@ impl<R: Router> Engine<R> {
                 ..
             } = kind
             {
-                self.stats.drops += 1;
-                self.stats.channel_corrupted += 1;
-                if self.tele.on() {
-                    self.tele.emit(
-                        self.now,
-                        node,
-                        TeleKind::Drop {
-                            reason: DropReason::Corrupt,
-                            to: None,
-                            group: Some(pkt.group.0),
-                            tag: Some(pkt.tag),
-                        },
-                    );
-                }
+                self.observe(node, drop_of(DropReason::Corrupt, pkt));
                 continue;
             }
             if self.tele.on() {
@@ -469,7 +381,7 @@ impl<R: Router> Engine<R> {
                     },
                     EventKind::Fault(_) => unreachable!("handled above"),
                 };
-                self.tele.emit(self.now, node, tk);
+                self.observe(node, tk);
             }
             let mut ctx = Ctx {
                 now: self.now,

@@ -8,7 +8,7 @@ use super::SimTime;
 use crate::packet::{GroupId, Packet, PacketClass, ORIGIN_UNSET};
 use crate::stats::SimStats;
 use scmp_net::{LivePaths, NodeId, Topology};
-use scmp_telemetry::{DropReason, EventKind as TeleKind, HealthTrigger};
+use scmp_telemetry::{DropReason, EventKind as TeleKind};
 use std::fmt;
 
 /// The per-dispatch context handed to [`Router`](super::Router)
@@ -63,6 +63,39 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         self.paths.node_up(v)
     }
 
+    /// Something observable happened at this router. This is the one
+    /// entry point: `kind` is counted into the run's statistics
+    /// ([`SimStats::count`] — the counter lives beside the event's
+    /// meaning, not beside the call site) and, when a sink is
+    /// listening, recorded with the current time and node.
+    #[inline]
+    pub fn observe(&mut self, kind: TeleKind) {
+        self.tele.observe(self.stats, self.now, self.node, kind);
+    }
+
+    /// Whether the installed telemetry sink is live — expensive
+    /// observability probes (tree-health sampling, whose samples the
+    /// engine also keeps for [`Engine::health_events`](super::Engine::health_events))
+    /// are gated on this so sink-off runs pay nothing.
+    pub fn telemetry_on(&self) -> bool {
+        self.tele.on()
+    }
+
+    /// Record a completed tree repair: the elapsed time since the most
+    /// recent fault becomes a repair-latency sample.
+    pub fn record_repair(&mut self) {
+        match self.stats.last_fault_at {
+            Some(t0) => self.observe(TeleKind::Repair {
+                latency: self.now.saturating_sub(t0),
+            }),
+            // Liveness flipped by hand, no fault ever injected: there is
+            // nothing to time, so the repair is counted without an event.
+            None => self.stats.repairs += 1,
+        }
+    }
+
+    // Counters with no event of their own stay plain `SimStats` fields.
+
     /// Count one periodic repair-scan pass: `full` when it assessed the
     /// trees, otherwise one the liveness epoch let it skip.
     pub fn record_repair_scan(&mut self, full: bool) {
@@ -73,205 +106,15 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         }
     }
 
-    /// Record a completed tree repair: the elapsed time since the most
-    /// recent fault becomes a repair-latency sample.
-    pub fn record_repair(&mut self) {
-        let now = self.now;
-        let latency = self.stats.record_repair(now);
-        if self.tele.on() {
-            if let Some(latency) = latency {
-                self.tele
-                    .emit(self.now, self.node, TeleKind::Repair { latency });
-            }
-        }
-    }
-
-    /// Record a control-plane retransmission (JOIN/LEAVE/TREE/BRANCH
-    /// retry): counted in the stats and, when telemetry is on, emitted
-    /// with the destination, attempt number, and the transaction's
-    /// causal trace key (`tag`).
-    pub fn record_retransmit(&mut self, group: u32, to: NodeId, attempt: u32, tag: u64) {
-        self.stats.retransmissions += 1;
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::Retransmit {
-                    group,
-                    to: to.0,
-                    attempt,
-                    tag,
-                },
-            );
-        }
-    }
-
-    /// Record a NACK originated by this router for `(group, origin,
-    /// seq)`; `tag` is the payload's causal trace key.
-    pub fn record_nack(&mut self, group: u32, origin: u32, seq: u64, tag: u64) {
-        self.stats.nacks_sent += 1;
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::Nack {
-                    group,
-                    origin,
-                    seq,
-                    tag,
-                },
-            );
-        }
-    }
-
-    /// Record a NACK absorbed by this router's pending-request table
-    /// (duplicate-NACK suppression).
-    pub fn record_nack_suppressed(&mut self, group: u32, origin: u32, seq: u64, tag: u64) {
-        self.stats.nacks_suppressed += 1;
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::NackSuppress {
-                    group,
-                    origin,
-                    seq,
-                    tag,
-                },
-            );
-        }
-    }
-
     /// Record a NACK forwarded upstream after a repair-cache miss
-    /// (stats only — the miss event already carries the key).
+    /// (the miss event already carries the key).
     pub fn record_nack_forwarded(&mut self) {
         self.stats.nacks_forwarded += 1;
     }
 
-    /// Record a NACK answered from this router's repair cache.
-    pub fn record_repair_hit(&mut self, group: u32, origin: u32, seq: u64, tag: u64) {
-        self.stats.repair_cache_hits += 1;
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::RepairHit {
-                    group,
-                    origin,
-                    seq,
-                    tag,
-                },
-            );
-        }
-    }
-
-    /// Record a NACK that missed this router's repair cache.
-    pub fn record_repair_miss(&mut self, group: u32, origin: u32, seq: u64, tag: u64) {
-        self.stats.repair_cache_misses += 1;
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::RepairMiss {
-                    group,
-                    origin,
-                    seq,
-                    tag,
-                },
-            );
-        }
-    }
-
-    /// Record repair-cache entries evicted by the byte cap (stats only).
+    /// Record repair-cache entries evicted by the byte cap.
     pub fn record_cache_evictions(&mut self, n: u64) {
         self.stats.repair_cache_evictions += n;
-    }
-
-    /// Record a data gap closing at this receiver, `latency` ticks
-    /// after the gap was first observed.
-    pub fn record_recovery(&mut self, group: u32, origin: u32, seq: u64, tag: u64, latency: u64) {
-        self.stats.record_recovery(latency);
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::Recovery {
-                    group,
-                    origin,
-                    seq,
-                    tag,
-                    latency,
-                },
-            );
-        }
-    }
-
-    /// Record a checksum-valid frame whose message kind this build does
-    /// not implement: counted and telemetry-visible, never an error.
-    pub fn drop_unknown_kind(&mut self) {
-        self.stats.drops += 1;
-        self.stats.unknown_kind_drops += 1;
-        self.trace_drop(DropReason::UnknownKind, None, None);
-    }
-
-    /// Whether the installed telemetry sink is live — expensive
-    /// observability probes (tree-health sampling) are gated on this so
-    /// sink-off runs pay nothing.
-    pub fn telemetry_on(&self) -> bool {
-        self.tele.on()
-    }
-
-    /// Record a per-group tree-health sample (taken by the m-router
-    /// after a tree build/repair): member count, max hop depth, total
-    /// edge cost, mean delay stretch vs unicast (×1000), and
-    /// inter-member delay variation (max − min, ticks). Stored in the
-    /// engine's health registry and emitted as a telemetry event.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_tree_health(
-        &mut self,
-        group: GroupId,
-        trigger: HealthTrigger,
-        members: u32,
-        depth: u32,
-        cost: u64,
-        stretch_milli: u64,
-        delay_var: u64,
-    ) {
-        self.tele.record_health(
-            self.now,
-            self.node,
-            TeleKind::TreeHealth {
-                group: group.0,
-                trigger,
-                members,
-                depth,
-                cost,
-                stretch_milli,
-                delay_var,
-            },
-        );
-    }
-
-    /// Record a standby promotion to m-router (real or spurious — the
-    /// chaos invariants distinguish them by whether the primary was up).
-    pub fn record_takeover(&mut self) {
-        self.stats.takeovers += 1;
-        if self.tele.on() {
-            self.tele.emit(self.now, self.node, TeleKind::Takeover);
-        }
-    }
-
-    /// Record the m-router's repair scan *entering* partition-degraded
-    /// mode: `stranded` nodes just became unreachable, `members` of
-    /// them are logged group members awaiting readoption.
-    pub fn record_partition(&mut self, stranded: u32, members: u32) {
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::Partition { stranded, members },
-            );
-        }
     }
 
     /// Record one repair-scan pass served while part of the domain was
@@ -280,49 +123,16 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         self.stats.partition_degraded_ticks += 1;
     }
 
-    /// Record previously unreachable nodes becoming reachable again
-    /// (the partition healed from this router's vantage point).
-    pub fn record_heal(&mut self, restored: u32) {
-        if self.tele.on() {
-            self.tele
-                .emit(self.now, self.node, TeleKind::Heal { restored });
-        }
-    }
-
-    /// Record a post-heal reconciliation for one group: `readopted`
-    /// stranded members merged back under generation `epoch`.
-    pub fn record_reconcile(&mut self, group: u32, readopted: u32, epoch: u64) {
-        self.stats.reconciliations += 1;
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::Reconcile {
-                    group,
-                    readopted,
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// Emit a drop event with its reason and — when the drop point still
+    /// Observe a drop with its reason and — when the drop point still
     /// had the packet in hand — its (group, tag) correlation key, so
-    /// journeys can show where a packet died (telemetry-enabled runs
-    /// only).
-    fn trace_drop(&mut self, reason: DropReason, to: Option<NodeId>, key: Option<(u32, u64)>) {
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::Drop {
-                    reason,
-                    to: to.map(|n| n.0),
-                    group: key.map(|(g, _)| g),
-                    tag: key.map(|(_, t)| t),
-                },
-            );
-        }
+    /// journeys can show where a packet died.
+    fn observe_drop(&mut self, reason: DropReason, to: Option<NodeId>, key: Option<(u32, u64)>) {
+        self.observe(TeleKind::Drop {
+            reason,
+            to: to.map(|n| n.0),
+            group: key.map(|(g, _)| g),
+            tag: key.map(|(_, t)| t),
+        });
     }
 
     /// Send `pkt` to the directly-connected neighbour `to`. Charges the
@@ -341,20 +151,16 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         let key = (pkt.group.0, pkt.tag);
         let Some(w) = self.paths.topo().link(self.node, to) else {
             debug_assert!(false, "{:?} is not a neighbour of {:?}", to, self.node);
-            self.stats.drops += 1;
-            self.trace_drop(DropReason::NonNeighbour, Some(to), Some(key));
+            self.observe_drop(DropReason::NonNeighbour, Some(to), Some(key));
             return;
         };
         if !self.paths.link_alive(self.node, to) {
-            self.stats.drops += 1;
-            self.trace_drop(DropReason::DeadLink, None, Some(key));
+            self.observe_drop(DropReason::DeadLink, None, Some(key));
             return;
         }
         let Some(depart) = self.reserve_link(self.node, to, self.now) else {
             // Queue overflow: the congestion loss of §I.
-            self.stats.drops += 1;
-            self.stats.queue_drops += 1;
-            self.trace_drop(DropReason::QueueFull, None, Some(key));
+            self.observe_drop(DropReason::QueueFull, None, Some(key));
             return;
         };
         self.charge(pkt.class, w.cost);
@@ -363,9 +169,7 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         // delivers.
         let roll = self.transport.channel_roll(self.node, to);
         if roll.drop {
-            self.stats.drops += 1;
-            self.stats.channel_dropped += 1;
-            self.trace_drop(DropReason::ChannelLoss, Some(to), Some(key));
+            self.observe_drop(DropReason::ChannelLoss, Some(to), Some(key));
             return;
         }
         let t = depart + w.delay + self.note_jitter(roll.jitter, to, key);
@@ -397,37 +201,23 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
     /// sum.
     fn note_jitter(&mut self, jitter: SimTime, to: NodeId, key: (u32, u64)) -> SimTime {
         if jitter > 0 {
-            self.stats.channel_reordered += 1;
-            if self.tele.on() {
-                self.tele.emit(
-                    self.now,
-                    self.node,
-                    TeleKind::ChannelReorder {
-                        to: to.0,
-                        jitter,
-                        group: key.0,
-                        tag: key.1,
-                    },
-                );
-            }
+            self.observe(TeleKind::ChannelReorder {
+                to: to.0,
+                jitter,
+                group: key.0,
+                tag: key.1,
+            });
         }
         jitter
     }
 
     /// Account a channel duplication (the copy is pushed by the caller).
     fn note_duplicate(&mut self, to: NodeId, key: (u32, u64)) {
-        self.stats.channel_duplicated += 1;
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::ChannelDuplicate {
-                    to: to.0,
-                    group: key.0,
-                    tag: key.1,
-                },
-            );
-        }
+        self.observe(TeleKind::ChannelDuplicate {
+            to: to.0,
+            group: key.0,
+            tag: key.1,
+        });
     }
 
     /// Reserve the directed link `a -> b` through the transport and
@@ -466,8 +256,7 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
             return;
         }
         let Some(route) = self.paths.route(self.node, dst) else {
-            self.stats.drops += 1;
-            self.trace_drop(DropReason::NoRoute, None, Some(key));
+            self.observe_drop(DropReason::NoRoute, None, Some(key));
             return;
         };
         let mut at = self.now;
@@ -482,23 +271,18 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         for hop in route.windows(2) {
             let (a, b) = (hop[0], hop[1]);
             if !self.paths.link_alive(a, b) {
-                self.stats.drops += 1;
-                self.trace_drop(DropReason::DeadLink, None, Some(key));
+                self.observe_drop(DropReason::DeadLink, None, Some(key));
                 return;
             }
             let Some(depart) = self.reserve_link(a, b, at) else {
-                self.stats.drops += 1;
-                self.stats.queue_drops += 1;
-                self.trace_drop(DropReason::QueueFull, None, Some(key));
+                self.observe_drop(DropReason::QueueFull, None, Some(key));
                 return;
             };
             let w = self.paths.topo().link(a, b).expect("route follows links");
             self.charge(pkt.class, w.cost);
             let roll = self.transport.channel_roll(a, b);
             if roll.drop {
-                self.stats.drops += 1;
-                self.stats.channel_dropped += 1;
-                self.trace_drop(DropReason::ChannelLoss, Some(b), Some(key));
+                self.observe_drop(DropReason::ChannelLoss, Some(b), Some(key));
                 return;
             }
             corrupted |= roll.corrupt;
@@ -545,20 +329,11 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
             PacketClass::Data,
             "only data is delivered to hosts"
         );
-        let delay = self.now.saturating_sub(pkt.created_at);
-        self.stats
-            .record_delivery(pkt.group, pkt.tag, self.node, delay);
-        if self.tele.on() {
-            self.tele.emit(
-                self.now,
-                self.node,
-                TeleKind::DeliverLocal {
-                    group: pkt.group.0,
-                    tag: pkt.tag,
-                    delay,
-                },
-            );
-        }
+        self.observe(TeleKind::DeliverLocal {
+            group: pkt.group.0,
+            tag: pkt.tag,
+            delay: self.now.saturating_sub(pkt.created_at),
+        });
     }
 
     /// Record a protocol-decision drop (e.g. a packet arriving from a
@@ -566,15 +341,13 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
     /// key. Prefer [`Ctx::drop_packet_keyed`] when the packet is still
     /// in hand.
     pub fn drop_packet(&mut self) {
-        self.stats.drops += 1;
-        self.trace_drop(DropReason::Protocol, None, None);
+        self.observe_drop(DropReason::Protocol, None, None);
     }
 
     /// Record a protocol-decision drop of an identified packet, keeping
     /// its (group, tag) correlation key visible in journeys.
     pub fn drop_packet_keyed(&mut self, group: GroupId, tag: u64) {
-        self.stats.drops += 1;
-        self.trace_drop(DropReason::Protocol, None, Some((group.0, tag)));
+        self.observe_drop(DropReason::Protocol, None, Some((group.0, tag)));
     }
 
     fn charge(&mut self, class: PacketClass, cost: u64) {

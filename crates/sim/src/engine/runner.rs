@@ -5,12 +5,12 @@
 //! drivers (the bench harness, the protocol registry) cannot hold a
 //! collection of them directly. [`EngineRunner`] erases the protocol
 //! type behind the driving surface every experiment uses: scheduling,
-//! capacity, tracing, running and statistics. Protocol-specific state
+//! capacity, telemetry sinks, running and statistics. Protocol-specific state
 //! inspection stays on the concrete `Engine<R>`.
 
 use super::core::Engine;
 use super::transport::CapacityModel;
-use super::{AppEvent, Router, SimTime, TraceRecord};
+use super::{AppEvent, Router, SimTime};
 use crate::channel::ChannelModel;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::stats::SimStats;
@@ -31,8 +31,6 @@ pub trait EngineRunner {
     fn set_channel(&mut self, model: ChannelModel);
     /// Override the runaway-protection event limit.
     fn set_event_limit(&mut self, limit: u64);
-    /// Enable event tracing into the default bounded in-memory ring.
-    fn enable_trace(&mut self);
     /// Install a telemetry sink.
     fn set_sink(&mut self, sink: Box<dyn Sink + Send>);
     /// Sample engine gauges every `interval` ticks (`0` disables).
@@ -43,9 +41,6 @@ pub trait EngineRunner {
     fn events(&self) -> Vec<Event>;
     /// Flush the telemetry sink.
     fn flush_telemetry(&mut self);
-    /// The recorded trace in the legacy vocabulary (empty when tracing
-    /// is disabled).
-    fn trace(&self) -> Vec<TraceRecord>;
     /// Current simulation time.
     fn now(&self) -> SimTime;
     /// The topology being simulated.
@@ -79,9 +74,6 @@ impl<R: Router> EngineRunner for Engine<R> {
     fn set_event_limit(&mut self, limit: u64) {
         Engine::set_event_limit(self, limit);
     }
-    fn enable_trace(&mut self) {
-        Engine::enable_trace(self);
-    }
     fn set_sink(&mut self, sink: Box<dyn Sink + Send>) {
         Engine::set_sink(self, sink);
     }
@@ -96,9 +88,6 @@ impl<R: Router> EngineRunner for Engine<R> {
     }
     fn flush_telemetry(&mut self) {
         Engine::flush_telemetry(self);
-    }
-    fn trace(&self) -> Vec<TraceRecord> {
-        Engine::trace(self)
     }
     fn now(&self) -> SimTime {
         Engine::now(self)

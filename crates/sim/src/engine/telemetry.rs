@@ -1,13 +1,15 @@
 //! The engine's telemetry seam: one owned [`Sink`] plus the periodic
 //! gauge sampler.
 //!
-//! The engine (and every [`Ctx`](super::Ctx)) goes through this struct
-//! to emit structured events. `enabled` caches [`Sink::enabled`] at
-//! install time, so with the default [`NullSink`] the hot path pays one
-//! predictable branch per would-be event and never constructs an
-//! [`Event`].
+//! The engine (and every [`Ctx`](super::Ctx)) reports "something
+//! observable happened" through [`Telemetry::observe`] and nothing
+//! else: the event is counted into [`SimStats`] and then, if a sink is
+//! listening, recorded. `enabled` caches [`Sink::enabled`] at install
+//! time, so with the default [`NullSink`] an observation costs its
+//! counter bump and one predictable branch.
 
 use super::SimTime;
+use crate::stats::SimStats;
 use scmp_net::{LivePaths, NodeId};
 use scmp_telemetry::{Event, EventKind, GaugeSample, NullSink, Sink};
 
@@ -47,14 +49,30 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Emit one event (callers check [`Telemetry::on`] first so disabled
-    /// runs never construct the kind).
-    pub(super) fn emit(&mut self, time: SimTime, node: NodeId, kind: EventKind) {
-        self.sink.record(&Event {
+    /// Something observable happened at `node`: count it, then record
+    /// it if a sink is listening (tree-health samples are also kept in
+    /// the in-memory registry). Inlined so a call site that builds
+    /// `kind` in place keeps only that kind's arms.
+    #[inline]
+    pub(super) fn observe(
+        &mut self,
+        stats: &mut SimStats,
+        time: SimTime,
+        node: NodeId,
+        kind: EventKind,
+    ) {
+        let ev = Event {
             time,
             node: node.0,
             kind,
-        });
+        };
+        stats.count(&ev);
+        if self.enabled {
+            self.sink.record(&ev);
+        }
+        if matches!(kind, EventKind::TreeHealth { .. }) {
+            self.health.push(ev);
+        }
     }
 
     /// Enable periodic gauge sampling every `interval` ticks (`0`
@@ -101,22 +119,6 @@ impl Telemetry {
     /// The gauge series sampled so far.
     pub(super) fn gauges(&self) -> &[GaugeSample] {
         &self.gauges
-    }
-
-    /// Record one tree-health sample: kept in the in-memory registry and
-    /// forwarded to the sink when enabled. Callers gate the (non-trivial)
-    /// metric computation on [`Telemetry::on`], so disabled runs never
-    /// reach here.
-    pub(super) fn record_health(&mut self, time: SimTime, node: NodeId, kind: EventKind) {
-        let ev = Event {
-            time,
-            node: node.0,
-            kind,
-        };
-        if self.enabled {
-            self.sink.record(&ev);
-        }
-        self.health.push(ev);
     }
 
     /// The tree-health samples recorded so far.

@@ -1,12 +1,18 @@
 //! Engine-level behaviour tests: flooding, unicast, faults, capacity,
-//! tracing and determinism, driven through the public API.
+//! the event stream and determinism, driven through the public API.
 
 use super::*;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-use crate::packet::{GroupId, Packet, PacketClass};
+use crate::packet::{GroupId, Packet};
 use scmp_net::graph::LinkWeight;
 use scmp_net::topology::regular::line;
 use scmp_net::NodeId;
+use scmp_telemetry::{DropReason, EventKind as TeleKind, RingSink, TrafficClass};
+
+/// Record every event of the run in memory.
+fn record_events<R: Router>(e: &mut Engine<R>) {
+    e.set_sink(Box::new(RingSink::new(1 << 16)));
+}
 
 /// A toy protocol: floods data to all neighbours except the one it
 /// came from; delivers locally everywhere; answers a Join app event
@@ -243,15 +249,19 @@ fn send_to_non_neighbor_asserts_in_debug() {
     }
     let topo = line(4, LinkWeight::new(1, 1));
     let mut e: Engine<Bad> = Engine::new(topo, |_, _, _| Bad);
-    e.enable_trace();
+    record_events(&mut e);
     e.schedule_app(0, NodeId(0), AppEvent::Leave(GroupId(0)));
     e.run_to_quiescence();
     // Release builds reach here: the bad send is a counted, traced drop.
     assert_eq!(e.stats().drops, 1);
-    assert!(e
-        .trace()
-        .iter()
-        .any(|r| r.kind == TraceKind::NonNeighbourDrop { to: NodeId(3) }));
+    assert!(e.events().iter().any(|ev| matches!(
+        ev.kind,
+        TeleKind::Drop {
+            reason: DropReason::NonNeighbour,
+            to: Some(3),
+            ..
+        }
+    )));
 }
 
 #[test]
@@ -356,7 +366,7 @@ fn no_capacity_means_no_queueing() {
 #[test]
 fn trace_records_dispatches() {
     let mut e = engine(3);
-    e.enable_trace();
+    record_events(&mut e);
     e.schedule_app(
         5,
         NodeId(0),
@@ -366,20 +376,16 @@ fn trace_records_dispatches() {
         },
     );
     e.run_to_quiescence();
-    let trace = e.trace();
+    let trace = e.events();
     assert!(!trace.is_empty());
-    assert_eq!(trace[0].time, 5);
-    assert_eq!(trace[0].node, NodeId(0));
-    assert!(matches!(
-        trace[0].kind,
-        TraceKind::App(AppEvent::Send { .. })
-    ));
+    assert_eq!((trace[0].time, trace[0].node), (5, 0));
+    assert_eq!(trace[0].kind, TeleKind::Send { group: 2, tag: 7 });
     // Flood deliveries appear with class/group/tag metadata.
-    assert!(trace.iter().any(|r| matches!(
-        r.kind,
-        TraceKind::Deliver {
-            class: PacketClass::Data,
-            group: GroupId(2),
+    assert!(trace.iter().any(|ev| matches!(
+        ev.kind,
+        TeleKind::Deliver {
+            class: TrafficClass::Data,
+            group: 2,
             tag: 7,
             ..
         }
@@ -398,7 +404,7 @@ fn trace_disabled_by_default() {
         },
     );
     e.run_to_quiescence();
-    assert!(e.trace().is_empty());
+    assert!(e.events().is_empty());
 }
 
 #[test]
@@ -595,7 +601,7 @@ fn fault_plan_schedules_and_traces() {
         .at(50, FaultKind::LinkDown { a: 1, b: 2 })
         .at(150, FaultKind::LinkUp { a: 1, b: 2 });
     let mut e = engine(3);
-    e.enable_trace();
+    record_events(&mut e);
     e.schedule_fault_plan(&plan);
     e.schedule_app(
         100,
@@ -608,24 +614,26 @@ fn fault_plan_schedules_and_traces() {
     e.run_to_quiescence();
     assert_eq!(e.stats().delivery_count(GroupId(1), 1, NodeId(2)), 0);
     let faults: Vec<_> = e
-        .trace()
+        .events()
         .iter()
-        .filter_map(|r| match r.kind {
-            TraceKind::Fault(f) => Some((r.time, f)),
-            _ => None,
-        })
+        .filter(|ev| matches!(ev.kind, TeleKind::LinkDown { .. } | TeleKind::LinkUp { .. }))
+        .map(|ev| (ev.time, ev.kind))
         .collect();
-    assert_eq!(faults.len(), 2);
-    assert_eq!(faults[0].0, 50);
-    assert!(matches!(faults[0].1, FaultEvent::LinkDown { .. }));
-    assert_eq!(faults[1].0, 150);
+    assert_eq!(
+        faults,
+        [
+            (50, TeleKind::LinkDown { a: 1, b: 2 }),
+            (150, TeleKind::LinkUp { a: 1, b: 2 })
+        ]
+    );
+    assert_eq!(e.stats().faults_injected, 1, "only the cut is a failure");
 }
 
 #[test]
 fn fault_runs_are_deterministic() {
     let run = || {
         let mut e = engine(5);
-        e.enable_trace();
+        record_events(&mut e);
         let plan = FaultPlan::new()
             .at(40, FaultKind::RouterCrash { node: 2 })
             .at(90, FaultKind::RouterRecover { node: 2 })
@@ -643,12 +651,7 @@ fn fault_runs_are_deterministic() {
             );
         }
         e.run_to_quiescence();
-        let trace: Vec<String> = e
-            .trace()
-            .iter()
-            .map(|r| format!("{} n{} {:?}", r.time, r.node.0, r.kind))
-            .collect();
-        (trace, e.stats().clone())
+        (e.events(), e.stats().clone())
     };
     let (t1, s1) = run();
     let (t2, s2) = run();

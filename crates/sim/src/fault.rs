@@ -80,16 +80,6 @@ impl FaultEvent {
         }
     }
 
-    /// True for the degrading half of the vocabulary (`LinkDown`,
-    /// `RouterCrash`) — the events counted as injected faults and used
-    /// as the starting point of repair-latency measurements.
-    pub fn is_failure(&self) -> bool {
-        matches!(
-            self,
-            FaultEvent::LinkDown { .. } | FaultEvent::RouterCrash { .. }
-        )
-    }
-
     /// Short label for traces and reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -516,13 +506,11 @@ mod tests {
                 b: NodeId(2)
             }
         );
-        assert!(s.to_event().is_failure());
         assert_eq!(s.to_event().primary_node(), NodeId(1));
         let r = FaultSpec {
             time: 9,
             fault: FaultKind::RouterRecover { node: 3 },
         };
-        assert!(!r.to_event().is_failure());
         assert_eq!(r.to_event().label(), "RECOVER");
     }
 

@@ -39,8 +39,7 @@ pub mod stats;
 
 pub use channel::{ChannelLinkSpec, ChannelModel, ChannelOutcome, ChannelPlan, ChannelSpec};
 pub use engine::{
-    AppEvent, CapacityModel, Ctx, Engine, EngineRunner, LinkSlot, Router, SimTime, TraceKind,
-    TraceRecord, Transport,
+    AppEvent, CapacityModel, Ctx, Engine, EngineRunner, LinkSlot, Router, SimTime, Transport,
 };
 pub use fault::{partition_cut, FaultEvent, FaultKind, FaultPlan, FaultSpec, PartitionCut};
 pub use packet::{GroupId, Packet, PacketClass};

@@ -3,7 +3,7 @@
 
 use crate::packet::GroupId;
 use scmp_net::NodeId;
-use scmp_telemetry::Histogram;
+use scmp_telemetry::{DropReason, Event, EventKind, Histogram};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -111,8 +111,59 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Count one observed event. Every counter that has an event kind is
+    /// bumped here and nowhere else — the engine calls this for each
+    /// event whether or not a sink is listening — so folding `count`
+    /// over a decoded trace reproduces the live run's counters. Kinds
+    /// that count nothing (dispatches, gauges, tree health, ...) fall
+    /// through. Counters *without* an event (`nacks_forwarded`,
+    /// `repair_scans_*`, the overhead sums, ...) stay plain fields.
+    #[inline]
+    pub fn count(&mut self, ev: &Event) {
+        match ev.kind {
+            EventKind::Drop { reason, .. } => {
+                self.drops += 1;
+                match reason {
+                    DropReason::QueueFull => self.queue_drops += 1,
+                    DropReason::ChannelLoss => self.channel_dropped += 1,
+                    DropReason::Corrupt => self.channel_corrupted += 1,
+                    DropReason::UnknownKind => self.unknown_kind_drops += 1,
+                    DropReason::DeadLink
+                    | DropReason::DeadNode
+                    | DropReason::NoRoute
+                    | DropReason::NonNeighbour
+                    | DropReason::Protocol => {}
+                }
+            }
+            EventKind::DeliverLocal { group, tag, delay } => {
+                self.record_delivery(GroupId(group), tag, NodeId(ev.node), delay);
+            }
+            EventKind::LinkDown { .. } | EventKind::RouterCrash => self.note_fault(ev.time),
+            EventKind::Repair { latency } => {
+                self.repairs += 1;
+                self.repair_latency_total += latency;
+                self.max_repair_latency = self.max_repair_latency.max(latency);
+                self.repair_hist.record(latency);
+            }
+            EventKind::ChannelDuplicate { .. } => self.channel_duplicated += 1,
+            EventKind::ChannelReorder { .. } => self.channel_reordered += 1,
+            EventKind::Retransmit { .. } => self.retransmissions += 1,
+            EventKind::Takeover => self.takeovers += 1,
+            EventKind::Nack { .. } => self.nacks_sent += 1,
+            EventKind::NackSuppress { .. } => self.nacks_suppressed += 1,
+            EventKind::RepairHit { .. } => self.repair_cache_hits += 1,
+            EventKind::RepairMiss { .. } => self.repair_cache_misses += 1,
+            EventKind::Recovery { latency, .. } => {
+                self.recoveries += 1;
+                self.recovery_hist.record(latency);
+            }
+            EventKind::Reconcile { .. } => self.reconciliations += 1,
+            _ => {}
+        }
+    }
+
     /// Record a data payload reaching a member host.
-    pub fn record_delivery(&mut self, group: GroupId, tag: u64, node: NodeId, delay: u64) {
+    fn record_delivery(&mut self, group: GroupId, tag: u64, node: NodeId, delay: u64) {
         let entry = self
             .deliveries
             .entry((group, tag, node))
@@ -185,30 +236,10 @@ impl SimStats {
         self.data_overhead + self.protocol_overhead
     }
 
-    /// Record an injected failure (engine-internal).
-    pub fn note_fault(&mut self, now: u64) {
+    /// Record an injected failure at `now`.
+    fn note_fault(&mut self, now: u64) {
         self.faults_injected += 1;
         self.last_fault_at = Some(now);
-    }
-
-    /// Record a completed tree repair; latency is measured against the
-    /// most recent injected failure. Returns the latency sample, `None`
-    /// when no failure was ever injected.
-    pub fn record_repair(&mut self, now: u64) -> Option<u64> {
-        self.repairs += 1;
-        let t0 = self.last_fault_at?;
-        let latency = now.saturating_sub(t0);
-        self.repair_latency_total += latency;
-        self.max_repair_latency = self.max_repair_latency.max(latency);
-        self.repair_hist.record(latency);
-        Some(latency)
-    }
-
-    /// Record a data gap closing at a receiver, `latency` ticks after
-    /// the gap was first observed.
-    pub fn record_recovery(&mut self, latency: u64) {
-        self.recoveries += 1;
-        self.recovery_hist.record(latency);
     }
 
     /// Repair-cache hit rate over all NACK lookups, or 0.0 when the
@@ -358,6 +389,10 @@ impl SimStats {
 mod tests {
     use super::*;
 
+    fn ev(time: u64, node: u32, kind: EventKind) -> Event {
+        Event { time, node, kind }
+    }
+
     #[test]
     fn delivery_tracking() {
         let mut s = SimStats::default();
@@ -390,11 +425,11 @@ mod tests {
         s.note_fault(2_000);
         assert_eq!(s.faults_injected, 2);
         assert_eq!(s.last_fault_at, Some(2_000));
-        s.record_repair(2_700);
+        s.count(&ev(2_700, 0, EventKind::Repair { latency: 700 }));
         assert_eq!(s.repairs, 1);
         assert_eq!(s.repair_latency_total, 700);
         assert_eq!(s.max_repair_latency, 700);
-        s.record_repair(2_900);
+        s.count(&ev(2_900, 0, EventKind::Repair { latency: 900 }));
         assert_eq!(s.repair_latency_total, 700 + 900);
         assert_eq!(s.max_repair_latency, 900);
         assert!((s.mean_repair_latency() - 800.0).abs() < 1e-9);
@@ -420,12 +455,49 @@ mod tests {
     #[test]
     fn repair_returns_latency_and_feeds_histogram() {
         let mut s = SimStats::default();
-        assert_eq!(s.record_repair(500), None, "no fault injected yet");
+        // Only failures open a repair window: restores do not.
+        s.count(&ev(900, 0, EventKind::LinkUp { a: 0, b: 1 }));
+        s.count(&ev(950, 4, EventKind::RouterRecover));
+        assert_eq!(s.last_fault_at, None, "no fault injected yet");
+        s.count(&ev(1_000, 0, EventKind::LinkDown { a: 0, b: 1 }));
+        s.count(&ev(1_200, 4, EventKind::RouterCrash));
+        assert_eq!((s.faults_injected, s.last_fault_at), (2, Some(1_200)));
+        s.count(&ev(2_000, 0, EventKind::Repair { latency: 800 }));
         assert_eq!(s.repairs, 1);
-        s.note_fault(1_000);
-        assert_eq!(s.record_repair(1_800), Some(800));
         assert_eq!(s.repair_hist.count(), 1);
         assert_eq!(s.repair_hist.max(), 800);
+    }
+
+    #[test]
+    fn drops_are_counted_once_and_by_reason() {
+        let mut s = SimStats::default();
+        for &reason in DropReason::ALL {
+            let kind = EventKind::Drop {
+                reason,
+                to: None,
+                group: None,
+                tag: None,
+            };
+            s.count(&ev(0, 1, kind));
+        }
+        assert_eq!(s.drops, DropReason::ALL.len() as u64);
+        assert_eq!(
+            (
+                s.queue_drops,
+                s.channel_dropped,
+                s.channel_corrupted,
+                s.unknown_kind_drops
+            ),
+            (1, 1, 1, 1)
+        );
+        // A delivery is keyed by the node the event fired at.
+        let local = EventKind::DeliverLocal {
+            group: 1,
+            tag: 5,
+            delay: 30,
+        };
+        s.count(&ev(40, 2, local));
+        assert_eq!(s.delivery_delay(GroupId(1), 5, NodeId(2)), Some(30));
     }
 
     #[test]
@@ -475,8 +547,16 @@ mod tests {
             unknown_kind_drops: 1,
             ..Default::default()
         };
-        s.record_recovery(700);
-        s.record_recovery(300);
+        for latency in [700, 300] {
+            let kind = EventKind::Recovery {
+                group: 1,
+                origin: 13,
+                seq: 4,
+                tag: 5,
+                latency,
+            };
+            s.count(&ev(0, 3, kind));
+        }
         assert_eq!(s.recoveries, 2);
         assert_eq!(s.recovery_hist.max(), 700);
         assert!((s.repair_cache_hit_rate() - 2.0 / 3.0).abs() < 1e-9);

@@ -14,359 +14,388 @@
 //! {"t":10000,"node":1,"kind":"send","group":1,"tag":1}
 //! {"t":10003,"node":0,"kind":"deliver","from":1,"class":"data","group":1,"tag":1}
 //! ```
+//!
+//! An event kind is declared **once**, as a row of the [`EventKind`]
+//! table below: variant, wire name, fields in wire order. The enum, its
+//! [`EventKind::name`], both codec directions, the journey key and the
+//! round-trip samples are all generated from that row, with the
+//! per-type behaviour (how a `u32`, an optional, a label is written and
+//! read) behind the private `Field` trait.
 
-use serde::Deserialize;
+use serde_json::Value;
 use std::fmt::Write as _;
 
-/// Overhead class of a delivered packet, mirroring the simulator's
-/// data/control split without depending on it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrafficClass {
-    /// Multicast payload.
-    Data,
-    /// Protocol traffic (JOIN/LEAVE, TREE/BRANCH, acks, ...).
-    Control,
+/// How one field type crosses the JSONL codec.
+trait Field: Copy {
+    /// Append the field: `key` is its ready-made `,"name":` prefix. An
+    /// absent optional appends nothing, prefix included.
+    fn put(self, key: &str, out: &mut String);
+    /// Read a value that is present; the error says what is wrong with
+    /// it.
+    fn get(v: &Value) -> Result<Self, String>;
+    /// What a line without the key decodes to (`None`: the field is
+    /// required).
+    fn absent() -> Option<Self> {
+        None
+    }
+    /// The values [`EventKind::samples`] cycles through.
+    fn samples() -> Vec<Self>;
 }
 
-impl TrafficClass {
-    /// Stable string used in the JSONL form and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TrafficClass::Data => "data",
-            TrafficClass::Control => "control",
+macro_rules! uint_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(self, key: &str, out: &mut String) {
+                out.push_str(key);
+                let _ = write!(out, "{self}");
+            }
+            fn get(v: &Value) -> Result<Self, String> {
+                let raw = v
+                    .as_u64()
+                    .ok_or_else(|| format!("expected unsigned integer, got {}", v.kind_name()))?;
+                <$t>::try_from(raw).map_err(|_| format!("{raw} out of range"))
+            }
+            fn samples() -> Vec<Self> {
+                vec![7, <$t>::MAX]
+            }
         }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "data" => Some(TrafficClass::Data),
-            "control" => Some(TrafficClass::Control),
-            _ => None,
-        }
-    }
+    )*};
 }
+uint_field!(u32, u64);
 
-/// Why a packet was dropped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// The link (or an endpoint) was out of service.
-    DeadLink,
-    /// The destination node was down when the event fired.
-    DeadNode,
-    /// The bounded link queue overflowed (congestion loss).
-    QueueFull,
-    /// No unicast route existed (partitioned topology).
-    NoRoute,
-    /// A send to a router that is not a neighbour (repair scan racing a
-    /// topology change).
-    NonNeighbour,
-    /// A protocol decision (e.g. packet from outside the forwarding set).
-    Protocol,
-    /// The channel model lost the packet on the wire.
-    ChannelLoss,
-    /// The packet arrived corrupted and failed the receiver's checksum.
-    Corrupt,
-    /// The frame carried a message kind this build does not implement
-    /// (a future protocol revision); the checksum was valid, so the
-    /// frame is counted and skipped rather than treated as corruption.
-    UnknownKind,
-}
-
-impl DropReason {
-    /// Stable string used in the JSONL form and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DropReason::DeadLink => "dead_link",
-            DropReason::DeadNode => "dead_node",
-            DropReason::QueueFull => "queue_full",
-            DropReason::NoRoute => "no_route",
-            DropReason::NonNeighbour => "non_neighbour",
-            DropReason::Protocol => "protocol",
-            DropReason::ChannelLoss => "channel_loss",
-            DropReason::Corrupt => "corrupt",
-            DropReason::UnknownKind => "unknown_kind",
+impl<T: Field> Field for Option<T> {
+    fn put(self, key: &str, out: &mut String) {
+        if let Some(v) = self {
+            v.put(key, out);
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "dead_link" => Some(DropReason::DeadLink),
-            "dead_node" => Some(DropReason::DeadNode),
-            "queue_full" => Some(DropReason::QueueFull),
-            "no_route" => Some(DropReason::NoRoute),
-            "non_neighbour" => Some(DropReason::NonNeighbour),
-            "protocol" => Some(DropReason::Protocol),
-            "channel_loss" => Some(DropReason::ChannelLoss),
-            "corrupt" => Some(DropReason::Corrupt),
-            "unknown_kind" => Some(DropReason::UnknownKind),
-            _ => None,
+    fn get(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::get(v).map(Some),
         }
+    }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+    fn samples() -> Vec<Self> {
+        std::iter::once(None)
+            .chain(T::samples().into_iter().map(Some))
+            .collect()
     }
 }
 
-/// Control-plane message kind on a delivered packet, mirroring the SCMP
-/// wire vocabulary without depending on it. Protocols that don't
-/// classify their messages simply omit it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CtlKind {
-    /// Membership request toward the m-router.
-    Join,
-    /// Membership withdrawal toward the m-router.
-    Leave,
-    /// Upstream branch teardown.
-    Prune,
-    /// Full tree-state install from the m-router.
-    Tree,
-    /// Incremental graft install.
-    Branch,
-    /// Stale-state flush after a restructure.
-    Flush,
-    /// Multicast payload on the tree.
-    Data,
-    /// Payload tunnelled to the m-router by an off-tree DR.
-    EncapData,
-    /// m-router liveness beacon.
-    Heartbeat,
-    /// Primary→standby membership mirror.
-    StandbySync,
-    /// Takeover announcement from a promoted standby.
-    NewMRouter,
-    /// m-router acknowledgement of a LEAVE.
-    LeaveAck,
-    /// Hop-by-hop acknowledgement of a TREE/BRANCH install.
-    TreeAck,
-    /// Receiver-driven repair request for a missing data sequence.
-    Nack,
-    /// Cached-payload retransmission answering a NACK.
-    Repair,
-    /// Sequence-extent beacon closing the tail-loss window.
-    SeqAnnounce,
+/// Declare a label enum: each variant beside its stable wire string,
+/// from which `label` and both codec directions follow.
+macro_rules! label_enum {
+    (
+        $(#[$meta:meta])*
+        $name:ident { $( $(#[$vmeta:meta])* $variant:ident = $label:literal, )+ }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$( $name::$variant, )+];
+
+            /// Stable string used in the JSONL form and reports.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $label, )+
+                }
+            }
+        }
+
+        impl Field for $name {
+            fn put(self, key: &str, out: &mut String) {
+                out.push_str(key);
+                encode_json_string(self.label(), out);
+            }
+            fn get(v: &Value) -> Result<Self, String> {
+                match v.as_str() {
+                    $( Some($label) => Ok($name::$variant), )+
+                    Some(other) => Err(format!("unknown label {other:?}")),
+                    None => Err(format!("expected string, got {}", v.kind_name())),
+                }
+            }
+            fn samples() -> Vec<Self> {
+                Self::ALL.to_vec()
+            }
+        }
+    };
 }
 
-impl CtlKind {
-    /// Stable string used in the JSONL form and journey reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CtlKind::Join => "join",
-            CtlKind::Leave => "leave",
-            CtlKind::Prune => "prune",
-            CtlKind::Tree => "tree",
-            CtlKind::Branch => "branch",
-            CtlKind::Flush => "flush",
-            CtlKind::Data => "data",
-            CtlKind::EncapData => "encap",
-            CtlKind::Heartbeat => "heartbeat",
-            CtlKind::StandbySync => "sync",
-            CtlKind::NewMRouter => "new_mrouter",
-            CtlKind::LeaveAck => "leave_ack",
-            CtlKind::TreeAck => "tree_ack",
-            CtlKind::Nack => "nack",
-            CtlKind::Repair => "repair",
-            CtlKind::SeqAnnounce => "announce",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "join" => Some(CtlKind::Join),
-            "leave" => Some(CtlKind::Leave),
-            "prune" => Some(CtlKind::Prune),
-            "tree" => Some(CtlKind::Tree),
-            "branch" => Some(CtlKind::Branch),
-            "flush" => Some(CtlKind::Flush),
-            "data" => Some(CtlKind::Data),
-            "encap" => Some(CtlKind::EncapData),
-            "heartbeat" => Some(CtlKind::Heartbeat),
-            "sync" => Some(CtlKind::StandbySync),
-            "new_mrouter" => Some(CtlKind::NewMRouter),
-            "leave_ack" => Some(CtlKind::LeaveAck),
-            "tree_ack" => Some(CtlKind::TreeAck),
-            "nack" => Some(CtlKind::Nack),
-            "repair" => Some(CtlKind::Repair),
-            "announce" => Some(CtlKind::SeqAnnounce),
-            _ => None,
-        }
+label_enum! {
+    /// Overhead class of a delivered packet, mirroring the simulator's
+    /// data/control split without depending on it.
+    TrafficClass {
+        /// Multicast payload.
+        Data = "data",
+        /// Protocol traffic (JOIN/LEAVE, TREE/BRANCH, acks, ...).
+        Control = "control",
     }
 }
 
-/// What caused a tree-health sample to be taken.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HealthTrigger {
-    /// A member join (re)built or grafted the tree.
-    Join,
-    /// A member leave pruned the tree.
-    Leave,
-    /// The repair scan rebuilt the tree on the surviving topology.
-    Repair,
-    /// A promoted standby rebuilt the tree after takeover.
-    Takeover,
-}
-
-impl HealthTrigger {
-    /// Stable string used in the JSONL form and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            HealthTrigger::Join => "join",
-            HealthTrigger::Leave => "leave",
-            HealthTrigger::Repair => "repair",
-            HealthTrigger::Takeover => "takeover",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "join" => Some(HealthTrigger::Join),
-            "leave" => Some(HealthTrigger::Leave),
-            "repair" => Some(HealthTrigger::Repair),
-            "takeover" => Some(HealthTrigger::Takeover),
-            _ => None,
-        }
+label_enum! {
+    /// Why a packet was dropped.
+    DropReason {
+        /// The link (or an endpoint) was out of service.
+        DeadLink = "dead_link",
+        /// The destination node was down when the event fired.
+        DeadNode = "dead_node",
+        /// The bounded link queue overflowed (congestion loss).
+        QueueFull = "queue_full",
+        /// No unicast route existed (partitioned topology).
+        NoRoute = "no_route",
+        /// A send to a router that is not a neighbour (repair scan racing a
+        /// topology change).
+        NonNeighbour = "non_neighbour",
+        /// A protocol decision (e.g. packet from outside the forwarding set).
+        Protocol = "protocol",
+        /// The channel model lost the packet on the wire.
+        ChannelLoss = "channel_loss",
+        /// The packet arrived corrupted and failed the receiver's checksum.
+        Corrupt = "corrupt",
+        /// The frame carried a message kind this build does not implement
+        /// (a future protocol revision); the checksum was valid, so the
+        /// frame is counted and skipped rather than treated as corruption.
+        UnknownKind = "unknown_kind",
     }
 }
 
-/// What happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
+label_enum! {
+    /// Control-plane message kind on a delivered packet, mirroring the SCMP
+    /// wire vocabulary without depending on it. Protocols that don't
+    /// classify their messages simply omit it.
+    CtlKind {
+        /// Membership request toward the m-router.
+        Join = "join",
+        /// Membership withdrawal toward the m-router.
+        Leave = "leave",
+        /// Upstream branch teardown.
+        Prune = "prune",
+        /// Full tree-state install from the m-router.
+        Tree = "tree",
+        /// Incremental graft install.
+        Branch = "branch",
+        /// Stale-state flush after a restructure.
+        Flush = "flush",
+        /// Multicast payload on the tree.
+        Data = "data",
+        /// Payload tunnelled to the m-router by an off-tree DR.
+        EncapData = "encap",
+        /// m-router liveness beacon.
+        Heartbeat = "heartbeat",
+        /// Primary→standby membership mirror.
+        StandbySync = "sync",
+        /// Takeover announcement from a promoted standby.
+        NewMRouter = "new_mrouter",
+        /// m-router acknowledgement of a LEAVE.
+        LeaveAck = "leave_ack",
+        /// Hop-by-hop acknowledgement of a TREE/BRANCH install.
+        TreeAck = "tree_ack",
+        /// Receiver-driven repair request for a missing data sequence.
+        Nack = "nack",
+        /// Cached-payload retransmission answering a NACK.
+        Repair = "repair",
+        /// Sequence-extent beacon closing the tail-loss window.
+        SeqAnnounce = "announce",
+    }
+}
+
+label_enum! {
+    /// What caused a tree-health sample to be taken.
+    HealthTrigger {
+        /// A member join (re)built or grafted the tree.
+        Join = "join",
+        /// A member leave pruned the tree.
+        Leave = "leave",
+        /// The repair scan rebuilt the tree on the surviving topology.
+        Repair = "repair",
+        /// A promoted standby rebuilt the tree after takeover.
+        Takeover = "takeover",
+    }
+}
+
+/// Read field `name` of a `kind` event from its parsed line.
+fn field<T: Field>(obj: &Value, name: &str, kind: &str) -> Result<T, String> {
+    match obj.get(name) {
+        Some(v) => T::get(v).map_err(|e| format!("{kind} event field {name:?}: {e}")),
+        None => T::absent().ok_or_else(|| format!("{kind} event missing field {name:?}")),
+    }
+}
+
+/// Declare the event vocabulary: one row per kind — doc, variant, wire
+/// name, fields in wire order, and `journey(group, tag)` when the kind
+/// carries a packet's correlation key.
+macro_rules! event_kinds {
+    ($(
+        $(#[$meta:meta])*
+        $variant:ident = $wire:literal
+        $( { $( $field:ident : $ty:ty ),+ } )?
+        $( journey($jg:ident, $jt:ident) )?
+    ),+ $(,)?) => {
+        /// What happened.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum EventKind {
+            $( $(#[$meta])* $variant $( { $( $field: $ty ),+ } )?, )+
+        }
+
+        impl EventKind {
+            /// The kind's wire name: the `"kind"` value of its JSONL line.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $wire, )+
+                }
+            }
+
+            /// The `(group, tag)` correlation key the event is stamped
+            /// with, when it participates in journeys at all (a drop
+            /// does only while the packet was still in hand).
+            pub fn journey_key(&self) -> Option<(u32, u64)> {
+                match *self {
+                    $($( EventKind::$variant { $jg, $jt, .. } => {
+                        let (g, t): (Option<u32>, Option<u64>) = ($jg.into(), $jt.into());
+                        Some((g?, t?))
+                    } )?)+
+                    _ => None,
+                }
+            }
+
+            /// One value per kind at least, and enough per kind that
+            /// every label and both states of every optional field
+            /// appear: what the codec's round-trip test iterates.
+            pub fn samples() -> Vec<EventKind> {
+                let mut out = Vec::new();
+                $({
+                    $($( let $field = <$ty as Field>::samples(); )+)?
+                    let n = 1usize $($( .max($field.len()) )+)?;
+                    for _i in 0..n {
+                        out.push(EventKind::$variant $({
+                            $( $field: $field[_i % $field.len()] ),+
+                        })?);
+                    }
+                })+
+                out
+            }
+
+            /// Append `,"kind":"<name>"` and the fields, in row order.
+            fn encode(&self, out: &mut String) {
+                match *self {
+                    $( EventKind::$variant { $($( $field ),+)? } => {
+                        out.push_str(concat!(",\"kind\":\"", $wire, "\""));
+                        $($( $field.put(concat!(",\"", stringify!($field), "\":"), out); )+)?
+                    } )+
+                }
+            }
+
+            /// Rebuild the kind called `name` from a parsed line.
+            fn decode(name: &str, obj: &Value) -> Result<EventKind, String> {
+                match name {
+                    $( $wire => Ok(EventKind::$variant $({
+                        $( $field: field(obj, stringify!($field), $wire)? ),+
+                    })?), )+
+                    other => Err(format!("unknown event kind {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A host on the node's subnet joined `group`.
-    Join { group: u32 },
+    Join = "join" { group: u32 },
     /// The last host on the node's subnet left `group`.
-    Leave { group: u32 },
+    Leave = "leave" { group: u32 },
     /// A local host injected payload `tag` for `group`.
-    Send { group: u32, tag: u64 },
+    Send = "send" { group: u32, tag: u64 } journey(group, tag),
     /// A packet was handed to the node's router. `ctl` is the
     /// protocol-level message kind when the router classifies its
     /// messages (`None` for protocols that don't).
-    Deliver {
-        from: u32,
-        class: TrafficClass,
-        group: u32,
-        tag: u64,
-        ctl: Option<CtlKind>,
-    },
+    Deliver = "deliver" { from: u32, class: TrafficClass, group: u32, tag: u64, ctl: Option<CtlKind> }
+        journey(group, tag),
     /// A data payload reached the member hosts attached to the node,
     /// `delay` ticks after its source injected it.
-    DeliverLocal { group: u32, tag: u64, delay: u64 },
+    DeliverLocal = "deliver_local" { group: u32, tag: u64, delay: u64 } journey(group, tag),
     /// A protocol timer fired.
-    Timer { token: u64 },
+    Timer = "timer" { token: u64 },
     /// The link `a`–`b` went out of service.
-    LinkDown { a: u32, b: u32 },
+    LinkDown = "link_down" { a: u32, b: u32 },
     /// The link `a`–`b` was restored.
-    LinkUp { a: u32, b: u32 },
+    LinkUp = "link_up" { a: u32, b: u32 },
     /// The node crashed (state wiped).
-    RouterCrash,
+    RouterCrash = "crash",
     /// The node recovered with factory-fresh state.
-    RouterRecover,
+    RouterRecover = "recover",
     /// A packet was dropped at the node. `to` is the intended next hop
     /// when one was known at the drop point (`None` otherwise);
     /// `group`/`tag` carry the dropped packet's correlation key when the
     /// drop point still had the packet in hand, so journeys can show
     /// where a transaction died.
-    Drop {
-        reason: DropReason,
-        to: Option<u32>,
-        group: Option<u32>,
-        tag: Option<u64>,
-    },
+    Drop = "drop" { reason: DropReason, to: Option<u32>, group: Option<u32>, tag: Option<u64> }
+        journey(group, tag),
     /// The m-router's repair scan completed a tree repair, `latency`
     /// ticks after the most recent injected failure.
-    Repair { latency: u64 },
+    Repair = "repair" { latency: u64 },
     /// A periodic gauge sample (the node id is not meaningful).
-    Gauge {
-        queue_depth: u64,
-        down_links: u64,
-        down_nodes: u64,
-        deliveries: u64,
-    },
+    Gauge = "gauge" { queue_depth: u64, down_links: u64, down_nodes: u64, deliveries: u64 },
     /// The channel model delivered a second copy of a packet to `to`.
-    ChannelDuplicate { to: u32, group: u32, tag: u64 },
+    ChannelDuplicate = "channel_duplicate" { to: u32, group: u32, tag: u64 } journey(group, tag),
     /// The channel model delayed a packet to `to` by `jitter` extra
     /// ticks (later packets can overtake it).
-    ChannelReorder {
-        to: u32,
-        jitter: u64,
-        group: u32,
-        tag: u64,
-    },
+    ChannelReorder = "channel_reorder" { to: u32, jitter: u64, group: u32, tag: u64 }
+        journey(group, tag),
     /// The node retransmitted a control message to `to` (attempt
     /// numbers start at 1). `tag` is the transaction's trace key.
-    Retransmit {
-        group: u32,
-        to: u32,
-        attempt: u32,
-        tag: u64,
-    },
+    Retransmit = "retransmit" { group: u32, to: u32, attempt: u32, tag: u64 } journey(group, tag),
     /// A standby promoted itself to m-router.
-    Takeover,
+    Takeover = "takeover",
     /// A tree-health sample taken after a tree build/repair at the
     /// m-router: member count, max hop depth, total edge cost, mean
     /// delay stretch vs unicast (×1000), and inter-member delay
     /// variation (max − min delivery delay, in ticks).
-    TreeHealth {
+    TreeHealth = "tree_health" {
         group: u32,
         trigger: HealthTrigger,
         members: u32,
         depth: u32,
         cost: u64,
         stretch_milli: u64,
-        delay_var: u64,
+        delay_var: u64
     },
     /// The node requested a repair for `(group, origin, seq)` on the
     /// reliability tier. `tag` is the payload's causal trace key so the
     /// NACK joins the data packet's journey.
-    Nack {
-        group: u32,
-        origin: u32,
-        seq: u64,
-        tag: u64,
-    },
+    Nack = "nack" { group: u32, origin: u32, seq: u64, tag: u64 } journey(group, tag),
     /// A would-be NACK was absorbed by a pending-request entry at the
     /// node (duplicate-NACK suppression on the repair path).
-    NackSuppress {
-        group: u32,
-        origin: u32,
-        seq: u64,
-        tag: u64,
-    },
+    NackSuppress = "nack_suppress" { group: u32, origin: u32, seq: u64, tag: u64 }
+        journey(group, tag),
     /// A NACK was answered from the node's local repair cache.
-    RepairHit {
-        group: u32,
-        origin: u32,
-        seq: u64,
-        tag: u64,
-    },
+    RepairHit = "repair_hit" { group: u32, origin: u32, seq: u64, tag: u64 } journey(group, tag),
     /// A NACK missed the node's repair cache and had to go upstream.
-    RepairMiss {
-        group: u32,
-        origin: u32,
-        seq: u64,
-        tag: u64,
-    },
+    RepairMiss = "repair_miss" { group: u32, origin: u32, seq: u64, tag: u64 } journey(group, tag),
     /// A previously detected data gap closed at a receiver, `latency`
     /// ticks after the gap was first observed.
-    Recovery {
-        group: u32,
-        origin: u32,
-        seq: u64,
-        tag: u64,
-        latency: u64,
-    },
+    Recovery = "recovery" { group: u32, origin: u32, seq: u64, tag: u64, latency: u64 }
+        journey(group, tag),
     /// The m-router's repair scan found part of the domain unreachable
     /// (a network partition): `stranded` nodes are cut off, `members`
     /// of them are logged group members the scan must keep on the books
     /// for readoption.
-    Partition { stranded: u32, members: u32 },
+    Partition = "partition" { stranded: u32, members: u32 },
     /// Previously unreachable nodes became reachable again (the
     /// partition healed): `restored` nodes rejoined the m-router's
     /// component.
-    Heal { restored: u32 },
+    Heal = "heal" { restored: u32 },
     /// Post-heal reconciliation for one group: the surviving root
     /// readopted `readopted` stranded members under generation `epoch`
     /// (the epoch-guarded merge that resolves any dual-root race).
-    Reconcile {
-        group: u32,
-        readopted: u32,
-        epoch: u64,
-    },
+    Reconcile = "reconcile" { group: u32, readopted: u32, epoch: u64 },
 }
 
 /// Append `s` to `out` as a JSON string literal (surrounding quotes
@@ -419,210 +448,7 @@ impl Event {
     /// Keys are emitted in a fixed order so traces are diffable.
     pub fn encode(&self, out: &mut String) {
         let _ = write!(out, "{{\"t\":{},\"node\":{}", self.time, self.node);
-        match self.kind {
-            EventKind::Join { group } => {
-                let _ = write!(out, ",\"kind\":\"join\",\"group\":{group}");
-            }
-            EventKind::Leave { group } => {
-                let _ = write!(out, ",\"kind\":\"leave\",\"group\":{group}");
-            }
-            EventKind::Send { group, tag } => {
-                let _ = write!(out, ",\"kind\":\"send\",\"group\":{group},\"tag\":{tag}");
-            }
-            EventKind::Deliver {
-                from,
-                class,
-                group,
-                tag,
-                ctl,
-            } => {
-                let _ = write!(out, ",\"kind\":\"deliver\",\"from\":{from},\"class\":");
-                encode_json_string(class.label(), out);
-                let _ = write!(out, ",\"group\":{group},\"tag\":{tag}");
-                if let Some(ctl) = ctl {
-                    out.push_str(",\"ctl\":");
-                    encode_json_string(ctl.label(), out);
-                }
-            }
-            EventKind::DeliverLocal { group, tag, delay } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"deliver_local\",\"group\":{group},\"tag\":{tag},\"delay\":{delay}"
-                );
-            }
-            EventKind::Timer { token } => {
-                let _ = write!(out, ",\"kind\":\"timer\",\"token\":{token}");
-            }
-            EventKind::LinkDown { a, b } => {
-                let _ = write!(out, ",\"kind\":\"link_down\",\"a\":{a},\"b\":{b}");
-            }
-            EventKind::LinkUp { a, b } => {
-                let _ = write!(out, ",\"kind\":\"link_up\",\"a\":{a},\"b\":{b}");
-            }
-            EventKind::RouterCrash => {
-                let _ = write!(out, ",\"kind\":\"crash\"");
-            }
-            EventKind::RouterRecover => {
-                let _ = write!(out, ",\"kind\":\"recover\"");
-            }
-            EventKind::Drop {
-                reason,
-                to,
-                group,
-                tag,
-            } => {
-                out.push_str(",\"kind\":\"drop\",\"reason\":");
-                encode_json_string(reason.label(), out);
-                if let Some(to) = to {
-                    let _ = write!(out, ",\"to\":{to}");
-                }
-                if let Some(group) = group {
-                    let _ = write!(out, ",\"group\":{group}");
-                }
-                if let Some(tag) = tag {
-                    let _ = write!(out, ",\"tag\":{tag}");
-                }
-            }
-            EventKind::Repair { latency } => {
-                let _ = write!(out, ",\"kind\":\"repair\",\"latency\":{latency}");
-            }
-            EventKind::Gauge {
-                queue_depth,
-                down_links,
-                down_nodes,
-                deliveries,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"gauge\",\"queue_depth\":{queue_depth},\"down_links\":{down_links},\"down_nodes\":{down_nodes},\"deliveries\":{deliveries}"
-                );
-            }
-            EventKind::ChannelDuplicate { to, group, tag } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"channel_duplicate\",\"to\":{to},\"group\":{group},\"tag\":{tag}"
-                );
-            }
-            EventKind::ChannelReorder {
-                to,
-                jitter,
-                group,
-                tag,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"channel_reorder\",\"to\":{to},\"jitter\":{jitter},\"group\":{group},\"tag\":{tag}"
-                );
-            }
-            EventKind::Retransmit {
-                group,
-                to,
-                attempt,
-                tag,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"retransmit\",\"group\":{group},\"to\":{to},\"attempt\":{attempt},\"tag\":{tag}"
-                );
-            }
-            EventKind::Takeover => {
-                let _ = write!(out, ",\"kind\":\"takeover\"");
-            }
-            EventKind::TreeHealth {
-                group,
-                trigger,
-                members,
-                depth,
-                cost,
-                stretch_milli,
-                delay_var,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"tree_health\",\"group\":{group},\"trigger\":"
-                );
-                encode_json_string(trigger.label(), out);
-                let _ = write!(
-                    out,
-                    ",\"members\":{members},\"depth\":{depth},\"cost\":{cost},\"stretch_milli\":{stretch_milli},\"delay_var\":{delay_var}"
-                );
-            }
-            EventKind::Nack {
-                group,
-                origin,
-                seq,
-                tag,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"nack\",\"group\":{group},\"origin\":{origin},\"seq\":{seq},\"tag\":{tag}"
-                );
-            }
-            EventKind::NackSuppress {
-                group,
-                origin,
-                seq,
-                tag,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"nack_suppress\",\"group\":{group},\"origin\":{origin},\"seq\":{seq},\"tag\":{tag}"
-                );
-            }
-            EventKind::RepairHit {
-                group,
-                origin,
-                seq,
-                tag,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"repair_hit\",\"group\":{group},\"origin\":{origin},\"seq\":{seq},\"tag\":{tag}"
-                );
-            }
-            EventKind::RepairMiss {
-                group,
-                origin,
-                seq,
-                tag,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"repair_miss\",\"group\":{group},\"origin\":{origin},\"seq\":{seq},\"tag\":{tag}"
-                );
-            }
-            EventKind::Recovery {
-                group,
-                origin,
-                seq,
-                tag,
-                latency,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"recovery\",\"group\":{group},\"origin\":{origin},\"seq\":{seq},\"tag\":{tag},\"latency\":{latency}"
-                );
-            }
-            EventKind::Partition { stranded, members } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"partition\",\"stranded\":{stranded},\"members\":{members}"
-                );
-            }
-            EventKind::Heal { restored } => {
-                let _ = write!(out, ",\"kind\":\"heal\",\"restored\":{restored}");
-            }
-            EventKind::Reconcile {
-                group,
-                readopted,
-                epoch,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"reconcile\",\"group\":{group},\"readopted\":{readopted},\"epoch\":{epoch}"
-                );
-            }
-        }
+        self.kind.encode(out);
         out.push('}');
     }
 
@@ -635,8 +461,16 @@ impl Event {
 
     /// Parse one JSONL line.
     pub fn decode(line: &str) -> Result<Event, String> {
-        let raw: RawEvent = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        raw.into_event()
+        let obj: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        let name = obj
+            .get("kind")
+            .and_then(Value::as_str)
+            .ok_or("event has no \"kind\" string")?;
+        Ok(Event {
+            time: field(&obj, "t", name)?,
+            node: field(&obj, "node", name)?,
+            kind: EventKind::decode(name, &obj)?,
+        })
     }
 }
 
@@ -665,469 +499,21 @@ pub fn decode_events(jsonl: &str) -> Result<Vec<Event>, String> {
     Ok(out)
 }
 
-/// The permissive parse-side shape: every per-kind field optional.
-#[derive(Deserialize)]
-struct RawEvent {
-    t: u64,
-    node: u32,
-    kind: String,
-    group: Option<u32>,
-    tag: Option<u64>,
-    from: Option<u32>,
-    class: Option<String>,
-    token: Option<u64>,
-    a: Option<u32>,
-    b: Option<u32>,
-    to: Option<u32>,
-    reason: Option<String>,
-    delay: Option<u64>,
-    latency: Option<u64>,
-    queue_depth: Option<u64>,
-    down_links: Option<u64>,
-    down_nodes: Option<u64>,
-    deliveries: Option<u64>,
-    jitter: Option<u64>,
-    attempt: Option<u32>,
-    ctl: Option<String>,
-    trigger: Option<String>,
-    members: Option<u32>,
-    depth: Option<u32>,
-    cost: Option<u64>,
-    stretch_milli: Option<u64>,
-    delay_var: Option<u64>,
-    origin: Option<u32>,
-    seq: Option<u64>,
-    stranded: Option<u32>,
-    restored: Option<u32>,
-    readopted: Option<u32>,
-    epoch: Option<u64>,
-}
-
-impl RawEvent {
-    fn into_event(self) -> Result<Event, String> {
-        fn need<T>(v: Option<T>, field: &str, kind: &str) -> Result<T, String> {
-            v.ok_or_else(|| format!("{kind} event missing field {field:?}"))
-        }
-        let kind = match self.kind.as_str() {
-            "join" => EventKind::Join {
-                group: need(self.group, "group", "join")?,
-            },
-            "leave" => EventKind::Leave {
-                group: need(self.group, "group", "leave")?,
-            },
-            "send" => EventKind::Send {
-                group: need(self.group, "group", "send")?,
-                tag: need(self.tag, "tag", "send")?,
-            },
-            "deliver" => EventKind::Deliver {
-                from: need(self.from, "from", "deliver")?,
-                class: need(
-                    self.class.as_deref().and_then(TrafficClass::parse),
-                    "class",
-                    "deliver",
-                )?,
-                group: need(self.group, "group", "deliver")?,
-                tag: need(self.tag, "tag", "deliver")?,
-                ctl: match self.ctl.as_deref() {
-                    None => None,
-                    Some(s) => Some(need(CtlKind::parse(s), "ctl", "deliver")?),
-                },
-            },
-            "deliver_local" => EventKind::DeliverLocal {
-                group: need(self.group, "group", "deliver_local")?,
-                tag: need(self.tag, "tag", "deliver_local")?,
-                delay: need(self.delay, "delay", "deliver_local")?,
-            },
-            "timer" => EventKind::Timer {
-                token: need(self.token, "token", "timer")?,
-            },
-            "link_down" => EventKind::LinkDown {
-                a: need(self.a, "a", "link_down")?,
-                b: need(self.b, "b", "link_down")?,
-            },
-            "link_up" => EventKind::LinkUp {
-                a: need(self.a, "a", "link_up")?,
-                b: need(self.b, "b", "link_up")?,
-            },
-            "crash" => EventKind::RouterCrash,
-            "recover" => EventKind::RouterRecover,
-            "drop" => EventKind::Drop {
-                reason: need(
-                    self.reason.as_deref().and_then(DropReason::parse),
-                    "reason",
-                    "drop",
-                )?,
-                to: self.to,
-                group: self.group,
-                tag: self.tag,
-            },
-            "repair" => EventKind::Repair {
-                latency: need(self.latency, "latency", "repair")?,
-            },
-            "gauge" => EventKind::Gauge {
-                queue_depth: need(self.queue_depth, "queue_depth", "gauge")?,
-                down_links: need(self.down_links, "down_links", "gauge")?,
-                down_nodes: need(self.down_nodes, "down_nodes", "gauge")?,
-                deliveries: need(self.deliveries, "deliveries", "gauge")?,
-            },
-            "channel_duplicate" => EventKind::ChannelDuplicate {
-                to: need(self.to, "to", "channel_duplicate")?,
-                group: need(self.group, "group", "channel_duplicate")?,
-                tag: need(self.tag, "tag", "channel_duplicate")?,
-            },
-            "channel_reorder" => EventKind::ChannelReorder {
-                to: need(self.to, "to", "channel_reorder")?,
-                jitter: need(self.jitter, "jitter", "channel_reorder")?,
-                group: need(self.group, "group", "channel_reorder")?,
-                tag: need(self.tag, "tag", "channel_reorder")?,
-            },
-            "retransmit" => EventKind::Retransmit {
-                group: need(self.group, "group", "retransmit")?,
-                to: need(self.to, "to", "retransmit")?,
-                attempt: need(self.attempt, "attempt", "retransmit")?,
-                tag: need(self.tag, "tag", "retransmit")?,
-            },
-            "takeover" => EventKind::Takeover,
-            "tree_health" => EventKind::TreeHealth {
-                group: need(self.group, "group", "tree_health")?,
-                trigger: need(
-                    self.trigger.as_deref().and_then(HealthTrigger::parse),
-                    "trigger",
-                    "tree_health",
-                )?,
-                members: need(self.members, "members", "tree_health")?,
-                depth: need(self.depth, "depth", "tree_health")?,
-                cost: need(self.cost, "cost", "tree_health")?,
-                stretch_milli: need(self.stretch_milli, "stretch_milli", "tree_health")?,
-                delay_var: need(self.delay_var, "delay_var", "tree_health")?,
-            },
-            "nack" => EventKind::Nack {
-                group: need(self.group, "group", "nack")?,
-                origin: need(self.origin, "origin", "nack")?,
-                seq: need(self.seq, "seq", "nack")?,
-                tag: need(self.tag, "tag", "nack")?,
-            },
-            "nack_suppress" => EventKind::NackSuppress {
-                group: need(self.group, "group", "nack_suppress")?,
-                origin: need(self.origin, "origin", "nack_suppress")?,
-                seq: need(self.seq, "seq", "nack_suppress")?,
-                tag: need(self.tag, "tag", "nack_suppress")?,
-            },
-            "repair_hit" => EventKind::RepairHit {
-                group: need(self.group, "group", "repair_hit")?,
-                origin: need(self.origin, "origin", "repair_hit")?,
-                seq: need(self.seq, "seq", "repair_hit")?,
-                tag: need(self.tag, "tag", "repair_hit")?,
-            },
-            "repair_miss" => EventKind::RepairMiss {
-                group: need(self.group, "group", "repair_miss")?,
-                origin: need(self.origin, "origin", "repair_miss")?,
-                seq: need(self.seq, "seq", "repair_miss")?,
-                tag: need(self.tag, "tag", "repair_miss")?,
-            },
-            "recovery" => EventKind::Recovery {
-                group: need(self.group, "group", "recovery")?,
-                origin: need(self.origin, "origin", "recovery")?,
-                seq: need(self.seq, "seq", "recovery")?,
-                tag: need(self.tag, "tag", "recovery")?,
-                latency: need(self.latency, "latency", "recovery")?,
-            },
-            "partition" => EventKind::Partition {
-                stranded: need(self.stranded, "stranded", "partition")?,
-                members: need(self.members, "members", "partition")?,
-            },
-            "heal" => EventKind::Heal {
-                restored: need(self.restored, "restored", "heal")?,
-            },
-            "reconcile" => EventKind::Reconcile {
-                group: need(self.group, "group", "reconcile")?,
-                readopted: need(self.readopted, "readopted", "reconcile")?,
-                epoch: need(self.epoch, "epoch", "reconcile")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok(Event {
-            time: self.t,
-            node: self.node,
-            kind,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every row of the table, several values each, at distinct times.
     fn all_kinds() -> Vec<Event> {
-        vec![
-            Event {
-                time: 0,
+        EventKind::samples()
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| Event {
+                time: i as u64,
                 node: 4,
-                kind: EventKind::Join { group: 1 },
-            },
-            Event {
-                time: 1,
-                node: 4,
-                kind: EventKind::Leave { group: 1 },
-            },
-            Event {
-                time: 2,
-                node: 1,
-                kind: EventKind::Send { group: 1, tag: 9 },
-            },
-            Event {
-                time: 3,
-                node: 0,
-                kind: EventKind::Deliver {
-                    from: 1,
-                    class: TrafficClass::Data,
-                    group: 1,
-                    tag: 9,
-                    ctl: None,
-                },
-            },
-            Event {
-                time: 4,
-                node: 0,
-                kind: EventKind::Deliver {
-                    from: 1,
-                    class: TrafficClass::Control,
-                    group: 1,
-                    tag: crate::trace_key::pack_ctl_tag(4, 1),
-                    ctl: Some(CtlKind::Join),
-                },
-            },
-            Event {
-                time: 5,
-                node: 3,
-                kind: EventKind::DeliverLocal {
-                    group: 1,
-                    tag: 9,
-                    delay: 42,
-                },
-            },
-            Event {
-                time: 6,
-                node: 2,
-                kind: EventKind::Timer { token: 7 },
-            },
-            Event {
-                time: 7,
-                node: 0,
-                kind: EventKind::LinkDown { a: 0, b: 2 },
-            },
-            Event {
-                time: 8,
-                node: 0,
-                kind: EventKind::LinkUp { a: 0, b: 2 },
-            },
-            Event {
-                time: 9,
-                node: 4,
-                kind: EventKind::RouterCrash,
-            },
-            Event {
-                time: 10,
-                node: 4,
-                kind: EventKind::RouterRecover,
-            },
-            Event {
-                time: 11,
-                node: 5,
-                kind: EventKind::Drop {
-                    reason: DropReason::NonNeighbour,
-                    to: Some(3),
-                    group: Some(1),
-                    tag: Some(9),
-                },
-            },
-            Event {
-                time: 12,
-                node: 5,
-                kind: EventKind::Drop {
-                    reason: DropReason::QueueFull,
-                    to: None,
-                    group: None,
-                    tag: None,
-                },
-            },
-            Event {
-                time: 13,
-                node: 0,
-                kind: EventKind::Repair { latency: 1200 },
-            },
-            Event {
-                time: 14,
-                node: 0,
-                kind: EventKind::Gauge {
-                    queue_depth: 17,
-                    down_links: 1,
-                    down_nodes: 0,
-                    deliveries: 6,
-                },
-            },
-            Event {
-                time: 15,
-                node: 2,
-                kind: EventKind::Drop {
-                    reason: DropReason::ChannelLoss,
-                    to: Some(4),
-                    group: Some(1),
-                    tag: Some(crate::trace_key::pack_ctl_tag(2, 3)),
-                },
-            },
-            Event {
-                time: 16,
-                node: 2,
-                kind: EventKind::Drop {
-                    reason: DropReason::Corrupt,
-                    to: None,
-                    group: None,
-                    tag: None,
-                },
-            },
-            Event {
-                time: 17,
-                node: 2,
-                kind: EventKind::ChannelDuplicate {
-                    to: 4,
-                    group: 1,
-                    tag: 9,
-                },
-            },
-            Event {
-                time: 18,
-                node: 2,
-                kind: EventKind::ChannelReorder {
-                    to: 4,
-                    jitter: 11,
-                    group: 1,
-                    tag: 9,
-                },
-            },
-            Event {
-                time: 19,
-                node: 2,
-                kind: EventKind::Retransmit {
-                    group: 1,
-                    to: 0,
-                    attempt: 2,
-                    tag: crate::trace_key::pack_ctl_tag(2, 1),
-                },
-            },
-            Event {
-                time: 20,
-                node: 6,
-                kind: EventKind::Takeover,
-            },
-            Event {
-                time: 21,
-                node: 0,
-                kind: EventKind::TreeHealth {
-                    group: 1,
-                    trigger: HealthTrigger::Repair,
-                    members: 3,
-                    depth: 2,
-                    cost: 14,
-                    stretch_milli: 1250,
-                    delay_var: 6,
-                },
-            },
-            Event {
-                time: 22,
-                node: 3,
-                kind: EventKind::Nack {
-                    group: 1,
-                    origin: 13,
-                    seq: 4,
-                    tag: crate::trace_key::pack_ctl_tag(13, 4),
-                },
-            },
-            Event {
-                time: 23,
-                node: 2,
-                kind: EventKind::NackSuppress {
-                    group: 1,
-                    origin: 13,
-                    seq: 4,
-                    tag: crate::trace_key::pack_ctl_tag(13, 4),
-                },
-            },
-            Event {
-                time: 24,
-                node: 2,
-                kind: EventKind::RepairHit {
-                    group: 1,
-                    origin: 13,
-                    seq: 4,
-                    tag: 5,
-                },
-            },
-            Event {
-                time: 25,
-                node: 2,
-                kind: EventKind::RepairMiss {
-                    group: 1,
-                    origin: 13,
-                    seq: 5,
-                    tag: 6,
-                },
-            },
-            Event {
-                time: 26,
-                node: 3,
-                kind: EventKind::Recovery {
-                    group: 1,
-                    origin: 13,
-                    seq: 4,
-                    tag: 5,
-                    latency: 730,
-                },
-            },
-            Event {
-                time: 27,
-                node: 3,
-                kind: EventKind::Drop {
-                    reason: DropReason::UnknownKind,
-                    to: None,
-                    group: None,
-                    tag: None,
-                },
-            },
-            Event {
-                time: 28,
-                node: 0,
-                kind: EventKind::Deliver {
-                    from: 2,
-                    class: TrafficClass::Control,
-                    group: 1,
-                    tag: crate::trace_key::pack_ctl_tag(13, 4),
-                    ctl: Some(CtlKind::Nack),
-                },
-            },
-            Event {
-                time: 29,
-                node: 10,
-                kind: EventKind::Partition {
-                    stranded: 9,
-                    members: 3,
-                },
-            },
-            Event {
-                time: 30,
-                node: 10,
-                kind: EventKind::Heal { restored: 9 },
-            },
-            Event {
-                time: 31,
-                node: 10,
-                kind: EventKind::Reconcile {
-                    group: 1,
-                    readopted: 3,
-                    epoch: 1 << 32,
-                },
-            },
-        ]
+                kind,
+            })
+            .collect()
     }
 
     #[test]
@@ -1136,7 +522,46 @@ mod tests {
             let line = ev.to_jsonl();
             let back = Event::decode(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, ev, "roundtrip of {line}");
+            let written: Value = serde_json::from_str(&line).unwrap();
+            assert_eq!(written["kind"], *ev.kind.name(), "name() is the wire kind");
         }
+    }
+
+    #[test]
+    fn wire_names_and_labels_are_distinct() {
+        fn distinct(mut names: Vec<&str>) {
+            let n = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), n, "{names:?}");
+        }
+        let mut kinds: Vec<&str> = EventKind::samples().iter().map(EventKind::name).collect();
+        kinds.dedup(); // a kind's samples are adjacent
+        assert!(kinds.len() >= 26);
+        distinct(kinds);
+        distinct(TrafficClass::ALL.iter().map(|l| l.label()).collect());
+        distinct(DropReason::ALL.iter().map(|l| l.label()).collect());
+        distinct(CtlKind::ALL.iter().map(|l| l.label()).collect());
+        distinct(HealthTrigger::ALL.iter().map(|l| l.label()).collect());
+    }
+
+    #[test]
+    fn journey_keys_follow_the_packet() {
+        let send = EventKind::Send { group: 1, tag: 9 };
+        assert_eq!(send.journey_key(), Some((1, 9)));
+        let mut drop = EventKind::Drop {
+            reason: DropReason::QueueFull,
+            to: None,
+            group: Some(1),
+            tag: Some(9),
+        };
+        assert_eq!(drop.journey_key(), Some((1, 9)));
+        if let EventKind::Drop { tag, .. } = &mut drop {
+            *tag = None;
+        }
+        assert_eq!(drop.journey_key(), None, "an unkeyed drop joins no journey");
+        assert_eq!(EventKind::Join { group: 1 }.journey_key(), None);
+        assert_eq!(EventKind::Takeover.journey_key(), None);
     }
 
     #[test]
@@ -1214,9 +639,39 @@ mod tests {
         assert!(Event::decode(missing).unwrap_err().contains("tag"));
         let unknown = r#"{"t":1,"node":2,"kind":"warp"}"#;
         assert!(Event::decode(unknown).unwrap_err().contains("warp"));
-        let bad_ctl = r#"{"t":1,"node":2,"kind":"deliver","from":1,"class":"control","group":1,"tag":5,"ctl":"warp"}"#;
-        assert!(Event::decode(bad_ctl).unwrap_err().contains("ctl"));
         let doc = format!("{missing}\n");
         assert!(decode_events(&doc).unwrap_err().starts_with("line 1"));
+        // A label that is present but unrecognised is named as such, not
+        // reported as a missing field — one case per label enum.
+        for (line, field) in [
+            (
+                r#"{"t":1,"node":2,"kind":"deliver","from":1,"class":"control","group":1,"tag":5,"ctl":"bogus"}"#,
+                "ctl",
+            ),
+            (
+                r#"{"t":1,"node":2,"kind":"deliver","from":1,"class":"bogus","group":1,"tag":5}"#,
+                "class",
+            ),
+            (
+                r#"{"t":1,"node":2,"kind":"drop","reason":"bogus"}"#,
+                "reason",
+            ),
+            (
+                r#"{"t":1,"node":2,"kind":"tree_health","group":1,"trigger":"bogus","members":3,"depth":2,"cost":14,"stretch_milli":1250,"delay_var":6}"#,
+                "trigger",
+            ),
+        ] {
+            let err = Event::decode(line).unwrap_err();
+            assert!(
+                err.ends_with(&format!("field {field:?}: unknown label \"bogus\"")),
+                "{err}"
+            );
+        }
+        let mistyped = r#"{"t":1,"node":2,"kind":"send","group":"one","tag":1}"#;
+        let err = Event::decode(mistyped).unwrap_err();
+        assert!(
+            err.contains("\"group\": expected unsigned integer"),
+            "{err}"
+        );
     }
 }

@@ -164,7 +164,6 @@ impl Journey {
     /// The rendered step label for one event (dispatch metadata only).
     fn step_label(kind: &EventKind) -> String {
         match *kind {
-            EventKind::Send { .. } => "send".to_string(),
             EventKind::Deliver {
                 from, class, ctl, ..
             } => {
@@ -199,7 +198,7 @@ impl Journey {
             EventKind::Recovery { seq, latency, .. } => {
                 format!("gap recovered seq {seq} (+{latency})")
             }
-            _ => "?".to_string(),
+            ref other => other.name().to_string(),
         }
     }
 
@@ -209,23 +208,18 @@ impl Journey {
     pub fn chain(&self) -> Vec<&'static str> {
         let mut out: Vec<&'static str> = Vec::new();
         for ev in &self.steps {
+            // A stage is the kind's wire name, except where the chain
+            // says what travelled or how it ended.
             let stage = match ev.kind {
-                EventKind::Send { .. } => "send",
                 EventKind::Deliver { class, ctl, .. } => match ctl {
                     Some(c) => c.label(),
                     None => class.label(),
                 },
                 EventKind::DeliverLocal { .. } => "delivered",
-                EventKind::Drop { .. } => "drop",
-                EventKind::Retransmit { .. } => "retransmit",
                 EventKind::ChannelDuplicate { .. } => "dup",
                 EventKind::ChannelReorder { .. } => "reorder",
-                EventKind::Nack { .. } => "nack",
-                EventKind::NackSuppress { .. } => "nack_suppress",
-                EventKind::RepairHit { .. } => "repair_hit",
-                EventKind::RepairMiss { .. } => "repair_miss",
                 EventKind::Recovery { .. } => "recovered",
-                _ => continue,
+                ref other => other.name(),
             };
             if out.last() != Some(&stage) {
                 out.push(stage);
@@ -364,7 +358,7 @@ impl Trace {
     pub fn journey_tags(&self, group: u32) -> Vec<u64> {
         let mut set = BTreeSet::new();
         for ev in &self.events {
-            if let Some((g, t)) = journey_key(ev) {
+            if let Some((g, t)) = ev.kind.journey_key() {
                 if g == group {
                     set.insert(t);
                 }
@@ -380,7 +374,7 @@ impl Trace {
         let steps: Vec<Event> = self
             .events
             .iter()
-            .filter(|ev| journey_key(ev) == Some((group, tag)))
+            .filter(|ev| ev.kind.journey_key() == Some((group, tag)))
             .copied()
             .collect();
         let key = TraceKey::from_tag(group, tag);
@@ -631,35 +625,7 @@ impl Trace {
     pub fn summary(&self) -> String {
         let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
         for ev in &self.events {
-            let name = match ev.kind {
-                EventKind::Join { .. } => "join",
-                EventKind::Leave { .. } => "leave",
-                EventKind::Send { .. } => "send",
-                EventKind::Deliver { .. } => "deliver",
-                EventKind::DeliverLocal { .. } => "deliver_local",
-                EventKind::Timer { .. } => "timer",
-                EventKind::LinkDown { .. } => "link_down",
-                EventKind::LinkUp { .. } => "link_up",
-                EventKind::RouterCrash => "crash",
-                EventKind::RouterRecover => "recover",
-                EventKind::Drop { .. } => "drop",
-                EventKind::Repair { .. } => "repair",
-                EventKind::Gauge { .. } => "gauge",
-                EventKind::ChannelDuplicate { .. } => "channel_duplicate",
-                EventKind::ChannelReorder { .. } => "channel_reorder",
-                EventKind::Retransmit { .. } => "retransmit",
-                EventKind::Takeover => "takeover",
-                EventKind::TreeHealth { .. } => "tree_health",
-                EventKind::Nack { .. } => "nack",
-                EventKind::NackSuppress { .. } => "nack_suppress",
-                EventKind::RepairHit { .. } => "repair_hit",
-                EventKind::RepairMiss { .. } => "repair_miss",
-                EventKind::Recovery { .. } => "recovery",
-                EventKind::Partition { .. } => "partition",
-                EventKind::Heal { .. } => "heal",
-                EventKind::Reconcile { .. } => "reconcile",
-            };
-            *by_kind.entry(name).or_insert(0) += 1;
+            *by_kind.entry(ev.kind.name()).or_insert(0) += 1;
         }
         let span = match (self.events.first(), self.events.last()) {
             (Some(a), Some(b)) => format!("t={}..{}", a.time, b.time),
@@ -675,30 +641,6 @@ impl Trace {
             let _ = writeln!(out, "  groups: {groups:?}");
         }
         out
-    }
-}
-
-/// The (group, tag) correlation key an event is stamped with, when it
-/// participates in journeys at all.
-fn journey_key(ev: &Event) -> Option<(u32, u64)> {
-    match ev.kind {
-        EventKind::Send { group, tag }
-        | EventKind::Deliver { group, tag, .. }
-        | EventKind::DeliverLocal { group, tag, .. }
-        | EventKind::Retransmit { group, tag, .. }
-        | EventKind::ChannelDuplicate { group, tag, .. }
-        | EventKind::ChannelReorder { group, tag, .. }
-        | EventKind::Nack { group, tag, .. }
-        | EventKind::NackSuppress { group, tag, .. }
-        | EventKind::RepairHit { group, tag, .. }
-        | EventKind::RepairMiss { group, tag, .. }
-        | EventKind::Recovery { group, tag, .. } => Some((group, tag)),
-        EventKind::Drop {
-            group: Some(g),
-            tag: Some(t),
-            ..
-        } => Some((g, t)),
-        _ => None,
     }
 }
 

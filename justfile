@@ -129,10 +129,9 @@ journey spec="1" trace="tests/golden/failstorm_events.jsonl":
 telemetry-tour:
     cargo run --example telemetry_tour
 
-# Refresh the committed golden traces (legacy text + structured JSONL)
+# Refresh the committed golden traces (structured JSONL + journeys)
 # after an intentional protocol change; review the diff like code.
 golden-update:
-    UPDATE_GOLDEN=1 cargo test -p scmp-integration --test golden_trace
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test telemetry
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test lossy_control_plane
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test journey_golden

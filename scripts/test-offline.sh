@@ -8,6 +8,8 @@ export CARGO_NET_OFFLINE=true
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 cargo build --release
+# (No bench targets are left in the workspace, so `cargo test -q` runs
+# tests and doctests only; timing lives in benchmark/, driven below.)
 cargo test -q
 # Re-run the determinism guards with the sweep executor forced onto a
 # multi-worker pool: parallel fan-out must reproduce serial output byte
@@ -58,10 +60,14 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # fig-scale topology — eventual grafting, no duplicate delivery, no
 # spurious takeover.
 cargo test -q -p scmp-integration --test lossy_control_plane
-# Delivery audit over the committed golden trace: scmp-inspect exits
-# non-zero on any duplicate delivery or unaccounted drop.
-cargo run -q --release -p scmp-bench --bin scmp-inspect -- \
-    tests/golden/failstorm_events.jsonl --audit
+# Delivery audit over the committed golden traces: scmp-inspect exits
+# non-zero on any duplicate, phantom or unaccounted delivery — in the
+# fault-storm run and in the lossy one (channel loss and corruption
+# must be accounted for by recorded drops).
+for golden in failstorm_events lossy_events; do
+    cargo run -q --release -p scmp-bench --bin scmp-inspect -- \
+        "tests/golden/$golden.jsonl" --audit
+done
 # Perf-regression gate in smoke mode: replays the pinned scenario
 # corpus serially and on 2 workers (byte-identity guard), then re-runs
 # the hot-path benches against the committed baselines. The second,

@@ -1,22 +1,24 @@
 //! Telemetry integration: golden JSONL snapshot, sink-parity, and the
 //! inspector replaying engine statistics from a trace file alone.
 //!
-//! The golden file pins the *structured* event stream of the same
-//! fault-storm scenario `golden_trace.rs` pins in legacy form — with
-//! gauge sampling on, so the schema of every event kind is exercised.
-//! Refresh after an intentional change with:
+//! The golden file pins the structured event stream of the fault-storm
+//! scenario — with gauge sampling on, so the schema of every event kind
+//! is exercised. Refresh after an intentional change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p scmp-integration --test telemetry
 //! ```
 
-use scmp_core::router::{ScmpConfig, ScmpRouter};
+use scmp_core::router::{ReliabilityConfig, ScmpConfig, ScmpRouter};
 use scmp_integration::G;
 use scmp_net::topology::examples::fig5;
 use scmp_net::NodeId;
 use scmp_protocols::build_scmp_engine;
-use scmp_sim::{AppEvent, Engine, FaultKind, FaultPlan, NullSink, RingSink};
-use scmp_telemetry::{encode_events, Trace};
+use scmp_sim::{
+    AppEvent, ChannelModel, ChannelPlan, ChannelSpec, Engine, FaultKind, FaultPlan, NullSink,
+    RingSink, SimStats,
+};
+use scmp_telemetry::{decode_events, encode_events, DropReason, EventKind, Trace};
 
 const GOLDEN: &str = include_str!("../golden/failstorm_events.jsonl");
 
@@ -26,8 +28,10 @@ enum Sink {
     Ring,
 }
 
-/// The pinned fault-storm scenario (same timeline as `golden_trace.rs`)
-/// with the chosen sink installed and the gauge sampler on.
+/// The pinned fault-storm scenario — Fig. 5, repair scan on, a link cut
+/// that severs the tree, a router crash/recover cycle, and data landing
+/// before, during and after the failures — with the chosen sink
+/// installed and the gauge sampler on.
 fn run_pinned_scenario(sink: Sink) -> Engine<ScmpRouter> {
     let mut cfg = ScmpConfig::new(NodeId(0));
     cfg.repair_interval = 2_000;
@@ -103,6 +107,7 @@ fn sinks_do_not_perturb_the_simulation() {
         assert_eq!(a.drops, b.drops);
         assert_eq!(a.repairs, b.repairs);
         assert_eq!(a.max_repair_latency, b.max_repair_latency);
+        assert_eq!(event_counters(a), event_counters(b));
         assert_eq!(a.report(), b.report());
         assert_eq!(
             base.peak_queue_depth(),
@@ -143,6 +148,120 @@ fn inspector_replays_engine_statistics_from_the_trace() {
             p.tag,
             p
         );
+    }
+}
+
+/// Every counter that has an event kind, by name.
+fn event_counters(s: &SimStats) -> [(&'static str, u64); 15] {
+    [
+        ("drops", s.drops),
+        ("queue_drops", s.queue_drops),
+        ("channel_dropped", s.channel_dropped),
+        ("channel_corrupted", s.channel_corrupted),
+        ("unknown_kind_drops", s.unknown_kind_drops),
+        ("channel_duplicated", s.channel_duplicated),
+        ("channel_reordered", s.channel_reordered),
+        ("retransmissions", s.retransmissions),
+        ("takeovers", s.takeovers),
+        ("nacks_sent", s.nacks_sent),
+        ("nacks_suppressed", s.nacks_suppressed),
+        ("repair_cache_hits", s.repair_cache_hits),
+        ("repair_cache_misses", s.repair_cache_misses),
+        ("recoveries", s.recoveries),
+        ("reconciliations", s.reconciliations),
+    ]
+}
+
+/// A reliable-tier run over a channel that loses 10 % of packets (and
+/// duplicates, corrupts and reorders a few), recorded in full.
+fn run_lossy_reliable_scenario() -> Engine<ScmpRouter> {
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.join_retry = 500;
+    cfg.leave_retry = 500;
+    cfg.tree_retry = 500;
+    cfg.reliability = Some(ReliabilityConfig::default());
+    let mut e = build_scmp_engine(fig5(), cfg);
+    e.set_sink(Box::new(RingSink::new(1 << 20)));
+    let plan = ChannelPlan {
+        seed: 7,
+        default: Some(ChannelSpec {
+            drop: 0.10,
+            duplicate: 0.03,
+            corrupt: 0.03,
+            reorder_window: 3,
+        }),
+        links: Vec::new(),
+    };
+    e.set_channel(ChannelModel::from_plan(&plan).unwrap());
+    for (k, m) in [3u32, 4, 5].into_iter().enumerate() {
+        e.schedule_app(k as u64 * 1_000, NodeId(m), AppEvent::Join(G));
+    }
+    for tag in 1..=200u64 {
+        e.schedule_app(
+            40_000 + tag * 500,
+            NodeId(1),
+            AppEvent::Send { group: G, tag },
+        );
+    }
+    // Membership churn under the stream, so TREE/BRANCH installs cross
+    // the lossy links too and some need retransmitting.
+    for round in 0..10u64 {
+        let t = 45_000 + round * 9_000;
+        e.schedule_app(t, NodeId(4), AppEvent::Leave(G));
+        e.schedule_app(t + 3_000, NodeId(4), AppEvent::Join(G));
+    }
+    e.run_until(400_000);
+    e
+}
+
+/// The statistics are a fold over the event stream: replaying
+/// `SimStats::count` over a run's *decoded* JSONL reproduces every
+/// event-backed counter of the live engine, and the trace's drop events,
+/// grouped by the reason they name, are the drop counters.
+#[test]
+fn stats_replay_from_the_trace() {
+    let failstorm = run_pinned_scenario(Sink::Ring);
+    let lossy = run_lossy_reliable_scenario();
+    for (name, e) in [("failstorm", &failstorm), ("lossy", &lossy)] {
+        let live = e.stats();
+        let events = decode_events(&encode_events(&e.events())).expect("trace decodes");
+        let mut replayed = SimStats::default();
+        for ev in &events {
+            replayed.count(ev);
+        }
+        assert_eq!(event_counters(&replayed), event_counters(live), "{name}");
+        // The delivery picture and the fault count replay too.
+        assert_eq!(replayed.distinct_deliveries(), live.distinct_deliveries());
+        assert_eq!(replayed.max_end_to_end_delay, live.max_end_to_end_delay);
+        assert_eq!(replayed.faults_injected, live.faults_injected);
+
+        let drops_for = |want: &[DropReason]| {
+            events
+                .iter()
+                .filter(|ev| matches!(ev.kind, EventKind::Drop { reason, .. } if want.contains(&reason)))
+                .count() as u64
+        };
+        assert_eq!(drops_for(DropReason::ALL), live.drops, "{name}");
+        assert_eq!(drops_for(&[DropReason::QueueFull]), live.queue_drops);
+        assert_eq!(drops_for(&[DropReason::ChannelLoss]), live.channel_dropped);
+        assert_eq!(drops_for(&[DropReason::Corrupt]), live.channel_corrupted);
+        assert_eq!(
+            drops_for(&[DropReason::UnknownKind]),
+            live.unknown_kind_drops
+        );
+    }
+    // The failstorm exercises the fault side of the vocabulary ...
+    assert!(failstorm.stats().reconciliations > 0 && failstorm.stats().drops > 0);
+    // ... and the lossy run every channel and reliability counter.
+    let s = lossy.stats();
+    for (counter, n) in event_counters(s) {
+        let quiet = [
+            "queue_drops",
+            "unknown_kind_drops",
+            "takeovers",
+            "reconciliations",
+        ];
+        assert_eq!(n == 0, quiet.contains(&counter), "lossy {counter} = {n}");
     }
 }
 

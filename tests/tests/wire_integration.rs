@@ -15,6 +15,7 @@ use scmp_integration::{scenario, G};
 use scmp_net::topology::examples::fig5;
 use scmp_net::NodeId;
 use scmp_sim::{AppEvent, Ctx, Engine, Packet, Router};
+use scmp_telemetry::{DropReason, EventKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -149,7 +150,12 @@ impl Router for FutureKind {
                 Err(WireError::BadChecksum),
                 "kind corruption without a checksum re-stamp must not pass"
             );
-            ctx.drop_unknown_kind();
+            ctx.observe(EventKind::Drop {
+                reason: DropReason::UnknownKind,
+                to: None,
+                group: None,
+                tag: None,
+            });
             FRAMES_MANGLED.fetch_add(1, Ordering::Relaxed);
             return;
         }

@@ -6,19 +6,19 @@
 //! running parallel, the sweep is re-run serially and byte-compared as
 //! a determinism guard. `--partition-only` runs just the
 //! partition-and-heal series (per-cell invariants still asserted) and
-//! leaves the committed baseline untouched.
+//! leaves the committed baseline untouched. Any other argument exits 2.
 
-use scmp_bench::sweep::{resolve_jobs, take_jobs_arg};
+use scmp_bench::sweep::{parse, reject_leftovers, resolve_jobs, take_flag, take_jobs_arg};
 use scmp_bench::{chaos, report};
 
 fn main() {
-    let (rest, jobs_flag) = take_jobs_arg(std::env::args().skip(1).collect());
-    let partition_only = rest.iter().any(|a| a == "--partition-only");
-    let rest: Vec<String> = rest
-        .into_iter()
-        .filter(|a| a != "--partition-only")
-        .collect();
-    let seeds: u64 = rest.first().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let (mut args, jobs_flag) = take_jobs_arg(std::env::args().skip(1).collect());
+    let partition_only = take_flag(&mut args, "--partition-only");
+    let seeds: u64 = match args.first() {
+        Some(a) if !a.starts_with('-') => parse("seeds", args.remove(0)),
+        _ => 3,
+    };
+    reject_leftovers(&args);
     let jobs = resolve_jobs(jobs_flag);
 
     if partition_only {

@@ -1,73 +1,29 @@
-//! `regress` — the perf-regression gate (see `scmp_bench::regress`).
+//! `regress` — the deterministic regression gate (see
+//! `scmp_bench::regress`).
 //!
 //! ```text
-//! regress [--smoke] [--inject F] [--jobs N] [--reps N]
+//! regress [--smoke] [--jobs N]
 //!
-//!   --smoke      CI mode: 3 timed reps per sink, no regress.json write
-//!   --inject F   divide measured throughput by F (gate self-test:
-//!                --inject 2 must exit non-zero)
-//!   --jobs N     worker count for the scenario-corpus byte-identity
-//!                guard (default SCMP_JOBS / core count)
-//!   --reps N     timed repetitions per sink in full mode (default 3)
+//!   --smoke      CI mode: 1 chaos seed, no regress.json write
+//!   --jobs N     worker count for the parallel replays
+//!                (default SCMP_JOBS / core count)
 //! ```
 //!
-//! Re-runs the engine hot-path benches at the committed workload size
-//! and compares against `bench_results/engine_hotpath.json` and
-//! `bench_results/telemetry_overhead.json` under the per-metric
-//! tolerance model. Before timing anything it replays the pinned
-//! scenario corpus serially and on a worker pool and requires byte-
-//! identical results and traces — a perf number is only comparable if
-//! the simulation underneath is still deterministic. Full mode writes
-//! the verdict to `bench_results/regress.json`. Exits non-zero on any
-//! failed check or guard mismatch.
+//! Replays the pinned scenario corpus serially and on a worker pool and
+//! requires byte-identical results and traces, then re-runs the chaos
+//! sweep against the reliability and partition bands of
+//! `bench_results/chaos.json`. Full mode writes the verdict to
+//! `bench_results/regress.json`. Exits 1 on any failed check or guard
+//! mismatch, 2 on any other argument.
 
-use scmp_bench::sweep::resolve_jobs;
+use scmp_bench::sweep::{reject_leftovers, resolve_jobs, take_flag, take_jobs_arg};
 use scmp_bench::{regress, report, scenario_file};
 use std::path::Path;
 use std::process::ExitCode;
 
-struct Args {
-    smoke: bool,
-    inject: f64,
-    jobs: Option<usize>,
-    reps: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        inject: 1.0,
-        jobs: None,
-        reps: 3,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--inject" => {
-                let v = it.next().ok_or("--inject needs a factor")?;
-                args.inject = v.parse().map_err(|_| format!("bad factor {v:?}"))?;
-                if args.inject <= 0.0 {
-                    return Err("--inject factor must be positive".to_string());
-                }
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a count")?;
-                args.jobs = Some(v.parse().map_err(|_| format!("bad count {v:?}"))?);
-            }
-            "--reps" => {
-                let v = it.next().ok_or("--reps needs a count")?;
-                args.reps = v.parse().map_err(|_| format!("bad count {v:?}"))?;
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(args)
-}
-
 /// Replay the pinned scenario corpus serially and on `jobs` workers;
 /// any difference in results or traces means the simulation drifted
-/// from determinism and perf numbers are meaningless.
+/// from determinism and no band below is meaningful.
 fn corpus_byte_identity(jobs: usize) -> Result<usize, String> {
     let dir = Path::new("tests/scenarios/corpus");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
@@ -104,16 +60,11 @@ fn corpus_byte_identity(jobs: usize) -> Result<usize, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("regress: {e}");
-            eprintln!("usage: regress [--smoke] [--inject F] [--jobs N] [--reps N]");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (mut args, jobs_flag) = take_jobs_arg(std::env::args().skip(1).collect());
+    let smoke = take_flag(&mut args, "--smoke");
+    reject_leftovers(&args);
 
-    let jobs = resolve_jobs(args.jobs);
+    let jobs = resolve_jobs(jobs_flag);
     match corpus_byte_identity(jobs) {
         Ok(n) => println!("corpus guard: {n} scenarios byte-identical at jobs=1 and jobs={jobs}"),
         Err(e) => {
@@ -122,44 +73,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let baseline = match regress::load_baseline(Path::new("bench_results/engine_hotpath.json")) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("regress: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let overhead_baseline =
-        match regress::load_overhead_baseline(Path::new("bench_results/telemetry_overhead.json")) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("regress: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-
-    // The paired overhead estimator needs several interleaved pairs to
-    // dodge load spikes, so even smoke mode runs 3 reps per sink.
-    let reps = if args.smoke { 3 } else { args.reps.max(1) };
-    let tol = regress::Tolerances::default();
-    if args.inject != 1.0 {
-        println!(
-            "(self-test: dividing measured throughput by {})",
-            args.inject
-        );
-    }
-    let mut verdict = match regress::run_gate(&baseline, &overhead_baseline, reps, tol, args.inject)
-    {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("regress: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Reliability band: re-run the chaos sweep (1 seed in smoke, the
-    // baseline's full seed set otherwise) and hold the NACK-recovery
-    // tier to its committed delivery floors and latency ceiling.
+    // Re-run the chaos sweep (1 seed in smoke, the baseline's full seed
+    // set otherwise) and hold the NACK-recovery tier and the partition
+    // series to their committed bands.
     let chaos_baseline = match regress::load_chaos_baseline(Path::new("bench_results/chaos.json")) {
         Ok(b) => b,
         Err(e) => {
@@ -167,30 +83,24 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let chaos_seeds = if args.smoke { 1 } else { chaos_baseline.seeds };
+    let chaos_seeds = if smoke { 1 } else { chaos_baseline.seeds };
     println!(
-        "chaos recovery band: re-running the reliability sweep ({chaos_seeds} seed{})",
+        "chaos bands: re-running the chaos sweep ({chaos_seeds} seed{})",
         if chaos_seeds == 1 { "" } else { "s" }
     );
-    verdict.checks.extend(regress::chaos_recovery_checks(
+    let verdict = regress::RegressReport::new(regress::chaos_recovery_checks(
         &chaos_baseline,
         chaos_seeds,
         jobs,
     ));
-    verdict.passed = verdict.checks.iter().all(|c| c.pass);
 
     report::print_table(
-        &format!(
-            "Perf-regression gate ({} sends, {} rep{})",
-            verdict.sends,
-            reps,
-            if reps == 1 { "" } else { "s" }
-        ),
+        "Regression gate (reliability and partition bands)",
         &["metric", "baseline", "measured", "band", "verdict"],
         &verdict.rows(),
     );
     println!("verdict: {}", if verdict.passed { "PASS" } else { "FAIL" });
-    if !args.smoke {
+    if !smoke {
         report::write_json("regress", &verdict);
     }
     if verdict.passed {

@@ -5,14 +5,15 @@
 //! nodes and skips the 5k fig-shaped cells (CI-sized). Writes
 //! `bench_results/scale.json`. When running parallel, the deterministic
 //! portion of the report is re-run serially and byte-compared as a
-//! determinism guard; timing rows are exempt.
+//! determinism guard; timing rows are exempt. Any other argument exits 2.
 
-use scmp_bench::sweep::{resolve_jobs, take_jobs_arg};
+use scmp_bench::sweep::{reject_leftovers, resolve_jobs, take_flag, take_jobs_arg};
 use scmp_bench::{report, scale};
 
 fn main() {
-    let (rest, jobs_flag) = take_jobs_arg(std::env::args().skip(1).collect());
-    let smoke = rest.iter().any(|a| a == "--smoke");
+    let (mut args, jobs_flag) = take_jobs_arg(std::env::args().skip(1).collect());
+    let smoke = take_flag(&mut args, "--smoke");
+    reject_leftovers(&args);
     let jobs = resolve_jobs(jobs_flag);
 
     let rep = scale::run(smoke, jobs);

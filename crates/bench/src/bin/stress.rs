@@ -18,33 +18,10 @@
 
 use scmp_bench::report;
 use scmp_bench::stress::{self, SearchConfig};
-use scmp_bench::sweep::{resolve_jobs, take_jobs_arg};
+use scmp_bench::sweep::{
+    parse, reject_leftovers, resolve_jobs, take_flag, take_jobs_arg, take_value,
+};
 use std::path::PathBuf;
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    args.remove(i);
-    Some(args.remove(i))
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let i = args.iter().position(|a| a == flag);
-    if let Some(i) = i {
-        args.remove(i);
-    }
-    i.is_some()
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, v: String) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: bad value {v:?}");
-        std::process::exit(2);
-    })
-}
 
 fn main() {
     let (mut args, jobs_flag) = take_jobs_arg(std::env::args().skip(1).collect());
@@ -69,10 +46,7 @@ fn main() {
     }
     let corpus_dir: PathBuf = take_value(&mut args, "--corpus-dir")
         .map_or_else(|| PathBuf::from("tests/scenarios/corpus"), PathBuf::from);
-    if !args.is_empty() {
-        eprintln!("unknown arguments: {args:?}");
-        std::process::exit(2);
-    }
+    reject_leftovers(&args);
 
     let rep = stress::search(&cfg, jobs);
     if jobs > 1 {

@@ -21,7 +21,6 @@ pub mod chaos;
 pub mod concentration;
 pub mod extra_pimsm;
 pub mod fig7;
-pub mod hotpath;
 pub mod netperf;
 pub mod placement_exp;
 pub mod plot;

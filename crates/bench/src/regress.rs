@@ -1,57 +1,22 @@
-//! Perf-regression gate: re-run the engine hot-path benches and compare
-//! against the committed baselines under `bench_results/` with
-//! per-metric tolerance bands.
+//! Regression gate: the deterministic checks no other harness runs.
 //!
-//! The tolerance model distinguishes two metric classes:
+//! The `regress` bin first replays the pinned scenario corpus serially
+//! and on a worker pool and requires byte-identical results and traces.
+//! It then re-runs the chaos sweep and holds it to two bands against
+//! the committed `bench_results/chaos.json`:
 //!
-//! * **Deterministic structure** — `nodes`, `edges`, `events`,
-//!   `peak_queue_depth`. The engine is a deterministic discrete-event
-//!   core, so these must match the baseline *exactly*; any drift means
-//!   the benchmark workload itself changed and the throughput numbers
-//!   are no longer comparable.
-//! * **Wall-clock throughput** — noisy on shared CI hosts, so it gets a
-//!   band, not equality. The off-sink best-of-reps must stay above
-//!   `throughput_floor` × the committed best (default 0.55: generous
-//!   enough for a noisy neighbour, tight enough that a 2× slowdown —
-//!   the canonical "accidentally quadratic" regression — always trips).
-//!   Sink overheads (ring/jsonl slowdown relative to off) are ratios of
-//!   two same-host runs, so noise largely cancels; they are allowed the
-//!   committed overhead plus `overhead_slack` absolute points.
+//! * **reliability** ([`chaos_band`]) — absolute worst-seed delivery
+//!   floors and a 2x ceiling on worst-case gap-recovery latency;
+//! * **partition** ([`partition_band`]) — a reconvergence-lag ceiling
+//!   and the post-heal delivery floor.
 //!
-//! `inject` divides every measured throughput by a factor before
-//! comparison — the gate's own self-test: `--inject 2` must fail, which
-//! `scripts/test-offline.sh` asserts right after the clean smoke pass.
+//! Every input is seeded, so the verdict is a pure function of the tree.
+//! Timing is not gated here: `benchmark/run.sh compare` bands the
+//! end-to-end and per-layer wall-clock metrics on real SCMP workloads.
 
 use crate::chaos::{self, ChaosReport};
-use crate::hotpath::{self, HotpathResult};
 use serde::Serialize;
 use std::path::Path;
-
-/// Tolerance bands for the noisy (wall-clock) metrics.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct Tolerances {
-    /// Measured off-sink throughput must exceed this fraction of the
-    /// committed best.
-    pub throughput_floor: f64,
-    /// Measured sink overhead may exceed the committed overhead by at
-    /// most this many absolute points (0.10 = ten percentage points).
-    pub overhead_slack: f64,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            throughput_floor: 0.55,
-            // Sink overheads on a noisy single-core host were observed
-            // swinging ~18 points run to run even with the paired
-            // estimator, so this band only catches gross regressions
-            // (per-record allocation or encoding on the ring path); the
-            // precise signals are the exact structure checks and the
-            // throughput floor.
-            overhead_slack: 0.25,
-        }
-    }
-}
 
 /// One metric comparison: baseline, measured, the band applied, verdict.
 #[derive(Clone, Debug, Serialize)]
@@ -59,69 +24,34 @@ pub struct Check {
     pub metric: String,
     pub baseline: f64,
     pub measured: f64,
-    /// Human-readable band, e.g. `exact` or `>= 0.55x`.
+    /// Human-readable band, e.g. `>= 0.95 absolute`.
     pub band: String,
-    /// The values are fractions best shown as percentages (overheads).
-    pub percent: bool,
     pub pass: bool,
 }
 
-impl Check {
-    fn exact(metric: &str, baseline: f64, measured: f64) -> Check {
-        Check {
-            metric: metric.to_string(),
-            baseline,
-            measured,
-            band: "exact".to_string(),
-            percent: false,
-            pass: baseline == measured,
-        }
-    }
-
-    fn floor(metric: &str, baseline: f64, measured: f64, ratio: f64) -> Check {
-        Check {
-            metric: metric.to_string(),
-            baseline,
-            measured,
-            band: format!(">= {ratio:.2}x baseline"),
-            percent: false,
-            pass: measured >= ratio * baseline,
-        }
-    }
-
-    fn ceiling(metric: &str, baseline: f64, measured: f64, slack: f64) -> Check {
-        Check {
-            metric: metric.to_string(),
-            baseline,
-            measured,
-            band: format!("<= baseline + {:.0}pt", slack * 100.0),
-            percent: true,
-            pass: measured <= baseline + slack,
-        }
-    }
-
-    fn fmt(&self, v: f64) -> String {
-        if self.percent {
-            format!("{:.1}%", v * 100.0)
-        } else {
-            format!("{v:.0}")
-        }
+/// Whole numbers (ticks, latencies) print as integers, ratios to three
+/// decimals — so a 0.94 delivery never reads as its rounded `1`.
+fn fmt_value(v: f64) -> String {
+    if v.fract() == 0.0 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3}")
     }
 }
 
-/// The gate's verdict: every check, plus the knobs that produced it.
+/// The gate's verdict: every check and their conjunction.
 #[derive(Clone, Debug, Serialize)]
 pub struct RegressReport {
-    pub sends: u64,
-    pub reps: u64,
-    /// Throughput divisor applied before comparison (1.0 = none).
-    pub inject: f64,
-    pub tolerances: Tolerances,
     pub checks: Vec<Check>,
     pub passed: bool,
 }
 
 impl RegressReport {
+    pub fn new(checks: Vec<Check>) -> Self {
+        let passed = checks.iter().all(|c| c.pass);
+        RegressReport { checks, passed }
+    }
+
     /// Table rows for [`crate::report::print_table`].
     pub fn rows(&self) -> Vec<Vec<String>> {
         self.checks
@@ -129,36 +59,14 @@ impl RegressReport {
             .map(|c| {
                 vec![
                     c.metric.clone(),
-                    c.fmt(c.baseline),
-                    c.fmt(c.measured),
+                    fmt_value(c.baseline),
+                    fmt_value(c.measured),
                     c.band.clone(),
                     if c.pass { "ok" } else { "FAIL" }.to_string(),
                 ]
             })
             .collect()
     }
-}
-
-/// Load a committed `engine_hotpath.json` baseline.
-pub fn load_baseline(path: &Path) -> Result<HotpathResult, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Load a committed `telemetry_overhead.json` baseline (off/ring/jsonl,
-/// in that order).
-pub fn load_overhead_baseline(path: &Path) -> Result<Vec<HotpathResult>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let v: Vec<HotpathResult> =
-        serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    if v.len() != 3 {
-        return Err(format!(
-            "{}: expected 3 sink modes, found {}",
-            path.display(),
-            v.len()
-        ));
-    }
-    Ok(v)
 }
 
 /// Load a committed `chaos.json` baseline (the reliability band source).
@@ -204,7 +112,6 @@ pub fn chaos_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check> {
             baseline: floor,
             measured: f.min_delivery_ratio,
             band: format!(">= {floor:.2} absolute"),
-            percent: false,
             pass: f.min_delivery_ratio >= floor,
         });
         checks.push(Check {
@@ -212,7 +119,6 @@ pub fn chaos_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check> {
             baseline: b.max_recovery_p99 as f64,
             measured: f.max_recovery_p99 as f64,
             band: "<= 2.00x baseline".to_string(),
-            percent: false,
             pass: f.max_recovery_p99 as f64 <= 2.0 * b.max_recovery_p99 as f64,
         });
     }
@@ -236,7 +142,6 @@ pub fn partition_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check>
             baseline: b.max_reconverge_ticks as f64,
             measured: f.max_reconverge_ticks as f64,
             band: format!("<= {lag_ceiling} (2x baseline, capped at the window)"),
-            percent: false,
             pass: f.max_reconverge_ticks <= lag_ceiling,
         },
         Check {
@@ -244,204 +149,14 @@ pub fn partition_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check>
             baseline: 0.99,
             measured: f.min_post_heal_delivery,
             band: ">= 0.99 absolute".to_string(),
-            percent: false,
             pass: f.min_post_heal_delivery >= 0.99,
         },
     ]
 }
 
-/// Fractional slowdown of `sinked` relative to `off` (0.05 = 5%):
-/// the paired-rep estimator of [`hotpath::paired_overhead`].
-pub fn overhead(off: &HotpathResult, sinked: &HotpathResult) -> f64 {
-    hotpath::paired_overhead(off, sinked)
-}
-
-fn find_sink<'a>(set: &'a [HotpathResult], label: &str) -> Result<&'a HotpathResult, String> {
-    set.iter()
-        .find(|r| r.sink == label)
-        .ok_or_else(|| format!("baseline missing sink mode {label:?}"))
-}
-
-/// Re-run the hot-path benches at the baseline's workload size and
-/// compare. `reps` trades CI time for noise (smoke uses 1); `inject`
-/// divides measured throughput to self-test the gate.
-pub fn run_gate(
-    baseline: &HotpathResult,
-    overhead_baseline: &[HotpathResult],
-    reps: u64,
-    tol: Tolerances,
-    inject: f64,
-) -> Result<RegressReport, String> {
-    let mut measured = hotpath::run_overhead(baseline.sends, reps);
-    let inject = if inject > 0.0 { inject } else { 1.0 };
-    for r in &mut measured {
-        r.best_events_per_sec /= inject;
-        for run in &mut r.runs {
-            run.events_per_sec /= inject;
-        }
-    }
-    let [off, ring, jsonl] = &measured[..] else {
-        return Err("run_overhead returned an unexpected mode count".to_string());
-    };
-    let mut report = compare(baseline, overhead_baseline, off, ring, jsonl, tol)?;
-    report.reps = reps;
-    report.inject = inject;
-    Ok(report)
-}
-
-/// Pure comparison step: measured results against the committed
-/// baselines under the tolerance model. Split from [`run_gate`] so the
-/// band logic is unit-testable without timing anything.
-pub fn compare(
-    baseline: &HotpathResult,
-    overhead_baseline: &[HotpathResult],
-    off: &HotpathResult,
-    ring: &HotpathResult,
-    jsonl: &HotpathResult,
-    tol: Tolerances,
-) -> Result<RegressReport, String> {
-    let base_off = find_sink(overhead_baseline, "off")?;
-    let base_ring = find_sink(overhead_baseline, "ring")?;
-    let base_jsonl = find_sink(overhead_baseline, "jsonl")?;
-
-    let checks = vec![
-        Check::exact("nodes", baseline.nodes as f64, off.nodes as f64),
-        Check::exact("edges", baseline.edges as f64, off.edges as f64),
-        Check::exact("events", baseline.events as f64, off.events as f64),
-        Check::exact(
-            "peak_queue_depth",
-            baseline.peak_queue_depth as f64,
-            off.peak_queue_depth as f64,
-        ),
-        Check::floor(
-            "best_events_per_sec[off]",
-            base_off.best_events_per_sec,
-            off.best_events_per_sec,
-            tol.throughput_floor,
-        ),
-        Check::ceiling(
-            "overhead[ring]",
-            overhead(base_off, base_ring),
-            overhead(off, ring),
-            tol.overhead_slack,
-        ),
-        Check::ceiling(
-            "overhead[jsonl]",
-            overhead(base_off, base_jsonl),
-            overhead(off, jsonl),
-            tol.overhead_slack,
-        ),
-    ];
-    let passed = checks.iter().all(|c| c.pass);
-    Ok(RegressReport {
-        sends: baseline.sends,
-        reps: off.runs.len() as u64,
-        inject: 1.0,
-        tolerances: tol,
-        checks,
-        passed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fake(sink: &str, best: f64) -> HotpathResult {
-        HotpathResult {
-            topology: "random50-deg5".to_string(),
-            sink: sink.to_string(),
-            nodes: 50,
-            edges: 121,
-            sends: 40,
-            events: 7_000,
-            peak_queue_depth: 300,
-            best_events_per_sec: best,
-            runs: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn overhead_is_a_fractional_slowdown() {
-        let off = fake("off", 1_000_000.0);
-        let ring = fake("ring", 950_000.0);
-        assert!((overhead(&off, &ring) - 0.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn baselines_round_trip_through_json() {
-        let set = vec![
-            fake("off", 3.0e6),
-            fake("ring", 2.9e6),
-            fake("jsonl", 2.5e6),
-        ];
-        let dir = std::env::temp_dir().join("scmp-regress-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("telemetry_overhead.json");
-        std::fs::write(&p, serde_json::to_string_pretty(&set).unwrap()).unwrap();
-        let back = load_overhead_baseline(&p).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[0].sink, "off");
-        assert_eq!(back[2].best_events_per_sec, 2.5e6);
-        let q = dir.join("engine_hotpath.json");
-        std::fs::write(&q, serde_json::to_string_pretty(&set[0]).unwrap()).unwrap();
-        assert_eq!(load_baseline(&q).unwrap().events, 7_000);
-    }
-
-    /// Band logic on synthetic numbers: an identical re-measurement
-    /// passes, a 2x throughput drop trips exactly the floor check, and
-    /// structural drift trips the exact checks.
-    #[test]
-    fn compare_passes_clean_and_trips_on_regressions() {
-        let set = vec![
-            fake("off", 1.0e6),
-            fake("ring", 0.95e6),
-            fake("jsonl", 0.80e6),
-        ];
-        let tol = Tolerances::default();
-        let clean = compare(&set[0], &set, &set[0], &set[1], &set[2], tol).unwrap();
-        assert!(clean.passed, "identical rerun failed: {:?}", clean.checks);
-        assert_eq!(clean.checks.len(), 7);
-
-        // 2x slowdown across the board (the --inject 2 path divides all
-        // three measurements): overhead ratios cancel, only the
-        // throughput floor trips.
-        let halved: Vec<HotpathResult> = set
-            .iter()
-            .map(|r| fake(&r.sink, r.best_events_per_sec / 2.0))
-            .collect();
-        let slow = compare(&set[0], &set, &halved[0], &halved[1], &halved[2], tol).unwrap();
-        assert!(!slow.passed, "2x regression not detected");
-        let tripped: Vec<&str> = slow
-            .checks
-            .iter()
-            .filter(|c| !c.pass)
-            .map(|c| c.metric.as_str())
-            .collect();
-        assert_eq!(tripped, vec!["best_events_per_sec[off]"]);
-
-        // Sink overhead blowing past its band (ring suddenly 40% slow
-        // against a committed 5%) trips the ring ceiling even though
-        // raw throughput stays above the floor.
-        let heavy = fake("ring", 0.60e6);
-        let ring_bad = compare(&set[0], &set, &set[0], &heavy, &set[2], tol).unwrap();
-        assert!(!ring_bad.passed);
-        assert!(ring_bad
-            .checks
-            .iter()
-            .any(|c| c.metric == "overhead[ring]" && !c.pass));
-
-        // Structural drift: a different event count means the workload
-        // changed — exact check must trip.
-        let mut drifted = fake("off", 1.0e6);
-        drifted.events += 1;
-        let structural = compare(&set[0], &set, &drifted, &set[1], &set[2], tol).unwrap();
-        assert!(!structural.passed);
-        assert!(structural
-            .checks
-            .iter()
-            .any(|c| c.metric == "events" && !c.pass));
-    }
 
     fn fake_chaos(specs: &[(f64, f64, u64)]) -> ChaosReport {
         let points: Vec<chaos::ChaosPoint> = specs
@@ -560,26 +275,52 @@ mod tests {
         assert!(partition_band(&old, &baseline).is_empty());
     }
 
-    /// `run_gate` end to end with a live (tiny) measurement as its own
-    /// baseline: the deterministic structure checks must hold exactly,
-    /// and the report carries the inject factor through.
+    /// A failing 0.94 against the 0.95 floor must read as such in the
+    /// table, not as `1  1 … FAIL`; whole-number rows stay integers.
     #[test]
-    fn gate_structure_checks_are_exact_against_a_live_run() {
-        let set = hotpath::run_overhead(40, 1);
-        let off = set[0].clone();
-        // Bands wide open: this verifies the measurement plumbing and
-        // the deterministic metrics, not wall-clock noise.
-        let tol = Tolerances {
-            throughput_floor: 0.0,
-            overhead_slack: f64::INFINITY,
-        };
-        let report = run_gate(&off, &set, 1, tol, 3.0).unwrap();
-        assert_eq!(report.inject, 3.0);
-        for c in &report.checks {
-            if c.band == "exact" {
-                assert!(c.pass, "structure check {} drifted", c.metric);
-            }
-        }
-        assert!(report.passed);
+    fn rows_print_ratios_to_three_decimals_and_counts_as_integers() {
+        let baseline = fake_chaos(&[(0.10, 0.99, 1200)]);
+        let mut dipped = baseline.clone();
+        dipped.reliable_points[0].min_delivery_ratio = 0.94;
+        let report = RegressReport::new(chaos_band(&baseline, &dipped));
+        assert!(!report.passed);
+        assert_eq!(
+            report.rows(),
+            vec![
+                vec![
+                    "reliable_min_delivery[10%]",
+                    "0.950",
+                    "0.940",
+                    ">= 0.95 absolute",
+                    "FAIL"
+                ],
+                vec![
+                    "recovery_latency_p99[10%]",
+                    "1200",
+                    "1200",
+                    "<= 2.00x baseline",
+                    "ok"
+                ],
+            ]
+        );
+    }
+
+    /// The gate's verdict is a pure function of the tree: the same
+    /// sweep at different worker counts serializes to identical JSON,
+    /// so a full run leaves the committed `regress.json` git-clean.
+    #[test]
+    fn gate_verdict_is_deterministic_across_jobs() {
+        let baseline = load_chaos_baseline(Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench_results/chaos.json"
+        )))
+        .unwrap();
+        let serial = RegressReport::new(chaos_recovery_checks(&baseline, 1, 1));
+        let parallel = RegressReport::new(chaos_recovery_checks(&baseline, 1, 2));
+        assert_eq!(
+            serde_json::to_string(&serial).unwrap(),
+            serde_json::to_string(&parallel).unwrap()
+        );
+        assert!(serial.passed, "{:?}", serial.checks);
     }
 }

@@ -74,6 +74,45 @@ pub fn take_jobs_arg(args: Vec<String>) -> (Vec<String>, Option<usize>) {
     (rest, jobs)
 }
 
+/// Remove a boolean `flag` from `args`; true when it was present.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let i = args.iter().position(|a| a == flag);
+    if let Some(i) = i {
+        args.remove(i);
+    }
+    i.is_some()
+}
+
+/// Remove `flag VALUE` from `args` and return the value. Exits with a
+/// usage error when the flag is the last argument.
+pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 >= args.len() {
+        eprintln!("{flag} needs a value");
+        std::process::exit(2);
+    }
+    args.remove(i);
+    Some(args.remove(i))
+}
+
+/// Parse a flag's value, exiting with a usage error when it is malformed.
+pub fn parse<T: std::str::FromStr>(flag: &str, v: String) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{flag}: bad value {v:?}");
+        std::process::exit(2);
+    })
+}
+
+/// Exit with a usage error naming whatever the `take_*` calls left
+/// behind: a typo'd flag must never fall through to a default run that
+/// overwrites a committed `bench_results/` record.
+pub fn reject_leftovers(args: &[String]) {
+    if !args.is_empty() {
+        eprintln!("unknown arguments: {args:?}");
+        std::process::exit(2);
+    }
+}
+
 /// A deterministic parallel map over independent sweep cells.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepRunner {
@@ -240,5 +279,28 @@ mod tests {
         assert_eq!(rest, vec!["7".to_string()]);
         assert_eq!(jobs, None);
         assert_eq!(resolve_jobs(Some(5)), 5);
+    }
+
+    /// Known flags are consumed wherever they sit; a typo survives as
+    /// the leftover that `reject_leftovers` turns into exit 2.
+    #[test]
+    fn take_helpers_leave_only_unknown_arguments() {
+        let argv = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        let (mut args, jobs) = take_jobs_arg(argv("1 --partition-onyl --jobs 2"));
+        assert_eq!(jobs, Some(2));
+        assert!(!take_flag(&mut args, "--partition-only"));
+        assert_eq!(args, argv("1 --partition-onyl"));
+
+        let mut args = argv("--smoke --seed 7 --no-pin");
+        assert!(take_flag(&mut args, "--smoke"));
+        assert!(take_flag(&mut args, "--no-pin"));
+        assert_eq!(take_value(&mut args, "--seed").as_deref(), Some("7"));
+        assert_eq!(take_value(&mut args, "--passes"), None);
+        assert!(args.is_empty());
+
+        let mut args = argv("--smok");
+        assert!(!take_flag(&mut args, "--smoke"));
+        assert_eq!(args, argv("--smok"));
+        assert_eq!(parse::<u64>("--seed", "42".into()), 42);
     }
 }

@@ -110,11 +110,12 @@ bench-quick:
 inspect +args:
     cargo run -q -p scmp-bench --bin scmp-inspect -- {{args}}
 
-# Perf-regression gate: replay the scenario corpus (serial vs parallel
-# byte identity), re-run the hot-path benches, and compare against the
-# committed bench_results/ baselines with per-metric tolerance bands;
-# writes bench_results/regress.json. `just regress --smoke` for the CI
-# variant (no JSON write).
+# Regression gate: replay the scenario corpus (serial vs parallel byte
+# identity), re-run the chaos sweep, and hold it to the reliability and
+# partition bands of bench_results/chaos.json; writes
+# bench_results/regress.json (deterministic: a rerun leaves it
+# git-clean). `just regress --smoke` for the CI variant (1 seed, no
+# JSON write).
 regress *args:
     cargo run --release -p scmp-bench --bin regress -- {{args}}
 

@@ -68,14 +68,10 @@ for golden in failstorm_events lossy_events; do
     cargo run -q --release -p scmp-bench --bin scmp-inspect -- \
         "tests/golden/$golden.jsonl" --audit
 done
-# Perf-regression gate in smoke mode: replays the pinned scenario
-# corpus serially and on 2 workers (byte-identity guard), then re-runs
-# the hot-path benches against the committed baselines. The second,
-# inverted invocation proves the gate has teeth: an injected 2x
-# throughput regression MUST make it exit non-zero.
+# Regression gate in smoke mode: replays the pinned scenario corpus
+# serially and on 2 workers (byte-identity guard), then re-runs one
+# chaos seed against the reliability and partition bands of the
+# committed bench_results/chaos.json. Every check is a deterministic
+# count, so the verdict does not depend on host speed; timing is
+# banded by benchmark/run.sh compare.
 cargo run -q --release -p scmp-bench --bin regress -- --smoke --jobs 2
-if cargo run -q --release -p scmp-bench --bin regress -- \
-    --smoke --jobs 2 --inject 2 >/dev/null 2>&1; then
-    echo "regress gate failed to detect an injected 2x regression" >&2
-    exit 1
-fi

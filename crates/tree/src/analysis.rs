@@ -7,8 +7,8 @@
 //! slack DCDM leaves under its bound) and the *delay stretch* of each
 //! member relative to its unicast optimum. This module computes both.
 
-use crate::tree::MulticastTree;
-use scmp_net::{NodeId, PathProvider, Topology};
+use crate::tree::{MulticastTree, RootDistance};
+use scmp_net::{Metric, NodeId, PathProvider, Topology};
 use serde::Serialize;
 
 /// Per-member delay record.
@@ -43,18 +43,34 @@ pub struct TreeReport {
 
 /// Analyse `tree` against `topo`/`paths`.
 pub fn analyze(topo: &Topology, paths: &dyn PathProvider, tree: &MulticastTree) -> TreeReport {
-    let root = tree.root();
+    report(topo, paths, tree, &tree.root_distances(topo))
+}
+
+/// [`analyze`] over an existing [`MulticastTree::root_distances`] walk.
+fn report(
+    topo: &Topology,
+    paths: &dyn PathProvider,
+    tree: &MulticastTree,
+    walk: &[RootDistance],
+) -> TreeReport {
+    // The root's delay tree, fetched once, and not at all for an empty
+    // group: a caching provider's LRU order stays what it was when each
+    // member asked for `ul` itself.
+    let mut from_root = None;
     let mut member_delays = Vec::new();
     let mut stretch_sum = 0.0;
     let mut max_stretch: f64 = 0.0;
-    for m in tree.members() {
-        let ml = tree.multicast_delay(topo, m).expect("member on tree");
-        let ul = paths.unicast_delay(root, m).expect("connected");
+    for d in walk.iter().filter(|d| tree.is_member(d.node)) {
+        let ml = d.delay;
+        let ul = from_root
+            .get_or_insert_with(|| paths.tree(tree.root(), Metric::Delay))
+            .distance(d.node)
+            .expect("connected");
         let stretch = if ul == 0 { 1.0 } else { ml as f64 / ul as f64 };
         stretch_sum += stretch;
         max_stretch = max_stretch.max(stretch);
         member_delays.push(MemberDelay {
-            member: m,
+            member: d.node,
             multicast_delay: ml,
             unicast_delay: ul,
             stretch,
@@ -63,9 +79,9 @@ pub fn analyze(topo: &Topology, paths: &dyn PathProvider, tree: &MulticastTree) 
     let count = member_delays.len();
     TreeReport {
         cost: tree.tree_cost(topo),
-        delay: tree.tree_delay(topo),
+        delay: tree.max_member_delay(walk),
         members: count,
-        routers: tree.on_tree_count(),
+        routers: walk.len(),
         member_delays,
         mean_stretch: if count == 0 {
             0.0
@@ -98,11 +114,12 @@ pub struct TreeHealthSample {
 
 /// Condense a tree into a [`TreeHealthSample`] against `topo`/`paths`.
 pub fn health(topo: &Topology, paths: &dyn PathProvider, tree: &MulticastTree) -> TreeHealthSample {
-    let r = analyze(topo, paths, tree);
-    let depth = tree
-        .members()
-        .filter_map(|m| tree.path_from_root(m))
-        .map(|p| (p.len().saturating_sub(1)) as u32)
+    let walk = tree.root_distances(topo);
+    let r = report(topo, paths, tree, &walk);
+    let depth = walk
+        .iter()
+        .filter(|d| tree.is_member(d.node))
+        .map(|d| d.hops)
         .max()
         .unwrap_or(0);
     let delay_var = match (

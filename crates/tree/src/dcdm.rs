@@ -6,7 +6,11 @@
 //! * When a member `s` joins, consider the `2m` precomputed paths
 //!   (`P_lc` and `P_sl` from `s` to each of the `m` on-tree routers);
 //!   among those whose resulting *multicast delay* `ml(s)` stays within
-//!   the delay bound, graft the one with the least cost.
+//!   the delay bound, graft the one with the least cost. The paths are
+//!   scored by lookup in `s`'s two shortest-path trees — one fetch per
+//!   family — so a join costs `O(on-tree + union of candidate paths)`
+//!   after the fetches (plus one `n`-slot memo fill per family), and only
+//!   the winning path is materialised.
 //! * Under the **dynamic** bound (the paper's formulation), the bound is
 //!   the current tree delay; a joiner whose unicast delay exceeds it is
 //!   connected by its shortest-delay path to the m-router and raises the
@@ -17,9 +21,14 @@
 //! * When a member leaves, its branch is pruned upward until a member or
 //!   a branching router is reached.
 
-use crate::tree::MulticastTree;
-use scmp_net::{Metric, NodeId, PathProvider, Topology};
+use crate::tree::{MulticastTree, RootDistance};
+use scmp_net::{Metric, NodeId, PathProvider, ShortestPathTree, Topology};
 use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// Marks an SPT node whose other-metric weight this join has not summed
+/// yet.
+const UNPRICED: u64 = u64::MAX;
 
 /// The delay bound regime for DCDM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,13 +164,14 @@ impl<'a> Dcdm<'a> {
             };
         }
         let root = self.tree.root();
-        let ul = self
-            .paths
-            .unicast_delay(s, root)
-            .expect("topology is connected");
+        // `s`'s shortest-delay tree answers `ul(s)` and, if needed, the
+        // fallback path.
+        let by_delay = self.paths.tree(s, Metric::Delay);
+        let ul = by_delay.distance(root).expect("topology is connected");
+        let on_tree = self.tree.root_distances(self.topo);
         let (limit, force_shortest) = match self.bound {
             DelayBound::Dynamic => {
-                let l = self.tree.tree_delay(self.topo);
+                let l = self.tree.max_member_delay(&on_tree);
                 if ul > l {
                     (ul, true)
                 } else {
@@ -172,17 +182,14 @@ impl<'a> Dcdm<'a> {
         };
 
         let (path_to_graft, violated) = if force_shortest {
-            (
-                self.paths.path(s, root, Metric::Delay).expect("connected"),
-                false,
-            )
+            (by_delay.path_to(root).expect("connected"), false)
         } else {
-            match self.best_candidate(s, limit) {
+            match self.best_candidate(s, limit, &on_tree) {
                 Some(p) => (p, false),
                 None => (
                     // No feasible graft under a fixed bound tighter than
                     // ul(s): fall back to the best achievable delay.
-                    self.paths.path(s, root, Metric::Delay).expect("connected"),
+                    by_delay.path_to(root).expect("connected"),
                     true,
                 ),
             }
@@ -212,39 +219,87 @@ impl<'a> Dcdm<'a> {
 
     /// Evaluate the `2m` candidate paths and return the cheapest feasible
     /// one (as a path `s -> … -> graft`), or `None` if none satisfies
-    /// `ml(s) ≤ limit`.
+    /// `ml(s) ≤ limit`. `on_tree` is the tree's
+    /// [`MulticastTree::root_distances`] walk.
     ///
-    /// Ties are broken by (cost, resulting delay, graft id) so the result
-    /// is deterministic.
-    fn best_candidate(&self, s: NodeId, limit: u64) -> Option<Vec<NodeId>> {
-        let mut best: Option<(u64, u64, NodeId, Vec<NodeId>)> = None;
-        for r in self.tree.on_tree_nodes() {
-            let ml_r = self
-                .tree
-                .multicast_delay(self.topo, r)
-                .expect("on-tree node");
-            for &metric in &self.candidate_metrics {
+    /// Each family's tree from `s` is fetched once. A candidate's own
+    /// metric is its SPT distance (exact: topologies have no parallel
+    /// links); its other weight is summed up the SPT's predecessor chain,
+    /// memoised in a dense `n`-slot array so every SPT node is priced once
+    /// per join. The cost is `O(on-tree + union of candidate paths)` plus
+    /// the memo's fill, and only the winner is materialised.
+    ///
+    /// Ties are broken by (cost, resulting delay, graft id), then by
+    /// family order, so the result is deterministic.
+    fn best_candidate(
+        &self,
+        s: NodeId,
+        limit: u64,
+        on_tree: &[RootDistance],
+    ) -> Option<Vec<NodeId>> {
+        let spts: Vec<Arc<ShortestPathTree>> = self
+            .candidate_metrics
+            .iter()
+            .map(|&metric| self.paths.tree(s, metric))
+            .collect();
+        let mut best: Option<(u64, u64, NodeId, usize)> = None;
+        let mut chain = Vec::new();
+        for (family, spt) in spts.iter().enumerate() {
+            let mut priced = vec![UNPRICED; self.topo.node_count()];
+            priced[s.index()] = 0;
+            for d in on_tree {
                 // An on-tree router `s` cannot reach is no graft point
                 // (a mirror tree not yet mended after a partition).
-                let Some(p) = self.paths.path(s, r, metric) else {
+                let Some(own) = spt.distance(d.node) else {
                     continue;
                 };
-                let w = self.topo.path_weight(&p).expect("valid path");
-                let ml_s = ml_r + w.delay;
+                let other = self.other_weight(spt, d.node, &mut priced, &mut chain);
+                let (cost, delay) = match spt.metric() {
+                    Metric::Cost => (own, other),
+                    Metric::Delay => (other, own),
+                };
+                let ml_s = d.delay + delay;
                 if ml_s > limit {
                     continue;
                 }
-                let key = (w.cost, ml_s, r);
-                let better = match &best {
-                    None => true,
-                    Some((bc, bd, br, _)) => key < (*bc, *bd, *br),
-                };
-                if better {
-                    best = Some((w.cost, ml_s, r, p));
+                let key = (cost, ml_s, d.node, family);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
                 }
             }
         }
-        best.map(|(_, _, _, p)| p)
+        best.map(|(_, _, graft, family)| spts[family].path_to(graft).expect("reachable graft"))
+    }
+
+    /// The weight of the `spt` path to `v` under the metric `spt` does
+    /// not minimise: summed down from the nearest ancestor already in
+    /// `priced`, pricing every node on the way (`chain` is scratch).
+    fn other_weight(
+        &self,
+        spt: &ShortestPathTree,
+        v: NodeId,
+        priced: &mut [u64],
+        chain: &mut Vec<NodeId>,
+    ) -> u64 {
+        let other = match spt.metric() {
+            Metric::Cost => Metric::Delay,
+            Metric::Delay => Metric::Cost,
+        };
+        let mut top = v;
+        while priced[top.index()] == UNPRICED {
+            chain.push(top);
+            top = spt
+                .predecessor(top)
+                .expect("a reachable node's chain ends at the source");
+        }
+        let mut acc = priced[top.index()];
+        while let Some(u) = chain.pop() {
+            let w = self.topo.link(top, u).expect("SPT edge is a topology link");
+            acc += other.of(w);
+            priced[u.index()] = acc;
+            top = u;
+        }
+        acc
     }
 
     /// Attach `path` (`graft -> … -> new member`) to the tree, performing
@@ -297,11 +352,71 @@ impl<'a> Dcdm<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scmp_net::rng::rng_for;
     use scmp_net::topology::examples::fig5;
+    use scmp_net::topology::{waxman, WaxmanConfig};
     use scmp_net::AllPairsPaths;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup(topo: &Topology) -> AllPairsPaths {
         AllPairsPaths::compute(topo)
+    }
+
+    /// A provider that counts the trees asked of it.
+    #[derive(Debug)]
+    struct CountingPaths<'a> {
+        inner: &'a dyn PathProvider,
+        trees: AtomicUsize,
+    }
+
+    impl PathProvider for CountingPaths<'_> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn tree(&self, src: NodeId, metric: Metric) -> Arc<ShortestPathTree> {
+            self.trees.fetch_add(1, Ordering::Relaxed);
+            self.inner.tree(src, metric)
+        }
+
+        fn resident_path_bytes(&self) -> usize {
+            self.inner.resident_path_bytes()
+        }
+    }
+
+    /// A join fetches the joiner's tree once per candidate family plus
+    /// once for `ul`, however many on-tree routers it scores — under the
+    /// dynamic bound, a loose fixed one, and one every join violates.
+    #[test]
+    fn a_join_fetches_each_source_tree_once() {
+        let cfg = WaxmanConfig {
+            n: 120,
+            ..WaxmanConfig::default()
+        };
+        let topo = waxman(&cfg, &mut rng_for("dcdm-lookups", 0));
+        let ap = setup(&topo);
+        let paths = CountingPaths {
+            inner: &ap,
+            trees: AtomicUsize::new(0),
+        };
+        for bound in [
+            DelayBound::Dynamic,
+            DelayBound::Fixed(u64::MAX),
+            DelayBound::Fixed(0),
+        ] {
+            let mut d = Dcdm::new(&topo, &paths, NodeId(0), bound);
+            for s in topo.nodes() {
+                let before = paths.trees.load(Ordering::Relaxed);
+                let on_tree = d.tree().on_tree_count();
+                d.join(s);
+                let fetched = paths.trees.load(Ordering::Relaxed) - before;
+                assert!(
+                    fetched <= 3,
+                    "{bound:?}: join of {s:?} into {on_tree} on-tree routers fetched {fetched} trees"
+                );
+            }
+            assert_eq!(d.tree().on_tree_count(), topo.node_count());
+        }
     }
 
     /// The complete Fig. 5 walkthrough: joins of g1, g2, g3 reproduce the

@@ -14,6 +14,18 @@ use scmp_net::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
+/// One on-tree node as the root-down walk sees it
+/// ([`MulticastTree::root_distances`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RootDistance {
+    /// The on-tree node.
+    pub node: NodeId,
+    /// Its multicast delay `ml(node)`.
+    pub delay: u64,
+    /// Tree hops from the root.
+    pub hops: u32,
+}
+
 /// A rooted multicast tree over a fixed topology size.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MulticastTree {
@@ -227,6 +239,41 @@ impl MulticastTree {
         Some(topo.path_weight(&p)?.delay)
     }
 
+    /// `ml(v)` and hop depth of every on-tree node, sorted by node id, from
+    /// one root-down walk: `O(on-tree · log on-tree)` whatever the
+    /// topology size, where [`Self::multicast_delay`] re-walks to the root
+    /// per node.
+    pub(crate) fn root_distances(&self, topo: &Topology) -> Vec<RootDistance> {
+        let mut out = Vec::new();
+        let mut stack = vec![RootDistance {
+            node: self.root,
+            delay: 0,
+            hops: 0,
+        }];
+        while let Some(d) = stack.pop() {
+            for &c in self.children(d.node) {
+                let w = topo.link(d.node, c).expect("tree edge is a topology link");
+                stack.push(RootDistance {
+                    node: c,
+                    delay: d.delay + w.delay,
+                    hops: d.hops + 1,
+                });
+            }
+            out.push(d);
+        }
+        out.sort_unstable_by_key(|d| d.node);
+        out
+    }
+
+    /// Tree delay over a [`Self::root_distances`] walk of this tree.
+    pub(crate) fn max_member_delay(&self, walk: &[RootDistance]) -> u64 {
+        walk.iter()
+            .filter(|d| self.is_member(d.node))
+            .map(|d| d.delay)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Tree cost: sum of link costs over all tree edges.
     pub fn tree_cost(&self, topo: &Topology) -> u64 {
         self.edges()
@@ -237,11 +284,7 @@ impl MulticastTree {
 
     /// Tree delay: `max ml(v)` over group members (0 for an empty group).
     pub fn tree_delay(&self, topo: &Topology) -> u64 {
-        self.members
-            .iter()
-            .map(|&m| self.multicast_delay(topo, m).expect("member on tree"))
-            .max()
-            .unwrap_or(0)
+        self.max_member_delay(&self.root_distances(topo))
     }
 
     /// Render the tree as a directed DOT graph (root at the top), for
@@ -372,6 +415,22 @@ mod tests {
         assert_eq!(t.tree_delay(&topo), 12);
         // cost = 6 (0-1) + 3 (1-4) + 2 (1-2) + 1 (2-3) = 12.
         assert_eq!(t.tree_cost(&topo), 12);
+    }
+
+    #[test]
+    fn root_distances_agree_with_per_node_walks() {
+        let topo = fig5();
+        let mut t = sample();
+        t.reparent(NodeId(2), NodeId(0)); // Fig. 5(d): 3 now hangs 0-2-3
+        let walk = t.root_distances(&topo);
+        let nodes: Vec<NodeId> = walk.iter().map(|d| d.node).collect();
+        assert_eq!(nodes, t.on_tree_nodes());
+        for d in &walk {
+            assert_eq!(Some(d.delay), t.multicast_delay(&topo, d.node));
+            let hops = t.path_from_root(d.node).unwrap().len() - 1;
+            assert_eq!(d.hops as usize, hops);
+        }
+        assert_eq!(t.tree_delay(&topo), 12); // member 4 via 0-1-4
     }
 
     #[test]

@@ -164,8 +164,8 @@ impl<'a> Dcdm<'a> {
             };
         }
         let root = self.tree.root();
-        // `s`'s shortest-delay tree answers `ul(s)` and, if needed, the
-        // fallback path.
+        // `s`'s shortest-delay tree answers `ul(s)` and, if the dynamic
+        // bound forces it, the shortest-delay path.
         let by_delay = self.paths.tree(s, Metric::Delay);
         let ul = by_delay.distance(root).expect("topology is connected");
         let on_tree = self.tree.root_distances(self.topo);
@@ -188,8 +188,15 @@ impl<'a> Dcdm<'a> {
                 Some(p) => (p, false),
                 None => (
                     // No feasible graft under a fixed bound tighter than
-                    // ul(s): fall back to the best achievable delay.
-                    by_delay.path_to(root).expect("connected"),
+                    // ul(s): fall back to the best achievable delay. The
+                    // delay tree is fetched again rather than reused, so
+                    // it ends as a caching provider's most recent entry
+                    // whatever the family order, as the exhaustive scan
+                    // left it.
+                    self.paths
+                        .tree(s, Metric::Delay)
+                        .path_to(root)
+                        .expect("connected"),
                     true,
                 ),
             }
@@ -225,9 +232,10 @@ impl<'a> Dcdm<'a> {
     /// Each family's tree from `s` is fetched once. A candidate's own
     /// metric is its SPT distance (exact: topologies have no parallel
     /// links); its other weight is summed up the SPT's predecessor chain,
-    /// memoised in a dense `n`-slot array so every SPT node is priced once
-    /// per join. The cost is `O(on-tree + union of candidate paths)` plus
-    /// the memo's fill, and only the winner is materialised.
+    /// memoised in a dense `n`-slot array (allocated once per join, reset
+    /// per family) so every SPT node is priced once per family. The cost
+    /// is `O(on-tree + union of candidate paths)` plus the memo's resets,
+    /// and only the winner is materialised.
     ///
     /// Ties are broken by (cost, resulting delay, graft id), then by
     /// family order, so the result is deterministic.
@@ -244,8 +252,9 @@ impl<'a> Dcdm<'a> {
             .collect();
         let mut best: Option<(u64, u64, NodeId, usize)> = None;
         let mut chain = Vec::new();
+        let mut priced = vec![UNPRICED; self.topo.node_count()];
         for (family, spt) in spts.iter().enumerate() {
-            let mut priced = vec![UNPRICED; self.topo.node_count()];
+            priced.fill(UNPRICED);
             priced[s.index()] = 0;
             for d in on_tree {
                 // An on-tree router `s` cannot reach is no graft point
@@ -352,10 +361,12 @@ impl<'a> Dcdm<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
     use scmp_net::rng::rng_for;
     use scmp_net::topology::examples::fig5;
-    use scmp_net::topology::{waxman, WaxmanConfig};
-    use scmp_net::AllPairsPaths;
+    use scmp_net::topology::{transit_stub, waxman, WaxmanConfig};
+    use scmp_net::{AllPairsPaths, LivePaths, OnDemandPaths};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup(topo: &Topology) -> AllPairsPaths {
@@ -385,7 +396,8 @@ mod tests {
     }
 
     /// A join fetches the joiner's tree once per candidate family plus
-    /// once for `ul`, however many on-tree routers it scores — under the
+    /// once for `ul` (and once more for a fallback path when the bound is
+    /// violated), however many on-tree routers it scores — under the
     /// dynamic bound, a loose fixed one, and one every join violates.
     #[test]
     fn a_join_fetches_each_source_tree_once() {
@@ -408,14 +420,251 @@ mod tests {
             for s in topo.nodes() {
                 let before = paths.trees.load(Ordering::Relaxed);
                 let on_tree = d.tree().on_tree_count();
-                d.join(s);
+                let violated = d.join(s).violated_bound;
                 let fetched = paths.trees.load(Ordering::Relaxed) - before;
                 assert!(
-                    fetched <= 3,
+                    fetched <= 3 + usize::from(violated),
                     "{bound:?}: join of {s:?} into {on_tree} on-tree routers fetched {fetched} trees"
                 );
             }
             assert_eq!(d.tree().on_tree_count(), topo.node_count());
+        }
+    }
+
+    /// A join/leave churn replayed twice, each time over a fresh on-demand
+    /// provider, repeats its cache counters, resident bytes and tree.
+    #[test]
+    fn churn_replay_repeats_its_cache_counters() {
+        let topo = transit_stub(3, 2, 4, 1000, &mut rng_for("dcdm-churn", 0));
+        let replay = || {
+            let paths = OnDemandPaths::with_capacity(Arc::new(topo.clone()), 8);
+            let mut d = Dcdm::new(&topo, &paths, NodeId(0), DelayBound::Dynamic);
+            let mut rng = rng_for("dcdm-churn-ops", 0);
+            for _ in 0..200 {
+                let members: Vec<NodeId> = d.tree().members().collect();
+                if !members.is_empty() && rng.gen_bool(0.25) {
+                    d.leave(members[rng.gen_range(0..members.len())]);
+                } else {
+                    d.join(NodeId(rng.gen_range(0..topo.node_count() as u32)));
+                }
+            }
+            let st = paths.stats();
+            (
+                st.hits,
+                st.misses,
+                paths.resident_path_bytes(),
+                d.into_tree().edges(),
+            )
+        };
+        let first = replay();
+        assert!(first.1 > 0 && first.2 > 0, "{first:?}");
+        assert_eq!(replay(), first);
+    }
+
+    /// The tree delay the root-down walk replaced, kept as its oracle:
+    /// one walk to the root per member.
+    fn exhaustive_tree_delay(tree: &MulticastTree, topo: &Topology) -> u64 {
+        tree.members()
+            .map(|m| tree.multicast_delay(topo, m).expect("member on tree"))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The candidate scan the lookup scan replaced, kept as its oracle:
+    /// per on-tree router it re-walks `ml(r)` to the root, per family it
+    /// materialises `paths.path(s, r, metric)` and re-walks it in
+    /// `path_weight`.
+    fn exhaustive_best_candidate(
+        d: &Dcdm<'_>,
+        paths: &dyn PathProvider,
+        s: NodeId,
+        limit: u64,
+    ) -> Option<Vec<NodeId>> {
+        let mut best: Option<(u64, u64, NodeId, Vec<NodeId>)> = None;
+        for r in d.tree.on_tree_nodes() {
+            let ml_r = d.tree.multicast_delay(d.topo, r).expect("on-tree node");
+            for &metric in &d.candidate_metrics {
+                let Some(p) = paths.path(s, r, metric) else {
+                    continue;
+                };
+                let w = d.topo.path_weight(&p).expect("valid path");
+                let ml_s = ml_r + w.delay;
+                if ml_s > limit {
+                    continue;
+                }
+                let key = (w.cost, ml_s, r);
+                if best.as_ref().is_none_or(|(c, l, g, _)| key < (*c, *l, *g)) {
+                    best = Some((w.cost, ml_s, r, p));
+                }
+            }
+        }
+        best.map(|(_, _, _, p)| p)
+    }
+
+    /// What the exhaustive join grafted for an off-tree `s`: the path
+    /// `graft -> … -> s` and whether the bound was violated, asking
+    /// `paths` in its order (`ul`, every candidate, the shortest-delay
+    /// path when forced or falling back).
+    fn exhaustive_graft(d: &Dcdm<'_>, paths: &dyn PathProvider, s: NodeId) -> (Vec<NodeId>, bool) {
+        let root = d.tree.root();
+        let ul = paths.unicast_delay(s, root).expect("connected");
+        let (limit, force_shortest) = match d.bound {
+            DelayBound::Dynamic => {
+                let l = exhaustive_tree_delay(&d.tree, d.topo);
+                (l.max(ul), ul > l)
+            }
+            DelayBound::Fixed(b) => (b, false),
+        };
+        let shortest = || paths.path(s, root, Metric::Delay).expect("connected");
+        let (mut path, violated) = if force_shortest {
+            (shortest(), false)
+        } else {
+            match exhaustive_best_candidate(d, paths, s, limit) {
+                Some(p) => (p, false),
+                None => (shortest(), true),
+            }
+        };
+        path.reverse();
+        (path, violated)
+    }
+
+    /// Candidate families the differential run restricts DCDM to: the
+    /// paper's pair, each ablation, and the pair in the other order.
+    const FAMILIES: [&[Metric]; 4] = [
+        &[Metric::Cost, Metric::Delay],
+        &[Metric::Cost],
+        &[Metric::Delay],
+        &[Metric::Delay, Metric::Cost],
+    ];
+
+    /// Drive `ops` random join/leave steps through a builder over `paths`,
+    /// checking each join's graft path and bound flag against the
+    /// exhaustive join asked of `oracle` (a second provider of the same
+    /// kind), the tree delay after every step, and that `misses` —
+    /// (production, oracle) cache misses — stay equal. Joiners the view
+    /// cannot route to the root are skipped, as the m-router skips them.
+    #[allow(clippy::too_many_arguments)]
+    fn lockstep(
+        topo: &Topology,
+        paths: &dyn PathProvider,
+        oracle: &dyn PathProvider,
+        misses: impl Fn() -> (u64, u64),
+        tree: MulticastTree,
+        bound: DelayBound,
+        families: &[Metric],
+        ops: usize,
+        rng: &mut impl Rng,
+    ) -> Result<MulticastTree, TestCaseError> {
+        let mut d = Dcdm::with_tree(topo, paths, tree, bound);
+        d.set_candidate_metrics(families);
+        let root = d.tree.root();
+        for _ in 0..ops {
+            let members: Vec<NodeId> = d.tree.members().collect();
+            if !members.is_empty() && rng.gen_bool(0.3) {
+                d.leave(members[rng.gen_range(0..members.len())]);
+            } else {
+                let s = NodeId(rng.gen_range(0..topo.node_count() as u32));
+                let reachable = paths.unicast_delay(s, root).is_some();
+                prop_assert_eq!(reachable, oracle.unicast_delay(s, root).is_some());
+                if !reachable {
+                    continue;
+                }
+                // An on-tree joiner is only marked, by shared code.
+                let expected = (!d.tree.contains(s)).then(|| exhaustive_graft(&d, oracle, s));
+                let o = d.join(s);
+                if let Some(expected) = expected {
+                    prop_assert_eq!((o.path, o.violated_bound), expected, "join {:?}", s);
+                }
+            }
+            prop_assert_eq!(
+                d.tree.tree_delay(topo),
+                exhaustive_tree_delay(&d.tree, topo)
+            );
+            let (fast, slow) = misses();
+            prop_assert_eq!(fast, slow, "cache misses");
+        }
+        Ok(d.into_tree())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The lookup-scored scan grafts what the exhaustive one grafted —
+        /// the same path and bound flag on every join of a random
+        /// join/leave sequence (attaching it is shared code, so the
+        /// outcome and tree follow), the same tree delay after every step,
+        /// and the same cache misses — on Waxman and transit–stub graphs,
+        /// under the dynamic bound and fixed bounds down to 0 (every join
+        /// falls back), for every candidate family, over the eager tables,
+        /// a two-tree LRU that evicts on every join, and a live view
+        /// degraded mid-run so that on-tree routers are unreachable from
+        /// the joiner.
+        #[test]
+        fn lookup_scan_matches_exhaustive_oracle(
+            seed in 0u64..1_000_000,
+            transit in any::<bool>(),
+            regime in 0u64..6,
+            family in 0usize..FAMILIES.len(),
+            view in 0usize..3,
+        ) {
+            let mut rng = rng_for("dcdm-oracle", seed);
+            // On a small grid, equal-cost, equal-delay candidates at
+            // different grafts are common, so the graft-id tie-break
+            // decides joins.
+            let grid = if rng.gen_bool(0.5) { 6 } else { 1000 };
+            let topo = if transit {
+                transit_stub(3, 2, rng.gen_range(2..5), grid, &mut rng)
+            } else {
+                let cfg = WaxmanConfig {
+                    n: rng.gen_range(12..40),
+                    grid,
+                    ..WaxmanConfig::default()
+                };
+                waxman(&cfg, &mut rng)
+            };
+            let root = NodeId(0);
+            let ap = AllPairsPaths::compute(&topo);
+            let bound = match regime {
+                0 => DelayBound::Dynamic,
+                k => {
+                    let diameter = topo.nodes().filter_map(|v| ap.unicast_delay(root, v)).max();
+                    DelayBound::Fixed(diameter.unwrap_or(0) * (k - 1) / 2)
+                }
+            };
+            let families = FAMILIES[family];
+            let fresh = MulticastTree::new(topo.node_count(), root);
+            match view {
+                0 => {
+                    lockstep(&topo, &ap, &ap, || (0, 0), fresh, bound, families, 80, &mut rng)?;
+                }
+                1 => {
+                    let lru = || OnDemandPaths::with_capacity(Arc::new(topo.clone()), 2);
+                    let (a, b) = (lru(), lru());
+                    let misses = || (a.stats().misses, b.stats().misses);
+                    lockstep(&topo, &a, &b, misses, fresh, bound, families, 80, &mut rng)?;
+                }
+                _ => {
+                    let mut a = LivePaths::new(topo.clone());
+                    let mut b = LivePaths::new(topo.clone());
+                    let misses = || (a.spf_runs(), b.spf_runs());
+                    let tree = lockstep(&topo, &a, &b, misses, fresh, bound, families, 40, &mut rng)?;
+                    // Take on-tree routers and a link down in both views:
+                    // every later scan meets routers the joiner cannot
+                    // reach.
+                    let on_tree: Vec<NodeId> =
+                        tree.on_tree_nodes().into_iter().filter(|&v| v != root).collect();
+                    for _ in 0..2.min(on_tree.len()) {
+                        let v = on_tree[rng.gen_range(0..on_tree.len())];
+                        a.set_node_down(v, true);
+                        b.set_node_down(v, true);
+                    }
+                    let (x, y, _) = topo.edges()[rng.gen_range(0..topo.edge_count())];
+                    a.set_link_down(x, y, true);
+                    b.set_link_down(x, y, true);
+                    let misses = || (a.spf_runs(), b.spf_runs());
+                    lockstep(&topo, &a, &b, misses, tree, bound, families, 40, &mut rng)?;
+                }
+            }
         }
     }
 

@@ -67,15 +67,32 @@ git diff --exit-code -- bench_results/fig7.json bench_results/fig8_fig9.json \
 # included) and its unit tests, so a library change that breaks it
 # fails here instead of in the acceptance pipeline.
 benchmark/run.sh --quick >/dev/null
-# One benchmark unit test is skipped: `replay_counts_every_membership_op`
-# asserts that the DCDM replay hits the path cache more often than it
-# misses. DCDM joins now fetch one tree per candidate family instead of
-# two per on-tree router, so a fresh joiner's two misses outnumber its
-# one hit by design (quick replay: 57 hits, 120 misses). benchmark/ only
-# changes on its own (ROADMAP item 14), which relaxes the assertion and
-# drops this skip.
+# Every benchmark unit test runs; one is an expected failure.
+# `layers::tests::replay_counts_every_membership_op` asserts that the DCDM
+# replay hits the path cache more often than it misses. DCDM joins fetch
+# one tree per candidate family, not two per on-tree router, so a fresh
+# joiner's two misses outnumber its one hit by design (quick replay: 57
+# hits, 120 misses). benchmark/ only changes on its own (ROADMAP item 14
+# relaxes the assertion). Until then the test must fail on exactly that
+# assertion, so the join/leave and tree-size checks ahead of it still
+# hold; the checks after it (resident path bytes, counters that repeat
+# exactly) are `dcdm::tests::churn_replay_repeats_its_cache_counters` in
+# scmp-tree. This step fails as soon as the test passes again, so the
+# exception cannot outlive the fix.
 cargo test -q --manifest-path benchmark/Cargo.toml -- \
     --skip layers::tests::replay_counts_every_membership_op
+if replay=$(cargo test -q --manifest-path benchmark/Cargo.toml -- \
+    --exact layers::tests::replay_counts_every_membership_op 2>&1); then
+    echo "replay_counts_every_membership_op passes: drop its expected failure" >&2
+    exit 1
+fi
+case "$replay" in
+*"assertion failed: r.provider_misses > 0 && r.provider_hits > r.provider_misses"*) ;;
+*)
+    echo "$replay" >&2
+    exit 1
+    ;;
+esac
 # Fast loss-invariant scenario: 5% and 15% control-plane loss on the
 # fig-scale topology — eventual grafting, no duplicate delivery, no
 # spurious takeover.

@@ -99,12 +99,14 @@ pub struct RecentSet<K: std::hash::Hash + Eq + Clone> {
 }
 
 impl<K: std::hash::Hash + Eq + Clone> RecentSet<K> {
-    /// A set remembering the `cap` most recent keys.
+    /// A set remembering the `cap` most recent keys. Allocates nothing
+    /// until the first insert: every router owns one, most never
+    /// forward a data packet.
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "a zero-capacity set would dedup nothing");
         RecentSet {
-            order: VecDeque::with_capacity(cap),
-            seen: HashSet::with_capacity(cap),
+            order: VecDeque::new(),
+            seen: HashSet::new(),
             cap,
         }
     }
@@ -113,6 +115,12 @@ impl<K: std::hash::Hash + Eq + Clone> RecentSet<K> {
     pub fn insert(&mut self, key: K) -> bool {
         if self.seen.contains(&key) {
             return false;
+        }
+        if self.order.capacity() == 0 {
+            // First insert: size both for the full `cap` at once rather
+            // than growing (and rehashing) on the way there.
+            self.order.reserve_exact(self.cap);
+            self.seen.reserve(self.cap);
         }
         if self.order.len() == self.cap {
             if let Some(old) = self.order.pop_front() {
@@ -249,6 +257,14 @@ mod tests {
         assert!(s.insert(3), "evicts 1, not 2");
         assert!(!s.insert(2), "2 survived the eviction");
         assert!(s.insert(1), "1 was the victim");
+    }
+
+    #[test]
+    fn a_fresh_set_holds_no_capacity_until_its_first_insert() {
+        let mut s: RecentSet<u64> = RecentSet::new(64);
+        assert_eq!((s.order.capacity(), s.seen.capacity()), (0, 0));
+        assert!(s.insert(7));
+        assert!(s.order.capacity() >= 64 && s.seen.capacity() >= 64);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the data/protocol overhead metrics of §IV-B ("a packet going through
 //! one link contributes `lc` units to the overhead").
 
-use serde::{Deserialize, Serialize};
+use crate::dijkstra::Metric;
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Identifier of a router (node) in the topology. Dense, `0..n`.
@@ -83,7 +84,7 @@ pub struct EdgeRef {
 /// allocations and their per-`Vec` capacity overhead, and keeps each
 /// node's neighbour slice contiguous for the Dijkstra scans that
 /// dominate the path layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     /// CSR offsets: node `v`'s half-edges live at
     /// `adj_edges[adj_off[v] .. adj_off[v + 1]]`. Length `n + 1`.
@@ -95,9 +96,52 @@ pub struct Topology {
     /// Optional planar coordinates (set by the Waxman / GT-ITM generators,
     /// used by the placement heuristics and for reporting).
     coords: Option<Vec<(i64, i64)>>,
+    /// Upper bound on the delay and on the cost of any simple path —
+    /// what lets Dijkstra pack its heap keys into a `u64`. Derived from
+    /// `edges`, so it is not part of the serialized form.
+    path_bound: LinkWeight,
+}
+
+/// `min(Σ w, (n − 1) · max w)` over the links' `metric` weights,
+/// saturating: a simple path uses each link at most once and at most
+/// `n − 1` of them, so no simple path weighs more.
+fn simple_path_bound(n: usize, edges: &[(NodeId, NodeId, LinkWeight)], metric: Metric) -> u64 {
+    let (sum, max) = edges.iter().fold((0u64, 0u64), |(sum, max), &(_, _, w)| {
+        let w = metric.of(w);
+        (sum.saturating_add(w), max.max(w))
+    });
+    sum.min(max.saturating_mul(n.saturating_sub(1) as u64))
 }
 
 impl Topology {
+    fn from_parts(
+        adj_off: Vec<u32>,
+        adj_edges: Vec<EdgeRef>,
+        edges: Vec<(NodeId, NodeId, LinkWeight)>,
+        coords: Option<Vec<(i64, i64)>>,
+    ) -> Topology {
+        let n = adj_off.len().saturating_sub(1);
+        let path_bound = LinkWeight::new(
+            simple_path_bound(n, &edges, Metric::Delay),
+            simple_path_bound(n, &edges, Metric::Cost),
+        );
+        Topology {
+            adj_off,
+            adj_edges,
+            edges,
+            coords,
+            path_bound,
+        }
+    }
+
+    /// No simple path's delay exceeds `.delay` and no simple path's cost
+    /// exceeds `.cost`, so neither does any shortest path — over this
+    /// topology or over any sub-graph of it.
+    #[inline]
+    pub(crate) fn path_bound(&self) -> LinkWeight {
+        self.path_bound
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -365,12 +409,44 @@ impl TopologyBuilder {
             adj_off.push(adj_edges.len() as u32);
         }
         self.edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        Topology {
-            adj_off,
-            adj_edges,
-            edges: self.edges,
-            coords: self.coords,
+        Topology::from_parts(adj_off, adj_edges, self.edges, self.coords)
+    }
+}
+
+// The serialized form is the four stored arrays, exactly as a derive
+// over them would write it; `path_bound` is recomputed on load.
+impl Serialize for Topology {
+    fn to_json_value(&self) -> Value {
+        Value::Object(vec![
+            ("adj_off".to_string(), self.adj_off.to_json_value()),
+            ("adj_edges".to_string(), self.adj_edges.to_json_value()),
+            ("edges".to_string(), self.edges.to_json_value()),
+            ("coords".to_string(), self.coords.to_json_value()),
+        ])
+    }
+}
+
+impl Deserialize for Topology {
+    fn from_json_value(v: &Value) -> Result<Self, String> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| format!("Topology: expected object, got {}", v.kind_name()))?;
+        fn field<T: Deserialize>(obj: &[(String, Value)], name: &str) -> Result<T, String> {
+            match obj.iter().find(|(k, _)| k == name) {
+                Some((_, fv)) => {
+                    T::from_json_value(fv).map_err(|e| format!("Topology.{name}: {e}"))
+                }
+                None => {
+                    T::from_json_missing().map_err(|_| format!("Topology: missing field `{name}`"))
+                }
+            }
         }
+        Ok(Topology::from_parts(
+            field(obj, "adj_off")?,
+            field(obj, "adj_edges")?,
+            field(obj, "edges")?,
+            field(obj, "coords")?,
+        ))
     }
 }
 
@@ -486,6 +562,28 @@ mod tests {
         assert_eq!(t.edge_count(), 1);
         assert!(t.has_link(NodeId(0), NodeId(2)));
         assert_eq!(t.degree(NodeId(1)), 0);
+    }
+
+    #[test]
+    fn serialized_form_is_the_stored_arrays_only() {
+        let t = triangle();
+        let json = t.to_json_value();
+        let keys: Vec<&str> = json
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["adj_off", "adj_edges", "edges", "coords"]);
+        let back = Topology::from_json_value(&json).unwrap();
+        assert_eq!(back.edges(), t.edges());
+        assert_eq!(
+            back.path_bound(),
+            LinkWeight::new(6, 60),
+            "recomputed on load"
+        );
+        let err = Topology::from_json_value(&Value::Object(vec![])).unwrap_err();
+        assert_eq!(err, "Topology: missing field `adj_off`");
     }
 
     #[test]

@@ -41,11 +41,6 @@ sweep-serial seeds="10":
     cargo run --release -p scmp-bench --bin fig9 -- {{seeds}} --jobs 1
     cargo run --release -p scmp-bench --bin placement -- {{seeds}} --jobs 1
 
-# Scaling check: serial vs parallel wall clock + byte-identity on the
-# Fig. 8/9 suite; writes bench_results/sweep_speedup.json.
-sweep-speedup seeds="3" jobs="4":
-    cargo run --release -p scmp-bench --bin sweep_speedup -- {{seeds}} --jobs {{jobs}}
-
 # Adversarial-channel degradation sweep: delivery ratio and overhead
 # across loss rates on the ARPANET topology, invariants asserted per
 # cell; writes bench_results/chaos.json. Parallel runs re-check byte

@@ -47,12 +47,13 @@ struct Entry {
 }
 
 impl Entry {
-    fn forwarding_set(&self) -> Vec<NodeId> {
-        let mut f: Vec<NodeId> = self.children.iter().copied().collect();
-        if let Some(u) = self.upstream {
-            f.push(u);
-        }
-        f
+    /// Children by ascending id, then the parent — borrowed in place.
+    fn forwarding_set(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.children.iter().copied().chain(self.upstream)
+    }
+
+    fn forwards_with(&self, v: NodeId) -> bool {
+        self.upstream == Some(v) || self.children.contains(&v)
     }
 }
 
@@ -217,15 +218,14 @@ impl CbtRouter {
             ctx.drop_packet();
             return;
         };
-        let f = e.forwarding_set();
-        if !f.contains(&from) {
+        if !e.forwards_with(from) {
             ctx.drop_packet();
             return;
         }
         if e.local {
             ctx.deliver_local(&pkt);
         }
-        for to in f {
+        for to in e.forwarding_set() {
             if to != from {
                 ctx.send(to, pkt.clone());
             }
@@ -247,7 +247,7 @@ impl CbtRouter {
             if e.local {
                 ctx.deliver_local(&data);
             }
-            for to in e.children.clone() {
+            for &to in &e.children {
                 ctx.send(to, data.clone());
             }
         }

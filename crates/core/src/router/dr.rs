@@ -215,8 +215,7 @@ impl ScmpRouter {
             ctx.drop_packet();
             return;
         };
-        let f = entry.forwarding_set();
-        if !f.contains(&from) {
+        if !entry.forwards_with(from) {
             // §III-F: packets from routers outside F are dropped.
             ctx.drop_packet();
             return;
@@ -255,7 +254,7 @@ impl ScmpRouter {
         if entry.local_interface {
             ctx.deliver_local(&pkt);
         }
-        for to in f {
+        for to in entry.forwarding_set() {
             if to != from {
                 ctx.send(to, pkt.clone());
             }
@@ -313,7 +312,7 @@ impl ScmpRouter {
             if entry.local_interface {
                 ctx.deliver_local(&data);
             }
-            for to in entry.downstream_routers.clone() {
+            for &to in &entry.downstream_routers {
                 ctx.send(to, data.clone());
             }
         }

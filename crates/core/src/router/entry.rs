@@ -23,17 +23,66 @@ pub struct RoutingEntry {
 }
 
 impl RoutingEntry {
-    /// The forwarding set `F` of §III-F: upstream ∪ downstream routers.
-    pub fn forwarding_set(&self) -> Vec<NodeId> {
-        let mut f: Vec<NodeId> = self.downstream_routers.iter().copied().collect();
-        if let Some(u) = self.upstream {
-            f.push(u);
-        }
-        f
+    /// The forwarding set `F` of §III-F: upstream ∪ downstream routers,
+    /// borrowed in place. The order is part of the model — downstream
+    /// routers by ascending id, then the upstream — because each send
+    /// takes the next event sequence number, so every digest depends on
+    /// it.
+    pub fn forwarding_set(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.downstream_routers.iter().copied().chain(self.upstream)
+    }
+
+    /// `v ∈ F`: the §III-F drop test for a packet arriving from `v`.
+    pub fn forwards_with(&self, v: NodeId) -> bool {
+        self.upstream == Some(v) || self.downstream_routers.contains(&v)
     }
 
     /// A leaf entry with no local members can be discarded.
     pub fn is_prunable(&self) -> bool {
         self.downstream_routers.is_empty() && !self.local_interface
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(upstream: Option<u32>, down: &[u32]) -> RoutingEntry {
+        RoutingEntry {
+            upstream: upstream.map(NodeId),
+            downstream_routers: down.iter().copied().map(NodeId).collect(),
+            ..RoutingEntry::default()
+        }
+    }
+
+    #[test]
+    fn forwarding_set_yields_downstream_ascending_then_upstream() {
+        // Upstream id below every child: it still comes last.
+        let e = entry(Some(1), &[9, 4, 7]);
+        let f: Vec<u32> = e.forwarding_set().map(|v| v.0).collect();
+        assert_eq!(f, [4, 7, 9, 1]);
+        // The m-router has no upstream; a lone leaf only has one.
+        let root: Vec<u32> = entry(None, &[3, 2]).forwarding_set().map(|v| v.0).collect();
+        assert_eq!(root, [2, 3]);
+        let leaf: Vec<u32> = entry(Some(5), &[]).forwarding_set().map(|v| v.0).collect();
+        assert_eq!(leaf, [5]);
+    }
+
+    #[test]
+    fn forwards_with_is_membership_in_the_forwarding_set() {
+        for e in [
+            entry(Some(1), &[9, 4, 7]),
+            entry(None, &[3, 2]),
+            entry(Some(5), &[]),
+            entry(None, &[]),
+        ] {
+            for v in (0..12).map(NodeId) {
+                assert_eq!(
+                    e.forwards_with(v),
+                    e.forwarding_set().any(|f| f == v),
+                    "{e:?} / {v:?}"
+                );
+            }
+        }
     }
 }

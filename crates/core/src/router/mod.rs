@@ -324,7 +324,10 @@ impl Router for ScmpRouter {
     fn on_packet(&mut self, from: NodeId, pkt: Packet<ScmpMsg>, ctx: &mut Ctx<'_, ScmpMsg>) {
         let group = pkt.group;
         let tag = pkt.tag;
-        match pkt.body.clone() {
+        // Only the TREE/BRANCH arms take the body (their packets are
+        // consumed by the install); every other arm binds `Copy` fields
+        // or hands the whole packet on, so nothing is cloned per hop.
+        match pkt.body {
             ScmpMsg::Join { requester } => self.m_handle_join(group, requester, tag, ctx),
             ScmpMsg::Leave { requester } => self.m_handle_leave(group, requester, tag, ctx),
             ScmpMsg::Prune => self.handle_prune(from, group, tag, ctx),

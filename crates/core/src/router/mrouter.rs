@@ -245,7 +245,11 @@ impl ScmpRouter {
         // Plan over what is alive: a join during a fault grafts around
         // the dead links instead of across them.
         let paths = planning_paths(&domain, ctx);
-        if paths.unicast_delay(requester, me).is_none() {
+        // Reachability from our own (hot) delay tree: links and liveness
+        // masks are symmetric, so it answers as the joiner's would, and
+        // the joiner's tree is fetched only if DCDM needs it — never
+        // for a joiner already on the tree.
+        if paths.distance(me, requester, Metric::Delay).is_none() {
             // Cut off from us right now (its JOIN was already in
             // flight): it is on the books, and the repair scan readopts
             // it once the liveness epoch that reconnects it arrives —

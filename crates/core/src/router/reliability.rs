@@ -651,7 +651,7 @@ impl ScmpRouter {
                 if entry.local_interface {
                     ctx.deliver_local(&data);
                 }
-                for to in entry.downstream_routers.clone() {
+                for &to in &entry.downstream_routers {
                     ctx.send(to, data.clone());
                 }
             }
@@ -826,7 +826,7 @@ impl ScmpRouter {
                 }
             } else {
                 // m-router re-announcing a decapsulated stream.
-                for to in entry.downstream_routers.clone() {
+                for &to in &entry.downstream_routers {
                     ctx.send(to, announce.clone());
                 }
             }

@@ -34,6 +34,7 @@
 pub mod channel;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod packet;
 pub mod stats;
 
@@ -42,6 +43,7 @@ pub use engine::{
     AppEvent, CapacityModel, Ctx, Engine, EngineRunner, LinkSlot, Router, SimTime, Transport,
 };
 pub use fault::{partition_cut, FaultEvent, FaultKind, FaultPlan, FaultSpec, PartitionCut};
+pub use hash::FxBuildHasher;
 pub use packet::{GroupId, Packet, PacketClass};
 pub use stats::SimStats;
 

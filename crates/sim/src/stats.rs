@@ -1,6 +1,7 @@
 //! Simulation metrics — the three §IV-B measurements plus correctness
 //! counters used by the integration tests.
 
+use crate::hash::FxBuildHasher;
 use crate::packet::GroupId;
 use scmp_net::NodeId;
 use scmp_telemetry::{DropReason, Event, EventKind, Histogram};
@@ -42,8 +43,10 @@ pub struct SimStats {
     /// Largest single queueing wait observed.
     pub max_queueing_delay: u64,
     /// Per (group, tag, receiver): delivery count (detects duplicates)
-    /// and first-delivery end-to-end delay.
-    deliveries: HashMap<(GroupId, u64, NodeId), (u64, u64)>,
+    /// and first-delivery end-to-end delay. One insert per local
+    /// delivery, so it hashes with [`FxBuildHasher`]; nothing reads it
+    /// in hash order (the report and duplicate list sort).
+    deliveries: HashMap<(GroupId, u64, NodeId), (u64, u64), FxBuildHasher>,
     /// Maximum end-to-end delay seen over all deliveries.
     pub max_end_to_end_delay: u64,
     /// Failure events injected (LinkDown / RouterCrash).

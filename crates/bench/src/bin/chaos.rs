@@ -107,7 +107,10 @@ fn main() {
     println!(
         "\nall invariants held: no duplicate delivery, every member grafted, no spurious takeover, single root after heal"
     );
-    report::write_json("chaos", &rep);
+    if let Err(e) = report::write_json("chaos", &rep) {
+        eprintln!("chaos: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn print_partition(

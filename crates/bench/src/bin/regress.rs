@@ -10,14 +10,15 @@
 //! ```
 //!
 //! Replays the pinned scenario corpus serially and on a worker pool and
-//! requires byte-identical results and traces, then re-runs the chaos
-//! sweep against the reliability and partition bands of
-//! `bench_results/chaos.json`. Full mode writes the verdict to
-//! `bench_results/regress.json`. Exits 1 on any failed check or guard
-//! mismatch, 2 on any other argument.
+//! requires byte-identical results and traces, regenerates every
+//! committed paper artefact and requires it to match `bench_results/`
+//! byte for byte, then re-runs the chaos sweep against the reliability
+//! and partition bands of `bench_results/chaos.json`. Full mode writes
+//! the verdict to `bench_results/regress.json`. Exits 1 on any failed
+//! check or guard mismatch, 2 on any other argument.
 
 use scmp_bench::sweep::{reject_leftovers, resolve_jobs, take_flag, take_jobs_arg};
-use scmp_bench::{regress, report, scenario_file};
+use scmp_bench::{regress, report, reproduce, scenario_file};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -72,6 +73,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    // Every paper artefact on >= 2 workers: matching the committed bytes
+    // (which a serial run writes too) doubles as a parallel-identity guard.
+    let ajobs = jobs.max(2);
+    match reproduce::check(Path::new("bench_results"), &reproduce::ARTEFACTS, ajobs) {
+        Ok(n) => println!("artefact check: {n} files byte-identical at jobs={ajobs}"),
+        Err(e) => {
+            eprintln!("regress: artefact check: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
 
     // Re-run the chaos sweep (1 seed in smoke, the baseline's full seed
     // set otherwise) and hold the NACK-recovery tier and the partition
@@ -101,7 +112,10 @@ fn main() -> ExitCode {
     );
     println!("verdict: {}", if verdict.passed { "PASS" } else { "FAIL" });
     if !smoke {
-        report::write_json("regress", &verdict);
+        if let Err(e) = report::write_json("regress", &verdict) {
+            eprintln!("regress: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     if verdict.passed {
         ExitCode::SUCCESS

@@ -133,7 +133,8 @@ fn main() {
     // committed full-scale record (same policy as `stress --smoke`).
     if smoke {
         println!("\n(smoke run: bench_results/scale.json left untouched)");
-    } else {
-        report::write_json("scale", &rep);
+    } else if let Err(e) = report::write_json("scale", &rep) {
+        eprintln!("scale: {e}");
+        std::process::exit(1);
     }
 }

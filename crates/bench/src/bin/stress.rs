@@ -133,8 +133,9 @@ fn main() {
     // clobber it from CI.
     if smoke {
         println!("(smoke run: bench_results/stress.json left untouched)");
-    } else {
-        report::write_json("stress", &rep);
+    } else if let Err(e) = report::write_json("stress", &rep) {
+        eprintln!("stress: {e}");
+        std::process::exit(1);
     }
 
     if !rep.hard_failures.is_empty() {

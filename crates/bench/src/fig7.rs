@@ -60,12 +60,6 @@ impl Default for Fig7Config {
     }
 }
 
-/// Run the full Fig. 7 sweep with the default worker pool
-/// (`SCMP_JOBS` / core count).
-pub fn run(cfg: &Fig7Config) -> Vec<Fig7Point> {
-    run_jobs(cfg, crate::sweep::resolve_jobs(None))
-}
-
 /// Run the full Fig. 7 sweep on `jobs` workers. Each
 /// `(level, group size, seed)` cell is independent — it derives its
 /// topology and member draw from `rng_for("fig7", seed)` — so the
@@ -176,7 +170,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper_claims() {
-        let points = run(&small());
+        let points = run_jobs(&small(), 2);
         for p in &points {
             // SPT is delay-optimal; nothing beats it.
             assert!(p.kmb_delay >= p.spt_delay - 1e-9, "{p:?}");
@@ -206,20 +200,15 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(&Fig7Config {
+        let cfg = Fig7Config {
             seeds: 2,
             min_group: 10,
             max_group: 10,
             nodes: 30,
             group_step: 10,
-        });
-        let b = run(&Fig7Config {
-            seeds: 2,
-            min_group: 10,
-            max_group: 10,
-            nodes: 30,
-            group_step: 10,
-        });
+        };
+        let a = run_jobs(&cfg, 2);
+        let b = run_jobs(&cfg, 2);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.dcdm_cost, y.dcdm_cost);

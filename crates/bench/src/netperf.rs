@@ -9,7 +9,7 @@
 //! the paper's observation that shared-tree protocols pay a detour for
 //! off-tree sources.
 
-use crate::sweep::{resolve_jobs, SweepRunner};
+use crate::sweep::SweepRunner;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use scmp_core::placement;
@@ -339,12 +339,6 @@ pub fn run_suite_jobs(seeds: u64, jobs: usize, trace: bool) -> SuiteOutput {
         });
     }
     SuiteOutput { points, jsonl }
-}
-
-/// Full sweep with the worker count taken from `SCMP_JOBS` / the
-/// machine's core count (see [`resolve_jobs`]).
-pub fn run_suite(seeds: u64) -> Vec<NetPoint> {
-    run_suite_jobs(seeds, resolve_jobs(None), false).points
 }
 
 #[cfg(test)]

@@ -47,13 +47,8 @@ fn run_one(rule: Option<PlacementRule>, gs: usize, seed: u64) -> (f64, f64) {
     (tree.tree_cost(&topo) as f64, tree.tree_delay(&topo) as f64)
 }
 
-/// Run the study: Waxman n=100, group sizes 10..=90, `seeds` seeds,
-/// with the default worker pool (`SCMP_JOBS` / core count).
-pub fn run(seeds: u64) -> Vec<PlacementPoint> {
-    run_jobs(seeds, crate::sweep::resolve_jobs(None))
-}
-
-/// Run the study on `jobs` workers; results are independent of `jobs`.
+/// Run the study: Waxman n=100, group sizes 10..=90 step 20, `seeds`
+/// seeds, on `jobs` workers; results are independent of `jobs`.
 pub fn run_jobs(seeds: u64, jobs: usize) -> Vec<PlacementPoint> {
     let strategies: Vec<(String, Option<PlacementRule>)> = PlacementRule::ALL
         .iter()
@@ -94,7 +89,7 @@ mod tests {
 
     #[test]
     fn rule1_beats_random_on_delay() {
-        let pts = run(4);
+        let pts = run_jobs(4, 2);
         let avg = |strategy: &str, f: fn(&PlacementPoint) -> f64| {
             let v: Vec<f64> = pts
                 .iter()

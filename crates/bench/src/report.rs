@@ -28,24 +28,24 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// The pretty JSON every `bench_results/` record is written as.
+pub fn to_json<T: Serialize>(value: &T) -> Result<String, String> {
+    serde_json::to_string_pretty(value).map_err(|e| format!("serialise: {e}"))
+}
+
 /// Serialise `value` as pretty JSON into `bench_results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+pub fn write_json<T: Serialize>(name: &str, value: &T) -> Result<(), String> {
+    write_file(&format!("{name}.json"), &to_json(value)?)
+}
+
+/// Write `contents` to `bench_results/<file>`, creating the directory.
+pub fn write_file(file: &str, contents: &str) -> Result<(), String> {
     let dir = Path::new("bench_results");
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("(wrote {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: serialise {name}: {e}"),
-    }
+    fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(file);
+    fs::write(&path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("(wrote {})", path.display());
+    Ok(())
 }
 
 /// Arithmetic mean, 0.0 for empty input.

@@ -25,21 +25,13 @@ lint:
 failstorm:
     cargo run --example failstorm
 
-# Regenerate the Fig. 7/8/9 and placement figures on the sweep worker
-# pool (all cores; pass e.g. `seeds=10` for the paper's averaging).
-sweep seeds="10":
-    cargo run --release -p scmp-bench --bin fig7 -- {{seeds}}
-    cargo run --release -p scmp-bench --bin fig8 -- {{seeds}}
-    cargo run --release -p scmp-bench --bin fig9 -- {{seeds}}
-    cargo run --release -p scmp-bench --bin placement -- {{seeds}}
-
-# Same figures pinned to one worker — byte-identical output to `sweep`,
-# for determinism triage.
-sweep-serial seeds="10":
-    cargo run --release -p scmp-bench --bin fig7 -- {{seeds}} --jobs 1
-    cargo run --release -p scmp-bench --bin fig8 -- {{seeds}} --jobs 1
-    cargo run --release -p scmp-bench --bin fig9 -- {{seeds}} --jobs 1
-    cargo run --release -p scmp-bench --bin placement -- {{seeds}} --jobs 1
+# Regenerate every committed paper artefact (Figs. 7-9, placement,
+# ablations, concentration, PIM-SM trio: JSON and SVG) on the sweep
+# worker pool. `just reproduce --check` compares with bench_results/
+# instead of writing; `just reproduce --check --jobs 1` is the serial
+# run for determinism triage; `--only NAME` picks one artefact.
+reproduce *args:
+    cargo run --release -p scmp-bench --bin reproduce -- {{args}}
 
 # Adversarial-channel degradation sweep: delivery ratio and overhead
 # across loss rates on the ARPANET topology, invariants asserted per

@@ -48,18 +48,6 @@ part_b=$(cargo run -q --release -p scmp-bench --bin scenario -- \
     echo "partition smoke diverged between --jobs 2 and serial" >&2
     exit 1
 }
-# The DCDM-driven paper artefacts are a checked gate, not prose: regenerate
-# each at its committed seed count (10) and require the JSON to match
-# bench_results/ byte for byte. Every run is deterministic, so any diff
-# is a behaviour change to enumerate (the seed of ROADMAP item 12(a),
-# which folds these mains into one `reproduce --check`).
-for bin in fig7 fig8 placement ablation_paths ablation_branch extra_pimsm concentration; do
-    cargo run -q --release -p scmp-bench --bin "$bin" -- 10 >/dev/null
-done
-git diff --exit-code -- bench_results/fig7.json bench_results/fig8_fig9.json \
-    bench_results/placement.json bench_results/ablation_paths.json \
-    bench_results/ablation_branch.json bench_results/extra_pimsm.json \
-    bench_results/concentration.json
 # The repo's benchmark is a package of its own (benchmark/, outside the
 # workspace) that builds against the library crates' public API, and a
 # PR that claims a gain may not edit it. Build it offline, run every
@@ -106,9 +94,11 @@ for golden in failstorm_events lossy_events; do
         "tests/golden/$golden.jsonl" --audit
 done
 # Regression gate in smoke mode: replays the pinned scenario corpus
-# serially and on 2 workers (byte-identity guard), then re-runs one
-# chaos seed against the reliability and partition bands of the
-# committed bench_results/chaos.json. Every check is a deterministic
-# count, so the verdict does not depend on host speed; timing is
-# banded by benchmark/run.sh compare.
+# serially and on 2 workers (byte-identity guard); carries the artefact
+# check (every committed paper figure's JSON and SVG regenerated at 10
+# seeds on 2 workers must match bench_results/ byte for byte); then
+# re-runs one chaos seed against the reliability and partition bands of
+# the committed bench_results/chaos.json. Every check is deterministic,
+# so the verdict does not depend on host speed; timing is banded by
+# benchmark/run.sh compare.
 cargo run -q --release -p scmp-bench --bin regress -- --smoke --jobs 2

@@ -17,8 +17,10 @@
 //! the verdict to `bench_results/regress.json`. Exits 1 on any failed
 //! check or guard mismatch, 2 on any other argument.
 
+use scmp_bench::scenario_file::{self, ScenarioFile};
+use scmp_bench::stress::CorpusEntry;
 use scmp_bench::sweep::{reject_leftovers, resolve_jobs, take_flag, take_jobs_arg};
-use scmp_bench::{regress, report, reproduce, scenario_file};
+use scmp_bench::{regress, report, reproduce};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -33,22 +35,26 @@ fn corpus_byte_identity(jobs: usize) -> Result<usize, String> {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
-    let jsons: Vec<String> = paths
+    let specs: Vec<ScenarioFile> = paths
         .iter()
-        .map(|p| std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display())))
+        .map(|p| {
+            let json = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
+            CorpusEntry::parse(&json)
+                .map(|entry| entry.scenario)
+                .map_err(|e| format!("{}: {e}", p.display()))
+        })
         .collect::<Result<_, _>>()?;
-    if jsons.is_empty() {
+    if specs.is_empty() {
         return Err(format!("{}: no corpus scenarios", dir.display()));
     }
-    let serial = scenario_file::run_batch(&jsons, 1);
-    let parallel = scenario_file::run_batch(&jsons, jobs.max(2));
+    let serial = scenario_file::run_batch(&specs, 1);
+    let parallel = scenario_file::run_batch(&specs, jobs.max(2));
     for ((s, p), path) in serial.iter().zip(&parallel).zip(&paths) {
         let identical = match (s, p) {
             (Ok((sr, st)), Ok((pr, pt))) => {
                 serde_json::to_string(sr) == serde_json::to_string(pr) && st == pt
             }
-            (Err(se), Err(pe)) => se == pe,
-            _ => false,
+            (Err(e), _) | (_, Err(e)) => return Err(format!("{}: {e}", path.display())),
         };
         if !identical {
             return Err(format!(
@@ -57,7 +63,7 @@ fn corpus_byte_identity(jobs: usize) -> Result<usize, String> {
             ));
         }
     }
-    Ok(jsons.len())
+    Ok(specs.len())
 }
 
 fn main() -> ExitCode {

@@ -6,7 +6,8 @@
 //! results print in argument order and are byte-identical to `--jobs 1`,
 //! and each scenario's `telemetry.jsonl` file — if requested — is
 //! written from its captured in-memory trace after the run, so workers
-//! never share file handles.
+//! never share file handles. Every file is parsed before anything runs;
+//! one the schema rejects exits 1 with `<file>: scenario error: ...`.
 
 use scmp_bench::scenario_file::{run_batch, run_scenario, ScenarioFile};
 use scmp_bench::sweep;
@@ -17,19 +18,22 @@ fn main() {
         eprintln!("usage: scenario <file.json> [more.json ...] [--jobs N]");
         std::process::exit(2);
     }
-    let jsons: Vec<String> = paths
+    let specs: Vec<ScenarioFile> = paths
         .iter()
-        .map(|path| match std::fs::read_to_string(path) {
-            Ok(j) => j,
-            Err(e) => {
+        .map(|path| {
+            let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(2);
-            }
+            });
+            serde_json::from_str(&json).unwrap_or_else(|e| {
+                eprintln!("{path}: scenario error: {e}");
+                std::process::exit(1);
+            })
         })
         .collect();
 
-    if jsons.len() == 1 {
-        match run_scenario(&jsons[0]) {
+    if specs.len() == 1 {
+        match run_scenario(&specs[0]) {
             Ok(result) => println!(
                 "{}",
                 serde_json::to_string_pretty(&result).expect("serialisable")
@@ -42,13 +46,13 @@ fn main() {
         return;
     }
 
-    let outcomes = run_batch(&jsons, sweep::resolve_jobs(jobs));
+    let outcomes = run_batch(&specs, sweep::resolve_jobs(jobs));
     let mut failed = false;
-    for ((path, json), outcome) in paths.iter().zip(&jsons).zip(outcomes) {
+    for ((path, spec), outcome) in paths.iter().zip(&specs).zip(outcomes) {
         match outcome {
             Ok((result, trace)) => {
-                if let Some(dest) = jsonl_path(json) {
-                    if let Err(e) = std::fs::write(&dest, &trace) {
+                if let Some(dest) = spec.telemetry.as_ref().and_then(|t| t.jsonl.as_ref()) {
+                    if let Err(e) = std::fs::write(dest, &trace) {
                         eprintln!("{path}: telemetry jsonl {dest:?}: {e}");
                         failed = true;
                     }
@@ -67,10 +71,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-/// The `telemetry.jsonl` export path a scenario asks for, if any.
-fn jsonl_path(json: &str) -> Option<String> {
-    let spec: ScenarioFile = serde_json::from_str(json).ok()?;
-    spec.telemetry.and_then(|t| t.jsonl)
 }

@@ -37,7 +37,7 @@
 //! resolve dual roots deterministically — no split brain), and deliver
 //! nothing twice.
 
-use crate::scenario_file::run_batch;
+use crate::scenario_file::{run_batch, ScenarioFile};
 use scmp_telemetry::{EventKind, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -332,6 +332,12 @@ pub fn partition_scenario_json(seed: u64) -> String {
     )
 }
 
+/// Parse one of the scenario templates above. They are code, so a
+/// schema error is a bug.
+fn parse_template(json: &str) -> ScenarioFile {
+    serde_json::from_str(json).unwrap_or_else(|e| panic!("chaos scenario template: {e}"))
+}
+
 /// Run the sweep: `LOSS_RATES` × `seeds` cells, each in both modes
 /// (reliability off, then on), on `jobs` workers.
 ///
@@ -348,11 +354,11 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
                 .flat_map(move |&loss| (0..seeds).map(move |s| (loss, s, reliable)))
         })
         .collect();
-    let jsons: Vec<String> = grid
+    let specs: Vec<ScenarioFile> = grid
         .iter()
-        .map(|&(loss, seed, reliable)| scenario_json_with(loss, seed, reliable))
+        .map(|&(loss, seed, reliable)| parse_template(&scenario_json_with(loss, seed, reliable)))
         .collect();
-    let outcomes = run_batch(&jsons, jobs);
+    let outcomes = run_batch(&specs, jobs);
 
     let mut cells = Vec::with_capacity(grid.len());
     for (&(loss, seed, reliable), outcome) in grid.iter().zip(&outcomes) {
@@ -525,9 +531,11 @@ pub fn partition_series(
     seeds: u64,
     jobs: usize,
 ) -> (ChaosPartitionSummary, Vec<ChaosPartitionCell>) {
-    let pjsons: Vec<String> = (0..seeds).map(partition_scenario_json).collect();
-    let poutcomes = run_batch(&pjsons, jobs);
-    let mut partition_cells = Vec::with_capacity(pjsons.len());
+    let pspecs: Vec<ScenarioFile> = (0..seeds)
+        .map(|seed| parse_template(&partition_scenario_json(seed)))
+        .collect();
+    let poutcomes = run_batch(&pspecs, jobs);
+    let mut partition_cells = Vec::with_capacity(pspecs.len());
     for (seed, outcome) in (0..seeds).zip(&poutcomes) {
         let tag = format!("(partition seed={seed})");
         let (r, trace) = outcome

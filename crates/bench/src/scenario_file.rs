@@ -17,6 +17,11 @@
 //!   ]
 //! }
 //! ```
+//!
+//! The serde structs below are the schema: every section denies
+//! unknown keys, so a typo is named with its JSON path and the keys
+//! that position accepts. Parse once with `serde_json::from_str` and
+//! hand the [`ScenarioFile`] to [`run_scenario`] or [`run_batch`].
 
 use scmp_core::placement;
 use scmp_core::router::{ReliabilityConfig, ScmpConfig};
@@ -33,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 /// Topology selection.
 #[derive(Clone, Debug, Deserialize, Serialize)]
-#[serde(tag = "kind", rename_all = "lowercase")]
+#[serde(tag = "kind", rename_all = "lowercase", deny_unknown_fields)]
 pub enum TopologySpec {
     /// The paper's Waxman model.
     Waxman {
@@ -66,38 +71,59 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Materialise the topology.
-    pub fn build(&self) -> Topology {
-        match *self {
-            TopologySpec::Waxman { n, seed } => waxman(
-                &WaxmanConfig {
-                    n,
-                    min_delay_one: true,
-                    ..WaxmanConfig::default()
-                },
-                &mut rng_for("scenario-waxman", seed),
-            ),
-            TopologySpec::Gtitm { n, degree, seed } => gt_itm_flat(
-                &GtItmConfig {
-                    n,
-                    average_degree: degree,
-                    grid: 32_767,
-                },
-                &mut rng_for("scenario-gtitm", seed),
-            ),
+    /// Materialise the topology. Parameters the generators cannot honour
+    /// are errors naming the offending entry, never panics.
+    pub fn build(&self) -> Result<Topology, String> {
+        Ok(match *self {
+            TopologySpec::Waxman { n, seed } => {
+                if n == 0 {
+                    return Err("topology: waxman needs n >= 1".into());
+                }
+                waxman(
+                    &WaxmanConfig {
+                        n,
+                        min_delay_one: true,
+                        ..WaxmanConfig::default()
+                    },
+                    &mut rng_for("scenario-waxman", seed),
+                )
+            }
+            TopologySpec::Gtitm { n, degree, seed } => {
+                if n < 2 {
+                    return Err(format!("topology: gtitm needs n >= 2, got {n}"));
+                }
+                if degree <= 0.0 {
+                    return Err(format!("topology: gtitm degree must be > 0, got {degree}"));
+                }
+                gt_itm_flat(
+                    &GtItmConfig {
+                        n,
+                        average_degree: degree,
+                        grid: 32_767,
+                    },
+                    &mut rng_for("scenario-gtitm", seed),
+                )
+            }
             TopologySpec::Arpanet { seed } => arpanet(&mut rng_for("scenario-arpanet", seed)),
             TopologySpec::Custom { nodes, ref links } => {
                 let mut b = scmp_net::TopologyBuilder::new(nodes);
-                for &[a, bb, delay, cost] in links {
-                    b.add_link(
-                        NodeId(a as u32),
-                        NodeId(bb as u32),
-                        scmp_net::LinkWeight { delay, cost },
-                    );
+                for (i, &[a, bb, delay, cost]) in links.iter().enumerate() {
+                    let (na, nb) = (NodeId(a as u32), NodeId(bb as u32));
+                    let why = if a == bb {
+                        format!("self-loop at node {a}")
+                    } else if a.max(bb) >= nodes as u64 {
+                        format!("endpoint {} out of range ({nodes} nodes)", a.max(bb))
+                    } else if b.has_link(na, nb) {
+                        format!("duplicate link {a}-{bb}")
+                    } else {
+                        b.add_link(na, nb, scmp_net::LinkWeight { delay, cost });
+                        continue;
+                    };
+                    return Err(format!("topology.links[{i}]: {why}"));
                 }
                 b.build()
             }
-        }
+        })
     }
 }
 
@@ -135,6 +161,7 @@ impl MRouterSpec {
 
 /// One timeline event.
 #[derive(Clone, Debug, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct EventSpec {
     /// Absolute simulation time (ticks).
     pub time: u64,
@@ -151,6 +178,7 @@ pub struct EventSpec {
 
 /// Optional capacity model.
 #[derive(Clone, Debug, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct CapacitySpec {
     /// Per-packet serialisation time.
     pub link_tx: u64,
@@ -164,6 +192,7 @@ pub struct CapacitySpec {
 /// Robustness knobs mapped onto [`ScmpConfig`]; absent fields keep the
 /// config defaults.
 #[derive(Clone, Debug, Default, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct RobustnessSpec {
     /// m-router repair-scan period (0 = off).
     #[serde(default)]
@@ -198,6 +227,7 @@ pub struct RobustnessSpec {
 /// keep the config defaults. Without a `reliability` section the run is
 /// byte-identical to one on a build without the tier at all.
 #[derive(Clone, Debug, Default, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct ReliabilitySpec {
     /// Base delay before a detected gap NACKs (ticks).
     #[serde(default)]
@@ -251,7 +281,7 @@ impl ReliabilitySpec {
 /// the ordinary timeline. Two families from the measurement literature:
 /// the day/night cycle and the flash crowd.
 #[derive(Clone, Debug, Deserialize, Serialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum MembershipSchedule {
     /// Day/night churn: every listed DR joins `group` at each cycle
     /// start (`start + c * period`) and leaves at the half-period, for
@@ -377,6 +407,7 @@ impl MembershipSchedule {
 
 /// Telemetry knobs: gauge sampling and structured-event export.
 #[derive(Clone, Debug, Default, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct TelemetrySpec {
     /// Per-tick gauge sampling interval (0 / absent = off).
     #[serde(default)]
@@ -389,6 +420,7 @@ pub struct TelemetrySpec {
 
 /// A complete scenario file.
 #[derive(Clone, Debug, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioFile {
     /// Topology to simulate.
     pub topology: TopologySpec,
@@ -560,168 +592,20 @@ pub struct DeliveryLine {
     pub receivers: usize,
 }
 
-/// Per-section key allowlists. The vendored serde derive has no
-/// `deny_unknown_fields`, so a misspelt knob (`"gauge_intervall"`)
-/// would otherwise deserialise to the default and silently disable the
-/// feature the author asked for. This pre-pass walks the raw JSON tree
-/// and rejects any key the schema does not define, naming it.
-mod schema {
-    pub const TOP: &[&str] = &[
-        "topology",
-        "m_router",
-        "events",
-        "membership_schedule",
-        "capacity",
-        "faults",
-        "robustness",
-        "reliability",
-        "channel",
-        "telemetry",
-        "run_until",
-    ];
-    pub const RELIABILITY: &[&str] = &[
-        "nack_delay",
-        "nack_jitter",
-        "nack_retries",
-        "cache_bytes",
-        "announce_interval",
-        "announce_rounds",
-        "payload_bytes_min",
-        "payload_bytes_max",
-        "seed",
-    ];
-    pub const TELEMETRY: &[&str] = &["gauge_interval", "jsonl"];
-    pub const ROBUSTNESS: &[&str] = &[
-        "repair_interval",
-        "join_retry",
-        "leave_retry",
-        "heartbeat_interval",
-        "standby",
-        "takeover_rebuild_delay",
-        "tree_retry",
-        "heartbeat_loss_tolerance",
-    ];
-    pub const CHANNEL: &[&str] = &["seed", "default", "links"];
-    pub const CHANNEL_SPEC: &[&str] = &["drop", "duplicate", "corrupt", "reorder_window"];
-    pub const CHANNEL_LINK: &[&str] = &["a", "b", "drop", "duplicate", "corrupt", "reorder_window"];
-    pub const CAPACITY: &[&str] = &["link_tx", "queue_limit", "m_router_tx"];
-    pub const EVENT: &[&str] = &["time", "node", "op", "group", "tag"];
-    pub const TOPOLOGY: &[&str] = &["kind", "n", "seed", "degree", "nodes", "links"];
-    pub const FAULT_ENTRY: &[&str] = &["time", "fault"];
-    pub const FAULT_KIND: &[&str] = &[
-        "kind",
-        "a",
-        "b",
-        "node",
-        "seed",
-        "heal_at",
-        "links",
-        "restore_at",
-        "cycles",
-        "period",
-    ];
-    pub const MEMBERSHIP: &[&str] = &[
-        "kind", "group", "members", "start", "period", "cycles", "at", "stagger", "leave_at",
-    ];
-}
-
-fn check_keys(value: &serde_json::Value, allowed: &[&str], section: &str) -> Result<(), String> {
-    let Some(fields) = value.as_object() else {
-        return Ok(()); // shape errors are serde's job; this pass only names keys
-    };
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!(
-                "unknown key {key:?} in {section} (expected one of: {})",
-                allowed.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn check_each(
-    value: &serde_json::Value,
-    allowed: &[&str],
-    section: &str,
-    nested: Option<(&str, &[&str], &str)>,
-) -> Result<(), String> {
-    let Some(items) = value.as_array() else {
-        return Ok(());
-    };
-    for (i, item) in items.iter().enumerate() {
-        check_keys(item, allowed, &format!("{section}[{i}]"))?;
-        if let Some((field, inner_allowed, inner_name)) = nested {
-            if let Some(obj) = item.as_object() {
-                if let Some((_, inner)) = obj.iter().find(|(k, _)| k == field) {
-                    check_keys(
-                        inner,
-                        inner_allowed,
-                        &format!("{section}[{i}].{inner_name}"),
-                    )?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reject unknown keys anywhere in the scenario schema, reporting the
-/// offending key and where it appeared.
-pub fn check_unknown_keys(json: &str) -> Result<(), String> {
-    let tree: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    check_keys(&tree, schema::TOP, "scenario top level")?;
-    let Some(fields) = tree.as_object() else {
-        return Ok(());
-    };
-    for (key, value) in fields {
-        match key.as_str() {
-            "topology" => check_keys(value, schema::TOPOLOGY, "topology section")?,
-            "telemetry" => check_keys(value, schema::TELEMETRY, "telemetry section")?,
-            "robustness" => check_keys(value, schema::ROBUSTNESS, "robustness section")?,
-            "reliability" => check_keys(value, schema::RELIABILITY, "reliability section")?,
-            "channel" => {
-                check_keys(value, schema::CHANNEL, "channel section")?;
-                if let Some(obj) = value.as_object() {
-                    if let Some((_, default)) = obj.iter().find(|(k, _)| k == "default") {
-                        check_keys(default, schema::CHANNEL_SPEC, "channel.default")?;
-                    }
-                    if let Some((_, links)) = obj.iter().find(|(k, _)| k == "links") {
-                        check_each(links, schema::CHANNEL_LINK, "channel.links", None)?;
-                    }
-                }
-            }
-            "capacity" => check_keys(value, schema::CAPACITY, "capacity section")?,
-            "events" => check_each(value, schema::EVENT, "events", None)?,
-            "membership_schedule" => {
-                check_each(value, schema::MEMBERSHIP, "membership_schedule", None)?
-            }
-            "faults" => check_each(
-                value,
-                schema::FAULT_ENTRY,
-                "faults",
-                Some(("fault", schema::FAULT_KIND, "fault")),
-            )?,
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Parse and run a scenario, returning the summary. A `telemetry.jsonl`
-/// path in the file streams the trace to disk.
-pub fn run_scenario(json: &str) -> Result<ScenarioResult, String> {
-    run_scenario_inner(json, None)
+/// Run a scenario, returning the summary. A `telemetry.jsonl` path in
+/// the scenario streams the trace to disk.
+pub fn run_scenario(spec: &ScenarioFile) -> Result<ScenarioResult, String> {
+    run_scenario_inner(spec, None)
 }
 
 /// Like [`run_scenario`], but the full structured event trace is
 /// captured in memory and returned alongside the summary — regardless
-/// of whether the file asks for a `telemetry.jsonl` path (the path, if
-/// any, is ignored in this mode so batch workers never contend on
+/// of whether the scenario asks for a `telemetry.jsonl` path (the path,
+/// if any, is ignored in this mode so batch workers never contend on
 /// files). This is the building block for parallel batch execution.
-pub fn run_scenario_captured(json: &str) -> Result<(ScenarioResult, String), String> {
+pub fn run_scenario_captured(spec: &ScenarioFile) -> Result<(ScenarioResult, String), String> {
     let buf = SharedBuf::new();
-    let result = run_scenario_inner(json, Some(&buf))?;
+    let result = run_scenario_inner(spec, Some(&buf))?;
     Ok((result, buf.take_string()))
 }
 
@@ -729,14 +613,18 @@ pub fn run_scenario_captured(json: &str) -> Result<(ScenarioResult, String), Str
 /// order and every entry (summary and captured JSONL trace) is
 /// byte-identical to a `jobs = 1` run: each scenario is an isolated
 /// cell with its own engine, RNG streams, and trace buffer.
-pub fn run_batch(jsons: &[String], jobs: usize) -> Vec<Result<(ScenarioResult, String), String>> {
-    crate::sweep::SweepRunner::new(jobs).run(jsons, |_, json| run_scenario_captured(json))
+pub fn run_batch(
+    specs: &[ScenarioFile],
+    jobs: usize,
+) -> Vec<Result<(ScenarioResult, String), String>> {
+    crate::sweep::SweepRunner::new(jobs).run(specs, |_, spec| run_scenario_captured(spec))
 }
 
-fn run_scenario_inner(json: &str, capture: Option<&SharedBuf>) -> Result<ScenarioResult, String> {
-    check_unknown_keys(json)?;
-    let spec: ScenarioFile = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    let topo = spec.topology.build();
+fn run_scenario_inner(
+    spec: &ScenarioFile,
+    capture: Option<&SharedBuf>,
+) -> Result<ScenarioResult, String> {
+    let topo = spec.topology.build()?;
     let paths = provider_for(&topo);
     let m_router = spec.m_router.resolve(&topo, &paths)?;
     for ev in &spec.events {
@@ -823,8 +711,8 @@ fn run_scenario_inner(json: &str, capture: Option<&SharedBuf>) -> Result<Scenari
     // Delivery expectations from the membership timeline (time-ordered,
     // stable on ties), then the schedule itself — sends consume their
     // tags from `sent` so the two passes can never disagree.
-    let (sent, expected) = expected_deliveries(&spec);
-    let all_events = expanded_events(&spec);
+    let (sent, expected) = expected_deliveries(spec);
+    let all_events = expanded_events(spec);
     let mut ordered: Vec<&EventSpec> = all_events.iter().collect();
     ordered.sort_by_key(|ev| ev.time);
     let mut next_send = sent.iter();
@@ -928,6 +816,18 @@ fn run_scenario_inner(json: &str, capture: Option<&SharedBuf>) -> Result<Scenari
 mod tests {
     use super::*;
 
+    fn parse(json: &str) -> Result<ScenarioFile, String> {
+        serde_json::from_str(json).map_err(|e| e.to_string())
+    }
+
+    fn run(json: &str) -> Result<ScenarioResult, String> {
+        run_scenario(&parse(json)?)
+    }
+
+    fn run_captured(json: &str) -> Result<(ScenarioResult, String), String> {
+        run_scenario_captured(&parse(json)?)
+    }
+
     const BASIC: &str = r#"{
         "topology": { "kind": "arpanet", "seed": 1 },
         "m_router": "rule1",
@@ -940,7 +840,7 @@ mod tests {
 
     #[test]
     fn basic_scenario_runs() {
-        let r = run_scenario(BASIC).unwrap();
+        let r = run(BASIC).unwrap();
         assert_eq!(r.deliveries.len(), 1);
         assert_eq!(r.deliveries[0].receivers, 2, "both members heard tag 1");
         assert!(r.data_overhead > 0);
@@ -958,7 +858,7 @@ mod tests {
                 { "time": 600000, "node": 7, "op": "send",  "group": 2 }
             ]
         }"#;
-        let r = run_scenario(json).unwrap();
+        let r = run(json).unwrap();
         assert_eq!(r.m_router, 0);
         assert_eq!(r.deliveries[0].receivers, 0, "member left before the send");
     }
@@ -974,23 +874,19 @@ mod tests {
                 { "time": 50000, "node": 15, "op": "send", "group": 1 }
             ]
         }"#;
-        let r = run_scenario(json).unwrap();
+        let r = run(json).unwrap();
         assert_eq!(r.deliveries[0].receivers, 1);
     }
 
     #[test]
     fn errors_are_reported() {
-        assert!(run_scenario("{").is_err());
+        assert!(parse("{").is_err());
         let bad_node = BASIC.replace("\"node\": 4", "\"node\": 99");
-        assert!(run_scenario(&bad_node)
-            .unwrap_err()
-            .contains("out of range"));
+        assert!(run(&bad_node).unwrap_err().contains("out of range"));
         let bad_op = BASIC.replace("\"op\": \"send\"", "\"op\": \"explode\"");
-        assert!(run_scenario(&bad_op).unwrap_err().contains("unknown op"));
+        assert!(run(&bad_op).unwrap_err().contains("unknown op"));
         let bad_rule = BASIC.replace("\"rule1\"", "\"rule9\"");
-        assert!(run_scenario(&bad_rule)
-            .unwrap_err()
-            .contains("placement rule"));
+        assert!(run(&bad_rule).unwrap_err().contains("placement rule"));
     }
 
     #[test]
@@ -1008,7 +904,7 @@ mod tests {
                 { "time": 10000, "node": 4, "op": "send", "group": 1, "tag": 1 }
             ]
         }"#;
-        let r = run_scenario(json).unwrap();
+        let r = run(json).unwrap();
         assert_eq!(r.deliveries[0].receivers, 3);
         // The Fig. 5(d) tree costs 17; one on-tree send = 17 data units
         // plus the per-hop copies... data overhead equals the tree cost
@@ -1019,7 +915,7 @@ mod tests {
 
     #[test]
     fn expectations_and_role_probe_surface_in_result() {
-        let r = run_scenario(BASIC).unwrap();
+        let r = run(BASIC).unwrap();
         assert_eq!(
             r.expected_deliveries, 2,
             "two members joined before the send"
@@ -1040,8 +936,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run_scenario(BASIC).unwrap();
-        let b = run_scenario(BASIC).unwrap();
+        let a = run(BASIC).unwrap();
+        let b = run(BASIC).unwrap();
         assert_eq!(a.data_overhead, b.data_overhead);
         assert_eq!(a.max_end_to_end_delay, b.max_end_to_end_delay);
     }
@@ -1069,7 +965,7 @@ mod tests {
 
     #[test]
     fn faults_section_injects_and_repairs() {
-        let r = run_scenario(FAULTY).unwrap();
+        let r = run(FAULTY).unwrap();
         assert_eq!(r.faults_injected, 1);
         assert!(r.repairs >= 1, "repair scan must fire after the cut");
         // Both sends reach all three members thanks to the repair.
@@ -1090,7 +986,7 @@ mod tests {
         // Same scenario but no robustness: the cut strands members 3/5
         // until... forever (nothing repairs the tree).
         let json = FAULTY.replace("\"robustness\": { \"repair_interval\": 2000 },", "");
-        let r = run_scenario(&json).unwrap();
+        let r = run(&json).unwrap();
         assert_eq!(r.repairs, 0);
         // tag 1 reaches everyone, tag 2 only node 4 of the three
         // members: 4 of 6 expected triples.
@@ -1104,7 +1000,7 @@ mod tests {
     #[test]
     fn fault_validation_errors() {
         let bad_link = FAULTY.replace("\"a\": 0, \"b\": 2", "\"a\": 0, \"b\": 5");
-        let err = run_scenario(&bad_link).unwrap_err();
+        let err = run(&bad_link).unwrap_err();
         assert!(
             err.contains("fault[0]") && err.contains("not in topology"),
             "{err}"
@@ -1113,9 +1009,7 @@ mod tests {
             "{ \"kind\": \"link_down\", \"a\": 0, \"b\": 2 }",
             "{ \"kind\": \"router_crash\", \"node\": 77 }",
         );
-        assert!(run_scenario(&bad_node)
-            .unwrap_err()
-            .contains("out of range"));
+        assert!(run(&bad_node).unwrap_err().contains("out of range"));
     }
 
     #[test]
@@ -1128,7 +1022,7 @@ mod tests {
                 path.to_str().unwrap()
             ),
         );
-        let r = run_scenario(&json).unwrap();
+        let r = run(&json).unwrap();
         assert!(r.gauge_samples > 0, "gauges were sampled");
         assert!(r.p50_end_to_end_delay > 0);
         assert!(r.p50_end_to_end_delay <= r.p99_end_to_end_delay);
@@ -1148,46 +1042,137 @@ mod tests {
             "\"m_router\": \"rule1\",",
             "\"m_router\": \"rule1\",\n  \"telemetry\": { \"gauge_intervall\": 1000 },",
         );
-        let err = run_scenario(&typo).unwrap_err();
+        let err = parse(&typo).unwrap_err();
         assert!(
             err.contains("gauge_intervall") && err.contains("telemetry"),
             "error must name the bad key and its section: {err}"
         );
 
         let top = BASIC.replace("\"m_router\"", "\"m_routter\"");
-        let err = run_scenario(&top).unwrap_err();
+        let err = parse(&top).unwrap_err();
         assert!(err.contains("m_routter"), "top-level typo named: {err}");
 
         let event = BASIC.replace("\"tag\": 1", "\"tagg\": 1");
-        let err = run_scenario(&event).unwrap_err();
+        let err = parse(&event).unwrap_err();
         assert!(
             err.contains("tagg") && err.contains("events[2]"),
             "event typo located: {err}"
         );
 
         let fault = FAULTY.replace("\"time\": 20000, \"fault\"", "\"when\": 20000, \"fault\"");
-        let err = run_scenario(&fault).unwrap_err();
+        let err = parse(&fault).unwrap_err();
         assert!(
             err.contains("\"when\"") && err.contains("faults[0]"),
             "fault typo located: {err}"
         );
 
         let kind = FAULTY.replace("\"a\": 0, \"b\": 2", "\"a\": 0, \"dst\": 2");
-        let err = run_scenario(&kind).unwrap_err();
+        let err = parse(&kind).unwrap_err();
         assert!(
             err.contains("dst") && err.contains("faults[0].fault"),
             "fault-kind typo located: {err}"
         );
 
         let topo = BASIC.replace("\"seed\": 1", "\"sed\": 1");
-        let err = run_scenario(&topo).unwrap_err();
+        let err = parse(&topo).unwrap_err();
         assert!(err.contains("\"sed\""), "topology typo named: {err}");
+
+        // A key that belongs to another variant of the same section is
+        // as unknown as a typo: each variant accepts only its own keys.
+        let arpanet_n = BASIC.replace("\"seed\": 1", "\"seed\": 1, \"n\": 50");
+        let err = parse(&arpanet_n).unwrap_err();
+        assert!(
+            err.contains("topology: unknown key \"n\"")
+                && err.contains("expected one of: kind, seed)"),
+            "arpanet has no node count: {err}"
+        );
+
+        let crash_heal = FAULTY.replace(
+            "{ \"kind\": \"link_down\", \"a\": 0, \"b\": 2 }",
+            "{ \"kind\": \"router_crash\", \"node\": 0, \"heal_at\": 500 }",
+        );
+        let err = parse(&crash_heal).unwrap_err();
+        assert!(
+            err.contains("faults[0].fault: unknown key \"heal_at\"")
+                && err.contains("expected one of: kind, node)"),
+            "a crash does not heal: {err}"
+        );
+
+        let link_node = FAULTY.replace("\"a\": 0, \"b\": 2", "\"a\": 0, \"b\": 2, \"node\": 1");
+        let err = parse(&link_node).unwrap_err();
+        assert!(
+            err.contains("faults[0].fault: unknown key \"node\"")
+                && err.contains("expected one of: kind, a, b)"),
+            "a link fault names no node: {err}"
+        );
+
+        let churn_leave = SCHEDULED.replace("\"cycles\": 2", "\"cycles\": 2, \"leave_at\": 900000");
+        let err = parse(&churn_leave).unwrap_err();
+        assert!(
+            err.contains("membership_schedule[1]: unknown key \"leave_at\"")
+                && err.contains("expected one of: kind, group, members, start, period, cycles)"),
+            "diurnal churn has no leave_at: {err}"
+        );
+    }
+
+    /// The error running `topology` as the whole scenario's topology.
+    fn topology_error(topology: &str) -> String {
+        let json = BASIC.replace("{ \"kind\": \"arpanet\", \"seed\": 1 }", topology);
+        run(&json).unwrap_err()
+    }
+
+    #[test]
+    fn waxman_without_nodes_is_an_error() {
+        let err = topology_error(r#"{ "kind": "waxman", "n": 0, "seed": 1 }"#);
+        assert!(err.contains("topology: waxman needs n >= 1"), "{err}");
+    }
+
+    #[test]
+    fn gtitm_with_one_node_is_an_error() {
+        let err = topology_error(r#"{ "kind": "gtitm", "n": 1, "degree": 3.0, "seed": 1 }"#);
+        assert!(err.contains("topology: gtitm needs n >= 2"), "{err}");
+    }
+
+    #[test]
+    fn gtitm_without_degree_is_an_error() {
+        let err = topology_error(r#"{ "kind": "gtitm", "n": 20, "degree": 0, "seed": 1 }"#);
+        assert!(err.contains("topology: gtitm degree must be > 0"), "{err}");
+    }
+
+    #[test]
+    fn custom_self_loop_is_an_error() {
+        let err =
+            topology_error(r#"{ "kind": "custom", "nodes": 3, "links": [[0,1,1,1],[2,2,1,1]] }"#);
+        assert!(
+            err.contains("topology.links[1]: self-loop at node 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn custom_endpoint_out_of_range_is_an_error() {
+        let err = topology_error(r#"{ "kind": "custom", "nodes": 3, "links": [[0,3,1,1]] }"#);
+        assert!(
+            err.contains("topology.links[0]: endpoint 3 out of range (3 nodes)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn custom_duplicate_link_is_an_error() {
+        let err = topology_error(
+            r#"{ "kind": "custom", "nodes": 3, "links": [[0,1,1,1],[1,2,1,1],[1,0,2,2]] }"#,
+        );
+        assert!(
+            err.contains("topology.links[2]: duplicate link 1-0"),
+            "{err}"
+        );
     }
 
     #[test]
     fn captured_run_matches_plain_run_and_traces() {
-        let (r, trace) = run_scenario_captured(FAULTY).unwrap();
-        let plain = run_scenario(FAULTY).unwrap();
+        let (r, trace) = run_captured(FAULTY).unwrap();
+        let plain = run(FAULTY).unwrap();
         assert_eq!(
             serde_json::to_string(&r).unwrap(),
             serde_json::to_string(&plain).unwrap(),
@@ -1200,14 +1185,17 @@ mod tests {
 
     #[test]
     fn batch_is_order_stable_and_jobs_invariant() {
-        let jsons: Vec<String> = vec![
+        let specs: Vec<ScenarioFile> = [
             BASIC.to_string(),
             FAULTY.to_string(),
-            "{ \"nonsense\": true }".to_string(),
+            BASIC.replace("\"node\": 4", "\"node\": 99"),
             BASIC.to_string(),
-        ];
-        let serial = run_batch(&jsons, 1);
-        let parallel = run_batch(&jsons, 4);
+        ]
+        .iter()
+        .map(|json| parse(json).unwrap())
+        .collect();
+        let serial = run_batch(&specs, 1);
+        let parallel = run_batch(&specs, 4);
         assert_eq!(serial.len(), 4);
         assert!(
             serial[2].is_err(),
@@ -1230,8 +1218,8 @@ mod tests {
 
     #[test]
     fn faulty_scenario_is_deterministic() {
-        let a = run_scenario(FAULTY).unwrap();
-        let b = run_scenario(FAULTY).unwrap();
+        let a = run(FAULTY).unwrap();
+        let b = run(FAULTY).unwrap();
         assert_eq!(a.data_overhead, b.data_overhead);
         assert_eq!(a.repairs, b.repairs);
         assert_eq!(a.max_repair_latency, b.max_repair_latency);
@@ -1246,13 +1234,13 @@ mod tests {
              \"robustness\": { \"join_retry\": 3000, \"tree_retry\": 3000 },\n  \
              \"channel\": { \"seed\": 5, \"default\": { \"drop\": 0.2, \"duplicate\": 0.05 } },",
         );
-        let (a, trace_a) = run_scenario_captured(&json).unwrap();
+        let (a, trace_a) = run_captured(&json).unwrap();
         assert!(a.channel_dropped > 0, "a 20% channel must drop something");
         assert!(
             a.retransmissions > 0,
             "dropped control traffic must trigger retries"
         );
-        let (b, trace_b) = run_scenario_captured(&json).unwrap();
+        let (b, trace_b) = run_captured(&json).unwrap();
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -1269,8 +1257,8 @@ mod tests {
              \"channel\": { \"seed\": 9, \"default\": { \"drop\": 0.0 }, \
              \"links\": [ { \"a\": 0, \"b\": 1 } ] },",
         );
-        let (r0, t0) = run_scenario_captured(BASIC).unwrap();
-        let (r1, t1) = run_scenario_captured(&with).unwrap();
+        let (r0, t0) = run_captured(BASIC).unwrap();
+        let (r1, t1) = run_captured(&with).unwrap();
         assert_eq!(
             serde_json::to_string(&r0).unwrap(),
             serde_json::to_string(&r1).unwrap(),
@@ -1307,8 +1295,8 @@ mod tests {
             "\"robustness\"",
             "\"reliability\": { \"nack_delay\": 300, \"nack_jitter\": 200 },\n  \"robustness\"",
         );
-        let off = run_scenario(base).unwrap();
-        let (on, trace) = run_scenario_captured(&with).unwrap();
+        let off = run(base).unwrap();
+        let (on, trace) = run_captured(&with).unwrap();
         assert_eq!(off.nacks_sent, 0, "tier absent means tier silent");
         assert_eq!(off.recoveries, 0);
         assert!(on.nacks_sent > 0, "losses must trigger NACKs");
@@ -1334,7 +1322,7 @@ mod tests {
         );
 
         // Deterministic replay, like every other scenario feature.
-        let again = run_scenario(&with).unwrap();
+        let again = run(&with).unwrap();
         assert_eq!(
             serde_json::to_string(&on).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -1342,7 +1330,7 @@ mod tests {
 
         // Typo'd reliability knobs are named, not silently defaulted.
         let typo = with.replace("nack_delay", "nack_dellay");
-        let err = run_scenario(&typo).unwrap_err();
+        let err = parse(&typo).unwrap_err();
         assert!(
             err.contains("nack_dellay") && err.contains("reliability"),
             "{err}"
@@ -1357,8 +1345,8 @@ mod tests {
             "\"m_router\": \"rule1\",",
             "\"m_router\": \"rule1\",\n  \"reliability\": {},",
         );
-        let plain = run_scenario(BASIC).unwrap();
-        let (r, trace) = run_scenario_captured(&with).unwrap();
+        let plain = run(BASIC).unwrap();
+        let (r, trace) = run_captured(&with).unwrap();
         assert_eq!(r.nacks_sent, 0);
         assert_eq!(r.recoveries, 0);
         assert_eq!(r.repair_cache_hits + r.repair_cache_misses, 0);
@@ -1377,7 +1365,7 @@ mod tests {
             "\"m_router\": \"rule1\",\n  \
              \"channel\": { \"links\": [ { \"a\": 0, \"b\": 99, \"drop\": 0.1 } ] },",
         );
-        let err = run_scenario(&bad).unwrap_err();
+        let err = run(&bad).unwrap_err();
         assert!(
             err.contains("channel.links[0]") && err.contains("out of range"),
             "{err}"
@@ -1387,7 +1375,7 @@ mod tests {
             "\"m_router\": \"rule1\",",
             "\"m_router\": \"rule1\",\n  \"channel\": { \"default\": { \"dropp\": 0.1 } },",
         );
-        let err = run_scenario(&typo).unwrap_err();
+        let err = parse(&typo).unwrap_err();
         assert!(
             err.contains("dropp") && err.contains("channel.default"),
             "{err}"
@@ -1397,7 +1385,7 @@ mod tests {
             "\"m_router\": \"rule1\",",
             "\"m_router\": \"rule1\",\n  \"channel\": { \"default\": { \"drop\": 1.5 } },",
         );
-        let err = run_scenario(&prob).unwrap_err();
+        let err = run(&prob).unwrap_err();
         assert!(err.contains("not in [0, 1]"), "{err}");
     }
 
@@ -1431,7 +1419,7 @@ mod tests {
         assert_eq!(expects_of(2), 4);
         assert_eq!(expects_of(3), 3);
 
-        let r = run_scenario(SCHEDULED).unwrap();
+        let r = run(SCHEDULED).unwrap();
         assert_eq!(r.expected_deliveries, 10);
         assert!(
             (r.delivery_ratio - 1.0).abs() < 1e-9,
@@ -1451,7 +1439,7 @@ mod tests {
             ("\"members\": [7]", "\"members\": [99]"),
         ] {
             let bad = SCHEDULED.replace(breakage, needle);
-            let err = run_scenario(&bad).unwrap_err();
+            let err = run(&bad).unwrap_err();
             assert!(
                 err.contains("membership_schedule[1]"),
                 "{needle}: error must name the entry: {err}"
@@ -1461,7 +1449,7 @@ mod tests {
             "\"at\": 0, \"stagger\": 500",
             "\"at\": 0, \"stagger\": 500, \"leave_at\": 800",
         );
-        let err = run_scenario(&bad).unwrap_err();
+        let err = run(&bad).unwrap_err();
         assert!(
             err.contains("membership_schedule[0]") && err.contains("leave_at"),
             "{err}"
@@ -1471,7 +1459,7 @@ mod tests {
     #[test]
     fn membership_schedule_typos_are_rejected_by_name() {
         let typo = SCHEDULED.replace("\"stagger\": 500", "\"staggger\": 500");
-        let err = run_scenario(&typo).unwrap_err();
+        let err = parse(&typo).unwrap_err();
         assert!(
             err.contains("staggger") && err.contains("membership_schedule[0]"),
             "{err}"
@@ -1491,7 +1479,7 @@ mod tests {
             "\"m_router\": \"rule1\",",
             "\"m_router\": \"rule1\",\n  \"reliability\": { \"payload_bytes_mim\": 16 },",
         );
-        let err = run_scenario(&typo).unwrap_err();
+        let err = parse(&typo).unwrap_err();
         assert!(
             err.contains("payload_bytes_mim") && err.contains("reliability"),
             "{err}"
@@ -1520,7 +1508,7 @@ mod tests {
 
     #[test]
     fn partition_family_runs_degrades_and_reconciles() {
-        let r = run_scenario(PARTITIONED).unwrap();
+        let r = run(PARTITIONED).unwrap();
         assert!(r.faults_injected >= 2, "cut + heal both inject");
         assert!(
             r.partition_degraded_ticks > 0,
@@ -1532,7 +1520,7 @@ mod tests {
             r.delivery_ratio
         );
         assert_eq!(r.m_routers_at_end, vec![10], "no split brain");
-        let b = run_scenario(PARTITIONED).unwrap();
+        let b = run(PARTITIONED).unwrap();
         assert_eq!(
             serde_json::to_string(&r).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -1544,7 +1532,7 @@ mod tests {
     fn family_fault_keys_pass_the_schema_and_validate() {
         // A typo'd family key is rejected by name…
         let typo = PARTITIONED.replace("\"heal_at\": 160000", "\"heal_et\": 160000");
-        let err = run_scenario(&typo).unwrap_err();
+        let err = parse(&typo).unwrap_err();
         assert!(
             err.contains("heal_et") && err.contains("faults[0].fault"),
             "{err}"
@@ -1554,13 +1542,13 @@ mod tests {
             "{ \"kind\": \"partition\", \"seed\": 7, \"heal_at\": 160000 }",
             "{ \"kind\": \"regional_outage\", \"seed\": 7, \"links\": 3, \"restore_at\": 160000 }",
         );
-        let r = run_scenario(&outage).unwrap();
+        let r = run(&outage).unwrap();
         assert!(r.faults_injected >= 2);
         let storm = PARTITIONED.replace(
             "{ \"kind\": \"partition\", \"seed\": 7, \"heal_at\": 160000 }",
             "{ \"kind\": \"flap_storm\", \"seed\": 7, \"links\": 2, \"cycles\": 3, \"period\": 10000 }",
         );
-        let r = run_scenario(&storm).unwrap();
+        let r = run(&storm).unwrap();
         assert!(r.faults_injected >= 6, "each flap cycle injects twice");
     }
 }

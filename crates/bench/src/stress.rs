@@ -419,11 +419,6 @@ pub fn synthesize(p: &StressPoint) -> ScenarioFile {
     }
 }
 
-/// [`synthesize`], serialized the way every runner entry point wants it.
-pub fn synthesize_json(p: &StressPoint) -> String {
-    serde_json::to_string(&synthesize(p)).expect("scenario serializes")
-}
-
 // ---------------------------------------------------------------------------
 // Oracle
 // ---------------------------------------------------------------------------
@@ -469,14 +464,13 @@ impl Evaluation {
 /// with its trace captured in memory, the trace is audited (PR 3), and
 /// the predicates combine audit, summary and the timeline's own
 /// delivery expectations.
-pub fn evaluate(json: &str) -> Result<Evaluation, String> {
-    let spec: ScenarioFile = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    let (result, trace_text) = run_scenario_captured(json)?;
+pub fn evaluate(spec: &ScenarioFile) -> Result<Evaluation, String> {
+    let (result, trace_text) = run_scenario_captured(spec)?;
     let trace = Trace::parse(&trace_text).map_err(|e| format!("trace: {e}"))?;
     let audit = trace.audit();
 
     // Per-member expectations: which tags was each member owed?
-    let (_sent, expected) = expected_deliveries(&spec);
+    let (_sent, expected) = expected_deliveries(spec);
     let mut expected_tags: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
     for &(_, tag, node) in &expected {
         expected_tags.entry(node.0).or_default().insert(tag);
@@ -501,15 +495,16 @@ pub fn evaluate(json: &str) -> Result<Evaluation, String> {
     // starves the watchdog legitimately: a takeover there is the
     // protocol working, not a false promotion.
     let partition_splits_root_pair = rob.standby.is_some_and(|standby| {
-        let topo = spec.topology.build();
-        spec.faults.iter().any(|f| {
-            if let FaultKind::Partition { seed, .. } = f.fault {
-                if let Ok(cut) = partition_cut(&topo, seed) {
-                    let a_has = |n: u32| cut.side_a.iter().any(|v| v.0 == n);
-                    return a_has(result.m_router) != a_has(standby);
+        spec.topology.build().is_ok_and(|topo| {
+            spec.faults.iter().any(|f| {
+                if let FaultKind::Partition { seed, .. } = f.fault {
+                    if let Ok(cut) = partition_cut(&topo, seed) {
+                        let a_has = |n: u32| cut.side_a.iter().any(|v| v.0 == n);
+                        return a_has(result.m_router) != a_has(standby);
+                    }
                 }
-            }
-            false
+                false
+            })
         })
     });
     // Correlated families hold their damage for a declared interval; a
@@ -728,10 +723,10 @@ impl Driver<'_> {
     /// Evaluate generated points; a generator that emits an unrunnable
     /// scenario is a bug worth a loud panic.
     fn eval_points(&mut self, points: &[StressPoint]) -> Vec<Evaluation> {
-        let jsons: Vec<String> = points.iter().map(synthesize_json).collect();
-        self.evaluations += jsons.len() as u64;
+        let specs: Vec<ScenarioFile> = points.iter().map(synthesize).collect();
+        self.evaluations += specs.len() as u64;
         self.runner
-            .run(&jsons, |_, j| evaluate(j))
+            .run(&specs, |_, spec| evaluate(spec))
             .into_iter()
             .zip(points)
             .map(|(r, p)| r.unwrap_or_else(|e| panic!("generated scenario {p:?} failed: {e}")))
@@ -988,12 +983,9 @@ pub fn minimize(
             candidates.push(c);
             start += size;
         }
-        let jsons: Vec<String> = candidates
-            .iter()
-            .map(|c| serde_json::to_string(&build(c)).expect("scenario serializes"))
-            .collect();
-        evals += jsons.len() as u64;
-        let outcomes = runner.run(&jsons, |_, j| evaluate(j));
+        let specs: Vec<ScenarioFile> = candidates.iter().map(|c| build(c)).collect();
+        evals += specs.len() as u64;
+        let outcomes = runner.run(&specs, |_, spec| evaluate(spec));
         let hit = outcomes.iter().position(|r| r.as_ref().is_ok_and(&matches));
         match hit {
             Some(i) => {
@@ -1018,6 +1010,7 @@ pub fn minimize(
 /// one-sided bounds on the replayed run. Runs are deterministic, so
 /// even exact pins are stable.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Checks {
     #[serde(default)]
     pub delivery_ratio_at_least: Option<f64>,
@@ -1051,6 +1044,7 @@ pub struct Checks {
 
 /// What a corpus entry pins about its scenario's replay.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Expectation {
     /// Exact hard-violation signature (normally empty — a pinned hard
     /// failure documents a known-open bug).
@@ -1067,6 +1061,7 @@ pub struct Expectation {
 /// One pinned regression scenario: a scenario file plus the verdict its
 /// replay must reproduce exactly, forever.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CorpusEntry {
     /// File stem under `tests/scenarios/corpus/`.
     pub name: String,
@@ -1078,75 +1073,17 @@ pub struct CorpusEntry {
     pub scenario: ScenarioFile,
 }
 
-mod corpus_schema {
-    pub const TOP: &[&str] = &["name", "origin", "expect", "scenario"];
-    pub const EXPECT: &[&str] = &["hard", "boundary", "checks"];
-    pub const CHECKS: &[&str] = &[
-        "delivery_ratio_at_least",
-        "delivery_ratio_at_most",
-        "repairs_at_least",
-        "repairs_at_most",
-        "max_repair_latency_at_most",
-        "takeovers",
-        "m_router_at_end",
-        "retransmissions_at_least",
-        "channel_dropped_at_least",
-        "members_reached_at_least",
-        "nacks_sent_at_least",
-        "recoveries_at_least",
-        "partition_degraded_ticks_at_least",
-        "reconciliations_at_least",
-    ];
-}
-
-fn check_keys(value: &serde_json::Value, allowed: &[&str], section: &str) -> Result<(), String> {
-    if let Some(fields) = value.as_object() {
-        for (key, _) in fields {
-            if !allowed.contains(&key.as_str()) {
-                return Err(format!(
-                    "unknown key {key:?} in {section} (expected one of: {})",
-                    allowed.join(", ")
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 impl CorpusEntry {
-    /// Parse an entry with the same strictness the scenario schema
-    /// gets: unknown keys anywhere — wrapper, expectation, checks, or
-    /// the embedded scenario — are rejected by name.
+    /// Parse an entry. Every section — wrapper, expectation, checks and
+    /// the embedded scenario — rejects unknown keys by name.
     pub fn parse(json: &str) -> Result<CorpusEntry, String> {
-        let tree: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        check_keys(&tree, corpus_schema::TOP, "corpus entry")?;
-        if let Some(fields) = tree.as_object() {
-            for (key, value) in fields {
-                match key.as_str() {
-                    "expect" => {
-                        check_keys(value, corpus_schema::EXPECT, "expect")?;
-                        if let Some(obj) = value.as_object() {
-                            if let Some((_, checks)) = obj.iter().find(|(k, _)| k == "checks") {
-                                check_keys(checks, corpus_schema::CHECKS, "expect.checks")?;
-                            }
-                        }
-                    }
-                    "scenario" => {
-                        let body = serde_json::to_string(value).map_err(|e| e.to_string())?;
-                        crate::scenario_file::check_unknown_keys(&body)?;
-                    }
-                    _ => {}
-                }
-            }
-        }
         serde_json::from_str(json).map_err(|e| e.to_string())
     }
 
     /// Replay the scenario and hold it to the pinned verdict. `Err`
     /// lists every mismatch at once.
     pub fn replay(&self) -> Result<Evaluation, String> {
-        let json = serde_json::to_string(&self.scenario).map_err(|e| e.to_string())?;
-        let ev = evaluate(&json).map_err(|e| format!("corpus {:?}: {e}", self.name))?;
+        let ev = evaluate(&self.scenario).map_err(|e| format!("corpus {:?}: {e}", self.name))?;
         let mut bad = Vec::new();
         if ev.hard != self.expect.hard {
             bad.push(format!(
@@ -1314,7 +1251,6 @@ pub fn pin_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_file::check_unknown_keys;
 
     /// The most hostile corner the smoke search can reach: maximal
     /// loss, ARQ off, repair scan off, hair-trigger watchdog.
@@ -1357,9 +1293,9 @@ mod tests {
     #[test]
     fn generated_scenarios_validate_and_round_trip() {
         for p in [hostile(), benign()] {
-            let json = synthesize_json(&p);
-            check_unknown_keys(&json).expect("generator matches the schema");
-            let spec: ScenarioFile = serde_json::from_str(&json).unwrap();
+            let json = serde_json::to_string(&synthesize(&p)).unwrap();
+            let spec: ScenarioFile =
+                serde_json::from_str(&json).expect("generator matches the schema");
             assert_eq!(
                 serde_json::to_string(&spec).unwrap(),
                 json,
@@ -1370,7 +1306,7 @@ mod tests {
 
     #[test]
     fn benign_point_passes_the_oracle() {
-        let ev = evaluate(&synthesize_json(&benign())).unwrap();
+        let ev = evaluate(&synthesize(&benign())).unwrap();
         assert!(ev.hard.is_empty(), "hard: {:?}", ev.hard);
         assert!(ev.boundary.is_empty(), "boundary: {:?}", ev.boundary);
         assert_eq!(ev.result.delivery_ratio, 1.0);
@@ -1379,7 +1315,7 @@ mod tests {
 
     #[test]
     fn hostile_point_fails_and_minimizes_with_the_same_signature() {
-        let ev = evaluate(&synthesize_json(&hostile())).unwrap();
+        let ev = evaluate(&synthesize(&hostile())).unwrap();
         assert!(
             ev.failed(),
             "30% loss with every recovery mechanism off must break something"
@@ -1398,7 +1334,7 @@ mod tests {
             min.events.len() + min.faults.len() <= spec.events.len() + spec.faults.len(),
             "minimizer must never grow the schedule"
         );
-        let replay = evaluate(&serde_json::to_string(&min).unwrap()).unwrap();
+        let replay = evaluate(&min).unwrap();
         assert_eq!(replay.hard, ev.hard, "minimization preserved the signature");
         assert_eq!(replay.boundary, ev.boundary);
     }

@@ -28,9 +28,9 @@
 //!   keep channel-duplicated data packets away from member hosts.
 //!
 //! The m-router's switching fabric lives in [`scmp_fabric`]; the
-//! [`router::MRouterState`] assigns an output port per active group and
-//! keeps a configured [`scmp_fabric::SandwichFabric`] in sync with the
-//! group set.
+//! [`router::MRouterState`] assigns an output port per active group, an
+//! assignment a [`scmp_fabric::SandwichFabric`] of the state's size can
+//! always be configured for.
 
 pub mod dedup;
 pub mod igmp;

@@ -1,13 +1,12 @@
 //! The m-router side of the state machine: centralized DCDM tree
 //! construction on JOIN/LEAVE (§III-D), the session/accounting database,
-//! the switching-fabric configuration (§II-B) and the periodic tree
+//! the switching-fabric port assignment (§II-B) and the periodic tree
 //! repair scan (robustness extension).
 
 use super::{Role, ScmpDomain, ScmpRouter, TIMER_EXPIRY_BASE, TIMER_REPAIR};
 use crate::message::ScmpMsg;
 use crate::session::SessionDb;
 use crate::tree_packet::{BranchPacket, TreePacket};
-use scmp_fabric::{GroupRequest, SandwichFabric};
 use scmp_net::{Metric, NodeId, PathProvider, Topology};
 use scmp_sim::{Ctx, GroupId, Packet};
 use scmp_telemetry::{EventKind, HealthTrigger};
@@ -71,10 +70,8 @@ pub struct MRouterState {
     pub sessions: SessionDb,
     /// Output-port assignment per group in the switching fabric.
     fabric_ports: BTreeMap<GroupId, usize>,
-    /// The configured sandwich fabric (rebuilt when the group set
-    /// changes); `None` until the first group appears.
-    fabric: Option<SandwichFabric>,
-    /// Fabric port count (power of two ≥ 2 × expected groups).
+    /// Fabric port count (power of two ≥ 2 × expected groups): the size
+    /// a `SandwichFabric` realising `fabric_ports` is configured at.
     fabric_size: usize,
     /// Per-group tree generation, bumped on every membership change.
     gens: BTreeMap<GroupId, u64>,
@@ -112,7 +109,6 @@ impl MRouterState {
             trees: BTreeMap::new(),
             sessions: SessionDb::new(),
             fabric_ports: BTreeMap::new(),
-            fabric: None,
             fabric_size: 64,
             gens: BTreeMap::new(),
             gen_epoch: 0,
@@ -142,30 +138,10 @@ impl MRouterState {
         self.fabric_ports.get(&group).copied()
     }
 
-    /// Reconfigure the sandwich fabric for the current group set: one
-    /// input port per group (the line from the domain) merging onto the
-    /// group's assigned output port. In a deployed m-router the sources
-    /// of a group would occupy several input ports; the per-group
-    /// input-port set here is the minimal one that keeps the
-    /// configuration live and checked.
-    fn reconfigure_fabric(&mut self) {
-        let groups: Vec<GroupRequest> = self
-            .fabric_ports
-            .iter()
-            .enumerate()
-            .map(|(idx, (_, &port))| GroupRequest {
-                sources: vec![idx],
-                output: port,
-            })
-            .collect();
-        if groups.is_empty() {
-            self.fabric = None;
-            return;
-        }
-        self.fabric = Some(
-            SandwichFabric::configure(self.fabric_size, &groups)
-                .expect("port assignment is collision-free"),
-        );
+    /// The fabric port count the assignments index into.
+    #[cfg(test)]
+    pub(super) fn fabric_size(&self) -> usize {
+        self.fabric_size
     }
 
     pub(super) fn assign_fabric_port(&mut self, group: GroupId) {
@@ -186,7 +162,11 @@ impl MRouterState {
             .find(|p| !used.contains(p))
             .expect("fabric has free ports");
         self.fabric_ports.insert(group, port);
-        self.reconfigure_fabric();
+    }
+
+    /// Free the fabric port of an expired group.
+    pub(super) fn release_fabric_port(&mut self, group: GroupId) {
+        self.fabric_ports.remove(&group);
     }
 }
 
@@ -419,9 +399,7 @@ impl ScmpRouter {
         state.trees.remove(&group);
         state.gens.remove(&group);
         state.sessions.expire_group(group);
-        if state.fabric_ports.remove(&group).is_some() {
-            state.reconfigure_fabric();
-        }
+        state.release_fabric_port(group);
         self.entries.remove(&group);
     }
 

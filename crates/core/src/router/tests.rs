@@ -602,3 +602,48 @@ fn leave_retries_through_transient_failure() {
         "retried LEAVE deregistered the member"
     );
 }
+
+mod fabric_assignment {
+    use super::super::MRouterState;
+    use proptest::prelude::*;
+    use scmp_fabric::{GroupRequest, SandwichFabric};
+    use scmp_sim::GroupId;
+    use std::collections::BTreeSet;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The m-router keeps a port assignment, not a configured fabric.
+        /// After every step of any assign/expire sequence, a
+        /// `SandwichFabric` of the state's size must accept it: one
+        /// source line per active group (in group order) merging onto
+        /// the group's assigned output port.
+        #[test]
+        fn every_assignment_configures_a_sandwich_fabric(
+            ops in prop::collection::vec((prop::bool::ANY, 0u32..96), 0..160),
+        ) {
+            let mut state = MRouterState::new();
+            let mut active = BTreeSet::new();
+            for (expire, g) in ops {
+                if expire {
+                    state.release_fabric_port(GroupId(g));
+                    active.remove(&g);
+                } else {
+                    state.assign_fabric_port(GroupId(g));
+                    active.insert(g);
+                }
+                let mut requests = Vec::with_capacity(active.len());
+                for (line, &g) in active.iter().enumerate() {
+                    let port = state.fabric_port(GroupId(g));
+                    prop_assert!(port.is_some(), "active group {} has no port", g);
+                    requests.push(GroupRequest {
+                        sources: vec![line],
+                        output: port.unwrap(),
+                    });
+                }
+                let fabric = SandwichFabric::configure(state.fabric_size(), &requests);
+                prop_assert!(fabric.is_ok(), "{:?} over {:?}", fabric.err(), requests);
+            }
+        }
+    }
+}

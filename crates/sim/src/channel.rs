@@ -28,6 +28,7 @@ use std::collections::HashMap;
 /// Impairment probabilities for one link (or the whole-plan default).
 /// All fields default to zero, i.e. a perfect channel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChannelSpec {
     /// Probability a packet on the link is lost.
     #[serde(default)]
@@ -68,6 +69,7 @@ impl ChannelSpec {
 /// the spec fields inline (endpoint order irrelevant — impairments are
 /// per undirected link, though each direction draws its own stream).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChannelLinkSpec {
     /// One endpoint of the link.
     pub a: u32,
@@ -102,6 +104,7 @@ impl ChannelLinkSpec {
 /// A declarative channel-impairment plan: a seed, an optional default
 /// spec applied to every link, and per-link overrides.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChannelPlan {
     /// Seed mixed into every per-link stream (sweep over this to get
     /// independent loss realisations of the same scenario).

@@ -93,7 +93,7 @@ impl FaultEvent {
 
 /// The serialisable form of a [`FaultEvent`], node ids as plain `u32`.
 #[derive(Clone, Debug, PartialEq, Eq, Deserialize, Serialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum FaultKind {
     /// Cut link `a`–`b`.
     LinkDown {
@@ -170,6 +170,7 @@ impl FaultKind {
 
 /// One scheduled fault in a scenario file.
 #[derive(Clone, Debug, PartialEq, Eq, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultSpec {
     /// Absolute simulation time the fault fires at.
     pub time: u64,

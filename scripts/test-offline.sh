@@ -48,6 +48,23 @@ part_b=$(cargo run -q --release -p scmp-bench --bin scenario -- \
     echo "partition smoke diverged between --jobs 2 and serial" >&2
     exit 1
 }
+# A corpus entry wraps a scenario; it is not one. Fed to the scenario
+# bin it must exit 1 naming the wrapper's first key, which the schema
+# (the serde structs, denying unknown keys) does not know.
+status=0
+wrapper=$(cargo run -q --release -p scmp-bench --bin scenario -- \
+    tests/scenarios/corpus/fig5-crash-standby.json 2>&1 >/dev/null) || status=$?
+[ "$status" -eq 1 ] || {
+    echo "scenario bin exited $status on a corpus wrapper, want 1" >&2
+    exit 1
+}
+case "$wrapper" in
+*'unknown key "name"'*) ;;
+*)
+    echo "$wrapper" >&2
+    exit 1
+    ;;
+esac
 # The repo's benchmark is a package of its own (benchmark/, outside the
 # workspace) that builds against the library crates' public API, and a
 # PR that claims a gain may not edit it. Build it offline, run every

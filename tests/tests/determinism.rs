@@ -99,9 +99,11 @@ fn parallel_failstorm_batch_is_byte_identical_to_serial() {
         "/../examples/scenarios/failstorm.json"
     ))
     .expect("failstorm scenario present");
-    let jsons = vec![json.clone(), json.clone(), json];
-    let serial = scmp_bench::scenario_file::run_batch(&jsons, 1);
-    let parallel = scmp_bench::scenario_file::run_batch(&jsons, 4);
+    let spec: scmp_bench::scenario_file::ScenarioFile =
+        serde_json::from_str(&json).expect("failstorm scenario parses");
+    let specs = vec![spec.clone(), spec.clone(), spec];
+    let serial = scmp_bench::scenario_file::run_batch(&specs, 1);
+    let parallel = scmp_bench::scenario_file::run_batch(&specs, 4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         let (sr, st) = s.as_ref().expect("failstorm runs clean");

@@ -14,7 +14,7 @@
 //!    `--jobs 1` and `--jobs 2`, summaries and JSONL traces both.
 
 use proptest::prelude::*;
-use scmp_bench::scenario_file::{check_unknown_keys, run_batch};
+use scmp_bench::scenario_file::{run_batch, ScenarioFile};
 use scmp_core::router::nack_jitter;
 use scmp_net::NodeId;
 use scmp_sim::GroupId;
@@ -90,10 +90,11 @@ proptest! {
         nack_jitter in 0u64..400,
     ) {
         let json = reliable_scenario(seed, loss_pct, nack_delay, nack_jitter);
-        prop_assert!(check_unknown_keys(&json).is_ok());
-        let jsons = [json.clone(), json];
-        let serial = run_batch(&jsons, 1);
-        let parallel = run_batch(&jsons, 2);
+        let spec: ScenarioFile = serde_json::from_str(&json)
+            .map_err(|e| TestCaseError::fail(format!("parse: {e}")))?;
+        let specs = [spec.clone(), spec];
+        let serial = run_batch(&specs, 1);
+        let parallel = run_batch(&specs, 2);
         for (s, p) in serial.iter().zip(&parallel) {
             let (sr, st) = s.as_ref().map_err(|e| TestCaseError::fail(e.clone()))?;
             let (pr, pt) = p.as_ref().map_err(|e| TestCaseError::fail(e.clone()))?;

@@ -5,8 +5,8 @@
 //! reproducers diverge from what the search actually ran.
 
 use proptest::prelude::*;
-use scmp_bench::scenario_file::{check_unknown_keys, expected_deliveries, ScenarioFile};
-use scmp_bench::stress::{synthesize, synthesize_json, StressPoint, ARPANET, FIG5, SENDS};
+use scmp_bench::scenario_file::{expected_deliveries, ScenarioFile};
+use scmp_bench::stress::{synthesize, StressPoint, ARPANET, FIG5, SENDS};
 
 fn point(
     topo: u8,
@@ -49,14 +49,15 @@ proptest! {
         families in (0u8..4, 0u8..4),
     ) {
         let p = point(topo, seed, knobs, crash, sched, families);
-        let json = synthesize_json(&p);
+        let json = serde_json::to_string(&synthesize(&p))
+            .map_err(|e| TestCaseError::fail(format!("serialize: {e}")))?;
+        let parsed = serde_json::from_str::<ScenarioFile>(&json);
         prop_assert!(
-            check_unknown_keys(&json).is_ok(),
+            parsed.is_ok(),
             "generated scenario failed schema validation: {:?}",
-            check_unknown_keys(&json)
+            parsed
         );
-        let parsed: ScenarioFile = serde_json::from_str(&json)
-            .map_err(|e| TestCaseError::fail(format!("parse: {e}")))?;
+        let parsed = parsed.unwrap();
         let reserialized = serde_json::to_string(&parsed)
             .map_err(|e| TestCaseError::fail(format!("serialize: {e}")))?;
         prop_assert_eq!(&reserialized, &json, "round trip must be lossless");

@@ -8,13 +8,13 @@
 //!   on-tree router ("2m paths"); restricting to one family shows what
 //!   each contributes to tree cost/delay.
 
-use crate::netperf::{self, TopologyKind};
+use crate::netperf::{sweep_cells, Protocol, TopologyKind};
+use crate::report::mean_by;
+use crate::scenario_file::{run_batch, RobustnessSpec, Run, ScenarioFile};
 use rand::seq::SliceRandom;
-use scmp_core::router::ScmpConfig;
 use scmp_net::rng::rng_for;
 use scmp_net::topology::{waxman, WaxmanConfig};
 use scmp_net::{provider_for, Metric, NodeId};
-use scmp_protocols::build_scmp_engine;
 use scmp_tree::{Dcdm, DelayBound};
 use serde::Serialize;
 
@@ -28,35 +28,48 @@ pub struct BranchPoint {
     pub tree_only: f64,
 }
 
-/// Run the BRANCH vs TREE ablation on the degree-3 random topology.
-pub fn run_branch(seeds: u64) -> Vec<BranchPoint> {
-    let kind = TopologyKind::Random50Deg3;
-    let mut out = Vec::new();
-    for gs in kind.group_sizes() {
-        let mut with_branch = Vec::new();
-        let mut tree_only = Vec::new();
-        for seed in 0..seeds {
-            let sc = netperf::scenario(kind, gs, seed);
-            for (flag, acc) in [(false, &mut with_branch), (true, &mut tree_only)] {
-                let mut cfg = ScmpConfig::new(sc.center);
-                cfg.tree_packets_only = flag;
-                let mut e = build_scmp_engine(sc.topo.clone(), cfg);
-                let mut t = 0;
-                for &m in &sc.members {
-                    e.schedule_app(t, m, scmp_sim::AppEvent::Join(scmp_sim::GroupId(1)));
-                    t += 2_000;
-                }
-                e.run_to_quiescence();
-                acc.push(e.stats().protocol_overhead as f64);
-            }
-        }
-        out.push(BranchPoint {
-            group_size: gs,
-            with_branch: crate::report::mean(&with_branch),
-            tree_only: crate::report::mean(&tree_only),
-        });
+/// The BRANCH-ablation cells: the join phase of each SCMP Fig. 8 cell
+/// on the degree-3 random topology, in fold order: group size → BRANCH
+/// packets, then `tree_packets_only` → seed.
+pub fn branch_cells(seeds: u64) -> Vec<ScenarioFile> {
+    let points = TopologyKind::Random50Deg3.points();
+    let mut draws = sweep_cells(&points, &[Protocol::Scmp], seeds);
+    for draw in &mut draws {
+        draw.events.retain(|ev| ev.op == "join");
     }
-    out
+    let mut cells = Vec::with_capacity(2 * draws.len());
+    for draws in draws.chunks(seeds.max(1) as usize) {
+        for flag in [false, true] {
+            let robustness = RobustnessSpec {
+                tree_packets_only: Some(flag),
+                ..RobustnessSpec::default()
+            };
+            cells.extend(draws.iter().map(|draw| ScenarioFile {
+                robustness: Some(robustness.clone()),
+                ..draw.clone()
+            }));
+        }
+    }
+    cells
+}
+
+/// Run the BRANCH vs TREE ablation on `jobs` workers.
+pub fn run_branch(seeds: u64, jobs: usize) -> Result<Vec<BranchPoint>, String> {
+    let runs: Vec<Run> = run_batch(&branch_cells(seeds), jobs, false)
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    let sizes = TopologyKind::Random50Deg3.group_sizes().into_iter();
+    let out = sizes.zip(runs.chunks(2 * seeds.max(1) as usize));
+    let out = out.map(|(group_size, runs)| {
+        let (with_branch, tree_only) = runs.split_at(runs.len() / 2);
+        let overhead = |runs: &[Run]| mean_by(runs, |r| r.result.protocol_overhead as f64);
+        BranchPoint {
+            group_size,
+            with_branch: overhead(with_branch),
+            tree_only: overhead(tree_only),
+        }
+    });
+    Ok(out.collect())
 }
 
 /// Path-set ablation data point.
@@ -124,7 +137,7 @@ mod tests {
 
     #[test]
     fn branch_saves_protocol_overhead() {
-        let pts = run_branch(2);
+        let pts = run_branch(2, 2).unwrap();
         // Summed over the sweep, BRANCH must be cheaper than full TREE
         // refreshes (that is its entire purpose).
         let wb: f64 = pts.iter().map(|p| p.with_branch).sum();

@@ -47,12 +47,13 @@ fn corpus_byte_identity(jobs: usize) -> Result<usize, String> {
     if specs.is_empty() {
         return Err(format!("{}: no corpus scenarios", dir.display()));
     }
-    let serial = scenario_file::run_batch(&specs, 1);
-    let parallel = scenario_file::run_batch(&specs, jobs.max(2));
+    let serial = scenario_file::run_batch(&specs, 1, true);
+    let parallel = scenario_file::run_batch(&specs, jobs.max(2), true);
     for ((s, p), path) in serial.iter().zip(&parallel).zip(&paths) {
         let identical = match (s, p) {
-            (Ok((sr, st)), Ok((pr, pt))) => {
-                serde_json::to_string(sr) == serde_json::to_string(pr) && st == pt
+            (Ok(s), Ok(p)) => {
+                serde_json::to_string(&s.result) == serde_json::to_string(&p.result)
+                    && s.trace == p.trace
             }
             (Err(e), _) | (_, Err(e)) => return Err(format!("{}: {e}", path.display())),
         };

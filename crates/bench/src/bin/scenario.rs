@@ -46,20 +46,20 @@ fn main() {
         return;
     }
 
-    let outcomes = run_batch(&specs, sweep::resolve_jobs(jobs));
+    let outcomes = run_batch(&specs, sweep::resolve_jobs(jobs), true);
     let mut failed = false;
     for ((path, spec), outcome) in paths.iter().zip(&specs).zip(outcomes) {
         match outcome {
-            Ok((result, trace)) => {
+            Ok(run) => {
                 if let Some(dest) = spec.telemetry.as_ref().and_then(|t| t.jsonl.as_ref()) {
-                    if let Err(e) = std::fs::write(dest, &trace) {
+                    if let Err(e) = std::fs::write(dest, &run.trace) {
                         eprintln!("{path}: telemetry jsonl {dest:?}: {e}");
                         failed = true;
                     }
                 }
                 println!(
                     "{}",
-                    serde_json::to_string_pretty(&result).expect("serialisable")
+                    serde_json::to_string_pretty(&run.result).expect("serialisable")
                 );
             }
             Err(e) => {

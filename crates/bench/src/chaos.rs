@@ -37,7 +37,12 @@
 //! resolve dual roots deterministically — no split brain), and deliver
 //! nothing twice.
 
-use crate::scenario_file::{run_batch, ScenarioFile};
+use crate::report::mean_by;
+use crate::scenario_file::{
+    run_batch, EventSpec, MRouterSpec, ReliabilitySpec, RobustnessSpec, Run, ScenarioFile,
+    TopologySpec,
+};
+use scmp_sim::{ChannelPlan, ChannelSpec, FaultKind, FaultSpec};
 use scmp_telemetry::{EventKind, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -208,66 +213,73 @@ pub struct ChaosReport {
     pub partition_cells: Vec<ChaosPartitionCell>,
 }
 
+/// The robustness suite of every chaos cell. Timescales follow the
+/// topology: ARPANET one-way delays stay under ~100 ticks, so a
+/// 500-tick retry base comfortably exceeds the worst JOIN→TREE round
+/// trip (a lossless run must never retransmit) while the exponential
+/// backoff budget — eight retries, factor capped at 64 — exhausts
+/// within ~100k ticks, well before the first payload. The standby
+/// (node 11) sits one hop from the m-router (node 10), so twelve
+/// consecutive heartbeat losses at 20% per link is a ~4e-9 event: any
+/// takeover the sweep observes is a bug.
+fn robustness() -> RobustnessSpec {
+    RobustnessSpec {
+        repair_interval: Some(2_000),
+        join_retry: Some(500),
+        leave_retry: Some(500),
+        tree_retry: Some(500),
+        heartbeat_interval: Some(1_000),
+        standby: Some(11),
+        heartbeat_loss_tolerance: Some(12),
+        ..RobustnessSpec::default()
+    }
+}
+
+/// [`MEMBERS`] joining group 1 from time 0, 500 ticks apart, then one
+/// send from [`SOURCE`] at each of `send_times` (tags 1, 2, …), on the
+/// ARPANET map with weight seed `seed` and m-router node 10, run until
+/// tick 250 000.
+fn arpanet_session(seed: u64, send_times: impl Iterator<Item = u64>) -> ScenarioFile {
+    let joins = MEMBERS.iter().zip(0..);
+    let mut events: Vec<EventSpec> = joins
+        .map(|(&m, i)| EventSpec::join(i * 500, m, 1))
+        .collect();
+    events.extend(
+        send_times
+            .zip(1..)
+            .map(|(t, tag)| EventSpec::send(t, SOURCE, 1, tag)),
+    );
+    let mut spec = ScenarioFile::new(
+        TopologySpec::Arpanet { seed },
+        MRouterSpec::Node(10),
+        events,
+    );
+    spec.run_until = Some(250_000);
+    spec
+}
+
 /// The sweep scenario: the paper's ARPANET map (seeded weights), eight
 /// members joining early, twenty payloads sent long after the control
 /// plane converged, full robustness suite on (repair scan,
 /// JOIN/LEAVE/TREE retry, hot standby with a loss-tolerant watchdog),
-/// uniform loss on every link.
-pub fn scenario_json(loss: f64, seed: u64) -> String {
-    scenario_json_with(loss, seed, false)
-}
-
-/// Like [`scenario_json`], optionally with the reliable-multicast tier
-/// on (defaults: 300-tick NACK delay, 200-tick jitter window, 64 KiB
-/// repair caches, sequence-extent announcements for tail loss).
-pub fn scenario_json_with(loss: f64, seed: u64, reliable: bool) -> String {
-    let mut events = String::new();
-    for (i, m) in MEMBERS.iter().enumerate() {
-        events.push_str(&format!(
-            "    {{ \"time\": {}, \"node\": {m}, \"op\": \"join\", \"group\": 1 }},\n",
-            i as u64 * 500
-        ));
-    }
-    for k in 0..SENDS {
-        events.push_str(&format!(
-            "    {{ \"time\": {}, \"node\": {SOURCE}, \"op\": \"send\", \"group\": 1, \"tag\": {} }}{}",
-            150_000 + k * 2_000,
-            k + 1,
-            if k + 1 == SENDS { "\n" } else { ",\n" }
-        ));
-    }
-    // Timescales follow the topology: ARPANET one-way delays stay under
-    // ~100 ticks, so a 500-tick retry base comfortably exceeds the
-    // worst JOIN→TREE round trip (a lossless run must never retransmit)
-    // while the exponential backoff budget — eight retries, factor
-    // capped at 64 — exhausts within ~100k ticks, well before the first
-    // payload. The standby (node 11) sits one hop from the m-router
-    // (node 10), so twelve consecutive heartbeat losses at 20% per link
-    // is a ~4e-9 event: any takeover the sweep observes is a bug.
-    let reliability = if reliable {
-        "\n  \"reliability\": {},"
-    } else {
-        ""
+/// uniform loss on every link. With `reliable`, the reliable-multicast
+/// tier is on at its defaults (300-tick NACK delay, 200-tick jitter
+/// window, 64 KiB repair caches, sequence-extent announcements for tail
+/// loss).
+pub fn loss_scenario(loss: f64, seed: u64, reliable: bool) -> ScenarioFile {
+    let mut spec = arpanet_session(seed, (0..SENDS).map(|k| 150_000 + k * 2_000));
+    spec.robustness = Some(robustness());
+    spec.reliability = reliable.then(ReliabilitySpec::default);
+    let drop = ChannelSpec {
+        drop: loss,
+        ..ChannelSpec::default()
     };
-    format!(
-        r#"{{
-  "topology": {{ "kind": "arpanet", "seed": {seed} }},
-  "m_router": 10,{reliability}
-  "robustness": {{
-    "repair_interval": 2000,
-    "join_retry": 500,
-    "leave_retry": 500,
-    "tree_retry": 500,
-    "heartbeat_interval": 1000,
-    "standby": 11,
-    "heartbeat_loss_tolerance": 12
-  }},
-  "channel": {{ "seed": {seed}, "default": {{ "drop": {loss} }} }},
-  "events": [
-{events}  ],
-  "run_until": 250000
-}}"#
-    )
+    spec.channel = Some(ChannelPlan {
+        seed,
+        default: Some(drop),
+        links: Vec::new(),
+    });
+    spec
 }
 
 /// The partition-series scenario: same ARPANET membership as the loss
@@ -279,63 +291,24 @@ pub fn scenario_json_with(loss: f64, seed: u64, reliable: bool) -> String {
 /// must deliver in full.
 ///
 /// [`Partition`]: scmp_sim::FaultKind::Partition
-pub fn partition_scenario_json(seed: u64) -> String {
-    let mut events = String::new();
-    for (i, m) in MEMBERS.iter().enumerate() {
-        events.push_str(&format!(
-            "    {{ \"time\": {}, \"node\": {m}, \"op\": \"join\", \"group\": 1 }},\n",
-            i as u64 * 500
-        ));
-    }
-    let mut tag = 0u64;
-    let mut send_at = |events: &mut String, time: u64, last: bool| {
-        tag += 1;
-        events.push_str(&format!(
-            "    {{ \"time\": {time}, \"node\": {SOURCE}, \"op\": \"send\", \"group\": 1, \"tag\": {tag} }}{}",
-            if last { "\n" } else { ",\n" }
-        ));
-    };
-    for k in 0..PRE_SENDS {
-        send_at(&mut events, 40_000 + k * 2_000, false);
-    }
-    for k in 0..MID_SENDS {
-        send_at(&mut events, 100_000 + k * 2_000, false);
-    }
-    for k in 0..POST_SENDS {
-        send_at(
-            &mut events,
-            HEAL_AT + RECONVERGE_WINDOW + k * 2_000,
-            k + 1 == POST_SENDS,
-        );
-    }
-    format!(
-        r#"{{
-  "topology": {{ "kind": "arpanet", "seed": {seed} }},
-  "m_router": 10,
-  "robustness": {{
-    "repair_interval": 2000,
-    "join_retry": 500,
-    "leave_retry": 500,
-    "tree_retry": 500,
-    "heartbeat_interval": 1000,
-    "standby": 11,
-    "heartbeat_loss_tolerance": 12,
-    "takeover_rebuild_delay": 500
-  }},
-  "faults": [
-    {{ "time": {PARTITION_AT}, "fault": {{ "kind": "partition", "seed": {seed}, "heal_at": {HEAL_AT} }} }}
-  ],
-  "events": [
-{events}  ],
-  "run_until": 250000
-}}"#
-    )
-}
-
-/// Parse one of the scenario templates above. They are code, so a
-/// schema error is a bug.
-fn parse_template(json: &str) -> ScenarioFile {
-    serde_json::from_str(json).unwrap_or_else(|e| panic!("chaos scenario template: {e}"))
+pub fn partition_scenario(seed: u64) -> ScenarioFile {
+    let sends = (0..PRE_SENDS)
+        .map(|k| 40_000 + k * 2_000)
+        .chain((0..MID_SENDS).map(|k| 100_000 + k * 2_000))
+        .chain((0..POST_SENDS).map(|k| HEAL_AT + RECONVERGE_WINDOW + k * 2_000));
+    let mut spec = arpanet_session(seed, sends);
+    spec.robustness = Some(RobustnessSpec {
+        takeover_rebuild_delay: Some(500),
+        ..robustness()
+    });
+    spec.faults = vec![FaultSpec {
+        time: PARTITION_AT,
+        fault: FaultKind::Partition {
+            seed,
+            heal_at: HEAL_AT,
+        },
+    }];
+    spec
 }
 
 /// Run the sweep: `LOSS_RATES` × `seeds` cells, each in both modes
@@ -356,14 +329,16 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
         .collect();
     let specs: Vec<ScenarioFile> = grid
         .iter()
-        .map(|&(loss, seed, reliable)| parse_template(&scenario_json_with(loss, seed, reliable)))
+        .map(|&(loss, seed, reliable)| loss_scenario(loss, seed, reliable))
         .collect();
-    let outcomes = run_batch(&specs, jobs);
+    let outcomes = run_batch(&specs, jobs, true);
 
     let mut cells = Vec::with_capacity(grid.len());
     for (&(loss, seed, reliable), outcome) in grid.iter().zip(&outcomes) {
         let tag = format!("(loss={loss}, seed={seed}, reliable={reliable})");
-        let (r, trace) = outcome
+        let Run {
+            result: r, trace, ..
+        } = outcome
             .as_ref()
             .unwrap_or_else(|e| panic!("chaos cell {tag} failed: {e}"));
         let t = Trace::parse(trace).unwrap_or_else(|e| panic!("chaos cell {tag} trace: {e}"));
@@ -457,7 +432,6 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
                     .iter()
                     .filter(|c| c.loss == loss && c.reliable == reliable)
                     .collect();
-                let n = mine.len().max(1) as f64;
                 let nacks_seen: u64 = mine
                     .iter()
                     .map(|c| c.nacks_suppressed + c.nacks_forwarded + c.repair_cache_hits)
@@ -470,18 +444,14 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
                 let hits: u64 = mine.iter().map(|c| c.repair_cache_hits).sum();
                 ChaosPoint {
                     loss,
-                    mean_delivery_ratio: mine.iter().map(|c| c.delivery_ratio).sum::<f64>() / n,
+                    mean_delivery_ratio: mean_by(&mine, |c| c.delivery_ratio),
                     min_delivery_ratio: mine
                         .iter()
                         .map(|c| c.delivery_ratio)
                         .fold(f64::INFINITY, f64::min),
-                    mean_retransmissions: mine
-                        .iter()
-                        .map(|c| c.retransmissions as f64)
-                        .sum::<f64>()
-                        / n,
+                    mean_retransmissions: mean_by(&mine, |c| c.retransmissions as f64),
                     takeovers: mine.iter().map(|c| c.takeovers).sum(),
-                    mean_nacks: mine.iter().map(|c| c.nacks_sent as f64).sum::<f64>() / n,
+                    mean_nacks: mean_by(&mine, |c| c.nacks_sent as f64),
                     nack_suppression_ratio: if nacks_seen == 0 {
                         0.0
                     } else {
@@ -492,11 +462,7 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
                     } else {
                         hits as f64 / lookups as f64
                     },
-                    mean_recovery_p50: mine
-                        .iter()
-                        .map(|c| c.p50_recovery_latency as f64)
-                        .sum::<f64>()
-                        / n,
+                    mean_recovery_p50: mean_by(&mine, |c| c.p50_recovery_latency as f64),
                     max_recovery_p99: mine
                         .iter()
                         .map(|c| c.p99_recovery_latency)
@@ -531,14 +497,14 @@ pub fn partition_series(
     seeds: u64,
     jobs: usize,
 ) -> (ChaosPartitionSummary, Vec<ChaosPartitionCell>) {
-    let pspecs: Vec<ScenarioFile> = (0..seeds)
-        .map(|seed| parse_template(&partition_scenario_json(seed)))
-        .collect();
-    let poutcomes = run_batch(&pspecs, jobs);
+    let pspecs: Vec<ScenarioFile> = (0..seeds).map(partition_scenario).collect();
+    let poutcomes = run_batch(&pspecs, jobs, true);
     let mut partition_cells = Vec::with_capacity(pspecs.len());
     for (seed, outcome) in (0..seeds).zip(&poutcomes) {
         let tag = format!("(partition seed={seed})");
-        let (r, trace) = outcome
+        let Run {
+            result: r, trace, ..
+        } = outcome
             .as_ref()
             .unwrap_or_else(|e| panic!("partition cell {tag} failed: {e}"));
         let t = Trace::parse(trace).unwrap_or_else(|e| panic!("partition cell {tag} trace: {e}"));

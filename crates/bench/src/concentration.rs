@@ -15,15 +15,16 @@
 //! an *m-router* root (fast fabric ports). Measured: congestion drops,
 //! queueing delay and end-to-end delay.
 
-use scmp_core::router::ScmpConfig;
+use crate::report::mean_by;
+use crate::scenario_file::{
+    run_batch, CapacitySpec, EventSpec, MRouterSpec, Run, ScenarioFile, TopologySpec,
+};
 use scmp_net::graph::LinkWeight;
 use scmp_net::topology::regular::star;
-use scmp_net::NodeId;
-use scmp_protocols::build_scmp_engine;
-use scmp_sim::{AppEvent, CapacityModel, GroupId, SimStats};
 use serde::Serialize;
+use std::iter::repeat_n;
 
-const G: GroupId = GroupId(1);
+const G: u32 = 1;
 /// Per-packet serialisation time on an ordinary line card.
 const ORDINARY_TX: u64 = 2_000;
 /// Per-packet serialisation time on the m-router's fabric ports.
@@ -52,76 +53,73 @@ pub struct ConcentrationPoint {
 const MEMBERS: usize = 12;
 /// Packets per burst source.
 const PER_SOURCE: u64 = 5;
+/// Burst-source counts swept.
+const SOURCES: [usize; 4] = [2, 4, 8, 12];
 
 /// The distilled §I hotspot: a star domain whose hub is the tree root.
 /// Every source's flow converges on the hub and fans out to every
 /// member leaf, so the hub's egress ports are the only congestible
 /// inner hops — exactly the "traffic jam around the core" scenario.
-/// (`seed` shifts which leaves send, exercising different port sets.)
-fn run_once(sources: usize, fast_root: bool, seed: u64) -> SimStats {
+/// (`seed` shifts the burst phase.)
+fn scenario(sources: usize, fast_root: bool, seed: u64) -> ScenarioFile {
     let n = 1 + MEMBERS + sources.max(1);
     let topo = star(n, LinkWeight::new(50, 10));
-    let center = NodeId(0);
-    let mut e = build_scmp_engine(topo.clone(), ScmpConfig::new(center));
-    let mut cap = CapacityModel::uniform(ORDINARY_TX, QUEUE_LIMIT);
-    if fast_root {
-        cap = cap.with_node_tx(center, MROUTER_TX);
-    }
-    e.set_capacity(cap);
-    let members: Vec<NodeId> = (1..=MEMBERS as u32).map(NodeId).collect();
-    let senders: Vec<NodeId> = (MEMBERS as u32 + 1..n as u32).map(NodeId).collect();
-    let mut t = 0;
-    for &m in &members {
-        e.schedule_app(t, m, AppEvent::Join(G));
-        t += 2_000;
-    }
+    let members = (1..=MEMBERS as u32).zip((0..).step_by(2_000));
+    let mut events: Vec<EventSpec> = members.map(|(m, t)| EventSpec::join(t, m, G)).collect();
     // Simultaneous bursts from the off-tree sources: everything funnels
     // through the hub via encapsulation.
-    let burst_at = t + 1_000_000 + seed; // seed staggers the burst phase
-    let mut tag = 0;
-    for &s in &senders {
-        for _ in 0..PER_SOURCE {
-            tag += 1;
-            e.schedule_app(burst_at, s, AppEvent::Send { group: G, tag });
-        }
-    }
-    e.run_to_quiescence();
-    e.stats().clone()
+    let burst_at = MEMBERS as u64 * 2_000 + 1_000_000 + seed;
+    let senders = (MEMBERS as u32 + 1..n as u32).flat_map(|s| repeat_n(s, PER_SOURCE as usize));
+    let sends = senders
+        .zip(1..)
+        .map(|(s, tag)| EventSpec::send(burst_at, s, G, tag));
+    events.extend(sends);
+    let mut spec = ScenarioFile::new(TopologySpec::custom(&topo), MRouterSpec::Node(0), events);
+    spec.capacity = Some(CapacitySpec {
+        link_tx: ORDINARY_TX,
+        queue_limit: QUEUE_LIMIT,
+        m_router_tx: fast_root.then_some(MROUTER_TX),
+    });
+    spec
 }
 
-/// Run the sweep over burst-source counts for both root kinds.
-pub fn run(seeds: u64) -> Vec<ConcentrationPoint> {
-    let mut out = Vec::new();
-    for &sources in &[2usize, 4, 8, 12] {
-        for fast_root in [false, true] {
-            let mut drops = Vec::new();
-            let mut qd = Vec::new();
-            let mut e2e = Vec::new();
-            let mut rate = Vec::new();
-            for seed in 0..seeds {
-                let stats = run_once(sources, fast_root, seed);
-                drops.push(stats.queue_drops as f64);
-                qd.push(stats.max_queueing_delay as f64);
-                e2e.push(stats.max_end_to_end_delay as f64);
-                let expected = (sources as u64 * PER_SOURCE * MEMBERS as u64) as f64;
-                rate.push(stats.distinct_deliveries() as f64 / expected);
+/// The `(sources, fast root)` points of the sweep, in fold order.
+fn points() -> Vec<(usize, bool)> {
+    let roots = |sources| [false, true].map(|fast_root| (sources, fast_root));
+    SOURCES.into_iter().flat_map(roots).collect()
+}
+
+/// Every cell of the sweep in fold order: sources → root kind → seed.
+pub fn cells(seeds: u64) -> Vec<ScenarioFile> {
+    let seeded = |(sources, fast)| (0..seeds).map(move |seed| scenario(sources, fast, seed));
+    points().into_iter().flat_map(seeded).collect()
+}
+
+/// Run the sweep over burst-source counts for both root kinds, on
+/// `jobs` workers.
+pub fn run(seeds: u64, jobs: usize) -> Result<Vec<ConcentrationPoint>, String> {
+    let keys = points();
+    let runs: Vec<Run> = run_batch(&cells(seeds), jobs, false)
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    let out = keys.iter().zip(runs.chunks(seeds.max(1) as usize));
+    let out = out.map(|(&(sources, fast_root), runs)| {
+        let expected = (sources as u64 * PER_SOURCE * MEMBERS as u64) as f64;
+        ConcentrationPoint {
+            root_kind: if fast_root {
+                "m-router"
+            } else {
+                "ordinary-core"
             }
-            out.push(ConcentrationPoint {
-                root_kind: if fast_root {
-                    "m-router"
-                } else {
-                    "ordinary-core"
-                }
-                .to_string(),
-                sources,
-                queue_drops: crate::report::mean(&drops),
-                max_queueing_delay: crate::report::mean(&qd),
-                max_e2e_delay: crate::report::mean(&e2e),
-                delivery_rate: crate::report::mean(&rate),
-            });
+            .to_string(),
+            sources,
+            queue_drops: mean_by(runs, |r| r.result.queue_drops as f64),
+            max_queueing_delay: mean_by(runs, |r| r.stats.max_queueing_delay as f64),
+            max_e2e_delay: mean_by(runs, |r| r.result.max_end_to_end_delay as f64),
+            delivery_rate: mean_by(runs, |r| r.stats.distinct_deliveries() as f64 / expected),
         }
-    }
-    out
+    });
+    Ok(out.collect())
 }
 
 #[cfg(test)]
@@ -130,7 +128,7 @@ mod tests {
 
     #[test]
     fn m_router_alleviates_concentration() {
-        let pts = run(3);
+        let pts = run(3, 2).unwrap();
         for sources in [8usize, 12] {
             let ordinary = pts
                 .iter()

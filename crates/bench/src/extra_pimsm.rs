@@ -7,9 +7,10 @@
 //! RP detour on every packet — SCMP's bidirectional DCDM tree wins data
 //! overhead, CBT sits between.
 
-use crate::netperf::{scenario, TopologyKind, PACKETS, SECOND};
-use scmp_protocols::{build_engine, ProtocolKind, ProtocolParams};
-use scmp_sim::{AppEvent, EngineRunner, GroupId, SimStats};
+use crate::netperf::{sweep_cells, TopologyKind};
+use crate::report::mean_by;
+use crate::scenario_file::{run_batch, Run, ScenarioFile};
+use scmp_protocols::ProtocolKind;
 use serde::Serialize;
 
 /// One averaged data point.
@@ -22,60 +23,34 @@ pub struct PimPoint {
     pub max_e2e_delay: f64,
 }
 
-const G: GroupId = GroupId(1);
-
-fn drive(e: &mut dyn EngineRunner, sc: &crate::netperf::Scenario) {
-    let mut t = 0;
-    for &m in &sc.members {
-        e.schedule_app(t, m, AppEvent::Join(G));
-        t += 2_000;
-    }
-    let start = t + 4 * SECOND;
-    for k in 0..PACKETS {
-        e.schedule_app(
-            start + k * SECOND,
-            sc.source,
-            AppEvent::Send {
-                group: G,
-                tag: k + 1,
-            },
-        );
-    }
-    e.run_to_quiescence();
+/// The Fig. 8 cells of the shared-tree trio on the degree-3 topology, in
+/// fold order: group size → protocol → seed.
+pub fn cells(seeds: u64) -> Vec<ScenarioFile> {
+    let points = TopologyKind::Random50Deg3.points();
+    sweep_cells(&points, &ProtocolKind::SHARED_TREE, seeds)
 }
 
-fn run_cell(proto: &str, gs: usize, seed: u64) -> SimStats {
-    let sc = scenario(TopologyKind::Random50Deg3, gs, seed);
-    let kind = ProtocolKind::parse(proto).expect("registered protocol");
-    let mut e = build_engine(kind, &sc.topo, &ProtocolParams::new(sc.center));
-    drive(e.as_mut(), &sc);
-    e.stats().clone()
-}
-
-/// Sweep the shared-tree trio over group sizes on the degree-3 topology.
-pub fn run(seeds: u64) -> Vec<PimPoint> {
-    let mut out = Vec::new();
-    for gs in TopologyKind::Random50Deg3.group_sizes() {
-        for proto in ProtocolKind::SHARED_TREE.map(ProtocolKind::label) {
-            let mut data = Vec::new();
-            let mut ctrl = Vec::new();
-            let mut e2e = Vec::new();
-            for seed in 0..seeds {
-                let s = run_cell(proto, gs, seed);
-                data.push(s.data_overhead as f64);
-                ctrl.push(s.protocol_overhead as f64);
-                e2e.push(s.max_end_to_end_delay as f64);
-            }
-            out.push(PimPoint {
-                protocol: proto.to_string(),
-                group_size: gs,
-                data_overhead: crate::report::mean(&data),
-                protocol_overhead: crate::report::mean(&ctrl),
-                max_e2e_delay: crate::report::mean(&e2e),
-            });
-        }
-    }
-    out
+/// Sweep the shared-tree trio over group sizes on the degree-3 topology,
+/// on `jobs` workers.
+pub fn run(seeds: u64, jobs: usize) -> Result<Vec<PimPoint>, String> {
+    let runs: Vec<Run> = run_batch(&cells(seeds), jobs, false)
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    let keys = TopologyKind::Random50Deg3
+        .group_sizes()
+        .into_iter()
+        .flat_map(|gs| ProtocolKind::SHARED_TREE.map(|proto| (gs, proto)));
+    let chunks = runs.chunks(seeds.max(1) as usize);
+    let out = keys
+        .zip(chunks)
+        .map(|((group_size, proto), runs)| PimPoint {
+            protocol: proto.label().to_string(),
+            group_size,
+            data_overhead: mean_by(runs, |r| r.result.data_overhead as f64),
+            protocol_overhead: mean_by(runs, |r| r.result.protocol_overhead as f64),
+            max_e2e_delay: mean_by(runs, |r| r.result.max_end_to_end_delay as f64),
+        });
+    Ok(out.collect())
 }
 
 #[cfg(test)]
@@ -85,20 +60,26 @@ mod tests {
     #[test]
     fn pim_join_cheapest_control_scmp_cheapest_data() {
         // One mid-size cell, few seeds — full sweep runs in the binary.
-        let mut sums = std::collections::BTreeMap::new();
-        for proto in ["scmp", "cbt", "pim-sm"] {
-            let mut data = 0;
-            let mut ctrl = 0;
-            for seed in 0..3 {
-                let s = run_cell(proto, 20, seed);
-                data += s.data_overhead;
-                ctrl += s.protocol_overhead;
-            }
-            sums.insert(proto, (data, ctrl));
-        }
-        let (scmp_d, _) = sums["scmp"];
-        let (cbt_d, cbt_c) = sums["cbt"];
-        let (pim_d, pim_c) = sums["pim-sm"];
+        let cells = sweep_cells(
+            &[(TopologyKind::Random50Deg3, 20)],
+            &ProtocolKind::SHARED_TREE,
+            3,
+        );
+        let runs: Vec<Run> = run_batch(&cells, 1, false)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        let sum = |proto: ProtocolKind| {
+            let mine = cells.iter().zip(&runs);
+            let mine = mine.filter(|(c, _)| c.protocol.as_deref() == Some(proto.label()));
+            let (data, ctrl) = mine.fold((0, 0), |(d, c), (_, r)| {
+                (d + r.result.data_overhead, c + r.result.protocol_overhead)
+            });
+            (data, ctrl)
+        };
+        let (scmp_d, _) = sum(ProtocolKind::Scmp);
+        let (cbt_d, cbt_c) = sum(ProtocolKind::Cbt);
+        let (pim_d, pim_c) = sum(ProtocolKind::PimSm);
         assert!(
             pim_c < cbt_c,
             "single-pass join beats join+ack: {pim_c} vs {cbt_c}"

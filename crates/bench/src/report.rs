@@ -57,6 +57,11 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+/// The mean of `f` over `items`, 0.0 for none.
+pub fn mean_by<T>(items: &[T], f: impl Fn(&T) -> f64) -> f64 {
+    mean(&items.iter().map(f).collect::<Vec<_>>())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

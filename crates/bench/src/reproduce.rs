@@ -257,7 +257,7 @@ fn net_values(p: &NetPoint) -> [f64; 3] {
 /// topology each chart plus a table of its cells (Fig. 9's table adds
 /// the p50/p99 delays).
 fn produce_fig8_fig9(seeds: u64, jobs: usize) -> Result<Output, String> {
-    let points = netperf::run_suite_jobs(seeds, jobs, false).points;
+    let points = netperf::run_suite_jobs(seeds, jobs, false)?.points;
     let mut out = Output::json("fig8_fig9", &points, Vec::new())?;
     let charts = [
         ("fig8", "data_overhead", "data overhead", false),
@@ -332,10 +332,10 @@ fn produce_placement(seeds: u64, jobs: usize) -> Result<Output, String> {
     })
 }
 
-fn produce_ablation_branch(seeds: u64, _jobs: usize) -> Result<Output, String> {
+fn produce_ablation_branch(seeds: u64, jobs: usize) -> Result<Output, String> {
     let title = "Join-phase protocol overhead: BRANCH vs TREE-only";
     let headers = "group with_branch tree_only ratio";
-    let points = ablation::run_branch(seeds);
+    let points = ablation::run_branch(seeds, jobs)?;
     one_table("ablation_branch", title, headers, &points, |p| {
         let ratio = p.tree_only / p.with_branch.max(1.0);
         format!(
@@ -356,10 +356,10 @@ fn produce_ablation_paths(seeds: u64, _jobs: usize) -> Result<Output, String> {
     })
 }
 
-fn produce_concentration(seeds: u64, _jobs: usize) -> Result<Output, String> {
+fn produce_concentration(seeds: u64, jobs: usize) -> Result<Output, String> {
     let title = "Traffic concentration at the tree root (burst load)";
     let headers = "root sources queue_drops max_queue_wait max_e2e delivery_rate";
-    let points = concentration::run(seeds);
+    let points = concentration::run(seeds, jobs)?;
     one_table("concentration", title, headers, &points, |p| {
         let (kind, drops, rate) = (&p.root_kind, p.queue_drops, p.delivery_rate);
         let delays = row(
@@ -370,10 +370,10 @@ fn produce_concentration(seeds: u64, _jobs: usize) -> Result<Output, String> {
     })
 }
 
-fn produce_extra_pimsm(seeds: u64, _jobs: usize) -> Result<Output, String> {
+fn produce_extra_pimsm(seeds: u64, jobs: usize) -> Result<Output, String> {
     let title = "Shared-tree trio on random50-deg3 (30 pkts, off-tree source)";
     let headers = "protocol group data_overhead protocol_overhead max_e2e";
-    let points = extra_pimsm::run(seeds);
+    let points = extra_pimsm::run(seeds, jobs)?;
     one_table("extra_pimsm", title, headers, &points, |p| {
         let values = [p.data_overhead, p.protocol_overhead, p.max_e2e_delay];
         row(format!("{} {}", p.protocol, p.group_size), &values)

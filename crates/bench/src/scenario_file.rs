@@ -1,10 +1,11 @@
-//! JSON scenario files: declarative SCMP simulations for the `scenario`
-//! binary.
+//! JSON scenario files: declarative multicast simulations for the
+//! `scenario` binary and every engine-driven paper artefact.
 //!
 //! A scenario file picks a topology, an m-router placement, an optional
 //! link-capacity model, and a timeline of join/leave/send events; the
-//! runner executes it on the full SCMP protocol and reports the §IV-B
-//! metrics plus per-member delivery. Example:
+//! runner executes it on the full SCMP protocol (or, with `"protocol"`,
+//! on one of the baselines) and reports the §IV-B metrics plus
+//! per-member delivery. Example:
 //!
 //! ```json
 //! {
@@ -18,20 +19,28 @@
 //! }
 //! ```
 //!
+//! `"protocol"` takes a [`ProtocolKind`] label (`"scmp"` by default,
+//! `"cbt"`, `"dvmrp"`, `"mospf"`, `"pim-sm"`); the resolved `m_router`
+//! is every protocol's shared-tree root (CBT's core, PIM-SM's RP). The
+//! `robustness` and `reliability` sections configure SCMP only, and
+//! `robustness.tree_packets_only` is the BRANCH ablation's switch.
+//!
 //! The serde structs below are the schema: every section denies
 //! unknown keys, so a typo is named with its JSON path and the keys
 //! that position accepts. Parse once with `serde_json::from_str` and
-//! hand the [`ScenarioFile`] to [`run_scenario`] or [`run_batch`].
+//! hand the [`ScenarioFile`] to [`run_scenario`] or [`run_batch`]. The
+//! paper-artefact harnesses build the same values in code, so any of
+//! their cells can be dumped with `serde_json::to_string` and replayed.
 
 use scmp_core::placement;
 use scmp_core::router::{ReliabilityConfig, ScmpConfig};
 use scmp_net::rng::rng_for;
 use scmp_net::topology::{arpanet, gt_itm_flat, waxman, GtItmConfig, WaxmanConfig};
-use scmp_net::{provider_for, NodeId, PathProvider, Topology};
-use scmp_protocols::build_scmp_engine;
+use scmp_net::{provider_for, NodeId, Topology};
+use scmp_protocols::{build_engine, build_scmp_engine, ProtocolKind, ProtocolParams};
 use scmp_sim::{
-    AppEvent, CapacityModel, ChannelModel, ChannelPlan, FaultPlan, FaultSpec, GroupId, JsonlSink,
-    SimStats,
+    AppEvent, CapacityModel, ChannelModel, ChannelPlan, EngineRunner, FaultPlan, FaultSpec,
+    GroupId, JsonlSink, SimStats,
 };
 use scmp_telemetry::SharedBuf;
 use serde::{Deserialize, Serialize};
@@ -71,6 +80,19 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
+    /// An explicit copy of `topo`, whose [`build`](Self::build) returns
+    /// the same graph. Harnesses whose generators have no spec of their
+    /// own (the §IV-B topologies, the star) describe their graphs this way.
+    pub fn custom(topo: &Topology) -> TopologySpec {
+        let links = topo.edges().iter();
+        TopologySpec::Custom {
+            nodes: topo.node_count(),
+            links: links
+                .map(|&(a, b, w)| [a.0.into(), b.0.into(), w.delay, w.cost])
+                .collect(),
+        }
+    }
+
     /// Materialise the topology. Parameters the generators cannot honour
     /// are errors naming the offending entry, never panics.
     pub fn build(&self) -> Result<Topology, String> {
@@ -138,8 +160,8 @@ pub enum MRouterSpec {
 }
 
 impl MRouterSpec {
-    /// Resolve to a node.
-    pub fn resolve(&self, topo: &Topology, paths: &dyn PathProvider) -> Result<NodeId, String> {
+    /// Resolve to a node. Only the delay-based rules compute paths.
+    pub fn resolve(&self, topo: &Topology) -> Result<NodeId, String> {
         match self {
             MRouterSpec::Node(v) => {
                 let id = NodeId(*v);
@@ -150,9 +172,9 @@ impl MRouterSpec {
                 }
             }
             MRouterSpec::Rule(r) => match r.as_str() {
-                "rule1" => Ok(placement::min_average_delay(topo, paths)),
+                "rule1" => Ok(placement::min_average_delay(topo, &provider_for(topo))),
                 "rule2" => Ok(placement::max_degree(topo)),
-                "rule3" => Ok(placement::diameter_midpoint(topo, paths)),
+                "rule3" => Ok(placement::diameter_midpoint(topo, &provider_for(topo))),
                 other => Err(format!("unknown placement rule {other:?}")),
             },
         }
@@ -174,6 +196,36 @@ pub struct EventSpec {
     /// Payload tag (send only; defaults to an auto-increment).
     #[serde(default)]
     pub tag: Option<u64>,
+}
+
+impl EventSpec {
+    /// `node` joins `group` at `time`.
+    pub fn join(time: u64, node: u32, group: u32) -> Self {
+        EventSpec {
+            time,
+            node,
+            op: "join".into(),
+            group,
+            tag: None,
+        }
+    }
+
+    /// `node` leaves `group` at `time`.
+    pub fn leave(time: u64, node: u32, group: u32) -> Self {
+        EventSpec {
+            op: "leave".into(),
+            ..EventSpec::join(time, node, group)
+        }
+    }
+
+    /// `node` sends payload `tag` to `group` at `time`.
+    pub fn send(time: u64, node: u32, group: u32, tag: u64) -> Self {
+        EventSpec {
+            op: "send".into(),
+            tag: Some(tag),
+            ..EventSpec::join(time, node, group)
+        }
+    }
 }
 
 /// Optional capacity model.
@@ -220,6 +272,10 @@ pub struct RobustnessSpec {
     /// over (default 4).
     #[serde(default)]
     pub heartbeat_loss_tolerance: Option<u32>,
+    /// Answer every join with a full TREE packet, never a BRANCH (the
+    /// BRANCH ablation; default false).
+    #[serde(default)]
+    pub tree_packets_only: Option<bool>,
 }
 
 /// Reliable-multicast tier knobs mapped onto [`ReliabilityConfig`];
@@ -334,8 +390,11 @@ impl MembershipSchedule {
                 leave_at,
                 ..
             } => {
+                let last_join = (members.len().max(1) as u64 - 1)
+                    .checked_mul(*stagger)
+                    .and_then(|t| t.checked_add(*at))
+                    .ok_or_else(|| overflow(i))?;
                 if let Some(leave) = leave_at {
-                    let last_join = at + stagger * (members.len().max(1) as u64 - 1);
                     if *leave <= last_join {
                         return Err(format!(
                             "membership_schedule[{i}]: leave_at {leave} not after the last join at {last_join}"
@@ -356,15 +415,10 @@ impl MembershipSchedule {
         Ok(())
     }
 
-    /// Expand into plain timeline events (pure — no topology needed).
-    pub fn expand(&self) -> Vec<EventSpec> {
-        let ev = |time: u64, node: u32, op: &str, group: u32| EventSpec {
-            time,
-            node,
-            op: op.into(),
-            group,
-            tag: None,
-        };
+    /// Expand entry `i` into plain timeline events (pure — no topology
+    /// needed). A time past `u64::MAX` is an error naming the entry.
+    pub fn expand(&self, i: usize) -> Result<Vec<EventSpec>, String> {
+        let at = |time: Option<u64>| time.ok_or_else(|| overflow(i));
         let mut out = Vec::new();
         match self {
             MembershipSchedule::DiurnalChurn {
@@ -375,34 +429,36 @@ impl MembershipSchedule {
                 cycles,
             } => {
                 for c in 0..u64::from(*cycles) {
-                    let day = start + c * period;
-                    for &m in members {
-                        out.push(ev(day, m, "join", *group));
-                    }
-                    for &m in members {
-                        out.push(ev(day + period / 2, m, "leave", *group));
-                    }
+                    let day = c.checked_mul(*period).and_then(|t| t.checked_add(*start));
+                    let night = at(day.and_then(|d| d.checked_add(period / 2)))?;
+                    let day = at(day)?;
+                    out.extend(members.iter().map(|&m| EventSpec::join(day, m, *group)));
+                    out.extend(members.iter().map(|&m| EventSpec::leave(night, m, *group)));
                 }
             }
             MembershipSchedule::FlashCrowd {
                 group,
                 members,
-                at,
+                at: start,
                 stagger,
                 leave_at,
             } => {
-                for (k, &m) in members.iter().enumerate() {
-                    out.push(ev(at + stagger * k as u64, m, "join", *group));
+                for (k, &m) in (0u64..).zip(members) {
+                    let time = k.checked_mul(*stagger).and_then(|t| t.checked_add(*start));
+                    out.push(EventSpec::join(at(time)?, m, *group));
                 }
                 if let Some(leave) = leave_at {
-                    for &m in members {
-                        out.push(ev(*leave, m, "leave", *group));
-                    }
+                    out.extend(members.iter().map(|&m| EventSpec::leave(*leave, m, *group)));
                 }
             }
         }
-        out
+        Ok(out)
     }
+}
+
+/// The error of a schedule entry whose times pass `u64::MAX`.
+fn overflow(i: usize) -> String {
+    format!("membership_schedule[{i}]: event time overflows u64")
 }
 
 /// Telemetry knobs: gauge sampling and structured-event export.
@@ -424,8 +480,11 @@ pub struct TelemetrySpec {
 pub struct ScenarioFile {
     /// Topology to simulate.
     pub topology: TopologySpec,
-    /// m-router placement.
+    /// m-router placement: the shared-tree root of every protocol.
     pub m_router: MRouterSpec,
+    /// Protocol to run, a [`ProtocolKind`] label; absent means `"scmp"`.
+    #[serde(default)]
+    pub protocol: Option<String>,
     /// Timeline.
     pub events: Vec<EventSpec>,
     /// Generated membership waves (diurnal churn, flash crowds),
@@ -464,6 +523,35 @@ pub struct ScenarioFile {
     pub run_until: Option<u64>,
 }
 
+impl ScenarioFile {
+    /// A scenario of `events` on SCMP with every optional section absent.
+    pub fn new(topology: TopologySpec, m_router: MRouterSpec, events: Vec<EventSpec>) -> Self {
+        ScenarioFile {
+            topology,
+            m_router,
+            protocol: None,
+            events,
+            membership_schedule: Vec::new(),
+            capacity: None,
+            faults: Vec::new(),
+            robustness: None,
+            reliability: None,
+            channel: None,
+            telemetry: None,
+            run_until: None,
+        }
+    }
+
+    /// The protocol the scenario runs on.
+    fn protocol_kind(&self) -> Result<ProtocolKind, String> {
+        let label = self.protocol.as_deref().unwrap_or("scmp");
+        ProtocolKind::parse(label).ok_or_else(|| {
+            let known = ProtocolKind::ALL.map(ProtocolKind::label).join(", ");
+            format!("protocol: unknown label {label:?} (expected one of: {known})")
+        })
+    }
+}
+
 /// The tagged sends of a timeline, in time order.
 pub type SentList = Vec<(GroupId, u64)>;
 /// Every `(group, tag, receiver)` triple a correct protocol must
@@ -476,16 +564,13 @@ pub type ExpectedList = Vec<(GroupId, u64, NodeId)>;
 /// subnet had joined the group (net of leaves) strictly before it. The
 /// runner scores `delivery_ratio` against exactly this set; the stress
 /// oracle reuses it to name the members a failing run stranded.
-pub fn expected_deliveries(spec: &ScenarioFile) -> (SentList, ExpectedList) {
-    let all = expanded_events(spec);
-    let mut ordered: Vec<&EventSpec> = all.iter().collect();
-    ordered.sort_by_key(|ev| ev.time);
+pub fn expected_deliveries(spec: &ScenarioFile) -> Result<(SentList, ExpectedList), String> {
     let mut membership: std::collections::BTreeMap<(u32, u32), i64> =
         std::collections::BTreeMap::new();
     let mut expected: Vec<(GroupId, u64, NodeId)> = Vec::new();
     let mut sent: Vec<(GroupId, u64)> = Vec::new();
     let mut auto_tag = 0u64;
-    for ev in &ordered {
+    for ev in &expanded_events(spec)? {
         match ev.op.as_str() {
             "join" => *membership.entry((ev.group, ev.node)).or_insert(0) += 1,
             "leave" => *membership.entry((ev.group, ev.node)).or_insert(0) -= 1,
@@ -504,19 +589,20 @@ pub fn expected_deliveries(spec: &ScenarioFile) -> (SentList, ExpectedList) {
             _ => {}
         }
     }
-    (sent, expected)
+    Ok((sent, expected))
 }
 
-/// The scenario's full timeline: the explicit `events` plus everything
-/// the membership schedules expand into. The delivery oracle and the
-/// runner both iterate exactly this list (sorted stably by time), so
+/// The scenario's full timeline, sorted stably by time: the explicit
+/// `events` plus everything the membership schedules expand into. The
+/// delivery oracle and the runner both iterate exactly this list, so
 /// the expectation set and the schedule can never disagree.
-pub fn expanded_events(spec: &ScenarioFile) -> Vec<EventSpec> {
+pub fn expanded_events(spec: &ScenarioFile) -> Result<Vec<EventSpec>, String> {
     let mut all = spec.events.clone();
-    for sched in &spec.membership_schedule {
-        all.extend(sched.expand());
+    for (i, sched) in spec.membership_schedule.iter().enumerate() {
+        all.extend(sched.expand(i)?);
     }
-    all
+    all.sort_by_key(|ev| ev.time);
+    Ok(all)
 }
 
 /// Result summary the runner prints as JSON.
@@ -578,7 +664,8 @@ pub struct ScenarioResult {
     pub gauge_samples: u64,
     /// Every *live* router claiming the m-router role when the run
     /// ended, in node order. More than one entry is a split brain; an
-    /// empty list means the (sole) m-router died and nothing took over.
+    /// empty list means the (sole) m-router died and nothing took over,
+    /// or that the protocol is a baseline, which has no m-router role.
     pub m_routers_at_end: Vec<u32>,
     /// Per (group, tag): how many routers' subnets received it.
     pub deliveries: Vec<DeliveryLine>,
@@ -592,41 +679,88 @@ pub struct DeliveryLine {
     pub receivers: usize,
 }
 
+/// One finished run of [`run_one`].
+#[derive(Debug)]
+pub struct Run {
+    /// The summary the `scenario` bin prints.
+    pub result: ScenarioResult,
+    /// Every engine counter and histogram, for harnesses that fold more
+    /// than the summary prints (pooled delay histograms, exactly-once
+    /// delivery, queueing delay).
+    pub stats: SimStats,
+    /// The JSONL event trace; empty unless the run was traced.
+    pub trace: String,
+}
+
+/// Where a run's JSONL event trace goes.
+enum TraceTo<'a> {
+    /// To the scenario's own `telemetry.jsonl` path, if it names one.
+    File,
+    /// Into the buffer, if one is given; the scenario's path is ignored.
+    Buffer(Option<&'a SharedBuf>),
+}
+
 /// Run a scenario, returning the summary. A `telemetry.jsonl` path in
 /// the scenario streams the trace to disk.
 pub fn run_scenario(spec: &ScenarioFile) -> Result<ScenarioResult, String> {
-    run_scenario_inner(spec, None)
+    run_scenario_inner(spec, TraceTo::File).map(|(result, _)| result)
 }
 
-/// Like [`run_scenario`], but the full structured event trace is
-/// captured in memory and returned alongside the summary — regardless
-/// of whether the scenario asks for a `telemetry.jsonl` path (the path,
-/// if any, is ignored in this mode so batch workers never contend on
-/// files). This is the building block for parallel batch execution.
-pub fn run_scenario_captured(spec: &ScenarioFile) -> Result<(ScenarioResult, String), String> {
+/// Run a scenario, returning its summary, its stats and, when `trace`
+/// is set, its JSONL event trace captured in memory. The scenario's own
+/// `telemetry.jsonl` path, if any, is ignored.
+pub fn run_one(spec: &ScenarioFile, trace: bool) -> Result<Run, String> {
     let buf = SharedBuf::new();
-    let result = run_scenario_inner(spec, Some(&buf))?;
-    Ok((result, buf.take_string()))
+    let (result, stats) = run_scenario_inner(spec, TraceTo::Buffer(trace.then_some(&buf)))?;
+    let trace = buf.take_string();
+    Ok(Run {
+        result,
+        stats,
+        trace,
+    })
 }
 
-/// Run many scenarios on `jobs` workers. Output order matches input
-/// order and every entry (summary and captured JSONL trace) is
-/// byte-identical to a `jobs = 1` run: each scenario is an isolated
-/// cell with its own engine, RNG streams, and trace buffer.
-pub fn run_batch(
-    specs: &[ScenarioFile],
-    jobs: usize,
-) -> Vec<Result<(ScenarioResult, String), String>> {
-    crate::sweep::SweepRunner::new(jobs).run(specs, |_, spec| run_scenario_captured(spec))
+/// [`run_one`] over many scenarios on `jobs` workers, so workers never
+/// contend on files. Output order matches input order and every entry
+/// (summary, stats and trace) is byte-identical to a `jobs = 1` run:
+/// each scenario is an isolated cell with its own engine, RNG streams,
+/// and trace buffer.
+pub fn run_batch(specs: &[ScenarioFile], jobs: usize, trace: bool) -> Vec<Result<Run, String>> {
+    crate::sweep::SweepRunner::new(jobs).run(specs, |_, spec| run_one(spec, trace))
+}
+
+impl RobustnessSpec {
+    /// Apply the knobs present to `c`.
+    fn apply(&self, c: &mut ScmpConfig, topo: &Topology) -> Result<(), String> {
+        c.repair_interval = self.repair_interval.unwrap_or(c.repair_interval);
+        c.join_retry = self.join_retry.unwrap_or(c.join_retry);
+        c.leave_retry = self.leave_retry.unwrap_or(c.leave_retry);
+        c.heartbeat_interval = self.heartbeat_interval.unwrap_or(c.heartbeat_interval);
+        if let Some(v) = self.standby {
+            if v as usize >= topo.node_count() {
+                return Err(format!("standby {v} out of range"));
+            }
+            c.standby = Some(NodeId(v));
+        }
+        c.takeover_rebuild_delay = self
+            .takeover_rebuild_delay
+            .unwrap_or(c.takeover_rebuild_delay);
+        c.tree_retry = self.tree_retry.unwrap_or(c.tree_retry);
+        c.heartbeat_loss_tolerance = self
+            .heartbeat_loss_tolerance
+            .unwrap_or(c.heartbeat_loss_tolerance);
+        c.tree_packets_only = self.tree_packets_only.unwrap_or(c.tree_packets_only);
+        Ok(())
+    }
 }
 
 fn run_scenario_inner(
     spec: &ScenarioFile,
-    capture: Option<&SharedBuf>,
-) -> Result<ScenarioResult, String> {
+    trace: TraceTo,
+) -> Result<(ScenarioResult, SimStats), String> {
+    let protocol = spec.protocol_kind()?;
     let topo = spec.topology.build()?;
-    let paths = provider_for(&topo);
-    let m_router = spec.m_router.resolve(&topo, &paths)?;
+    let m_router = spec.m_router.resolve(&topo)?;
     for ev in &spec.events {
         if ev.node as usize >= topo.node_count() {
             return Err(format!("event node {} out of range", ev.node));
@@ -644,44 +778,54 @@ fn run_scenario_inner(
     if let Some(chan) = &spec.channel {
         chan.validate(&topo)?;
     }
-
-    let mut config = ScmpConfig::new(m_router);
-    let mut perpetual_timers = false;
-    if let Some(rob) = &spec.robustness {
-        if let Some(v) = rob.repair_interval {
-            config.repair_interval = v;
-        }
-        if let Some(v) = rob.join_retry {
-            config.join_retry = v;
-        }
-        if let Some(v) = rob.leave_retry {
-            config.leave_retry = v;
-        }
-        if let Some(v) = rob.heartbeat_interval {
-            config.heartbeat_interval = v;
-        }
-        if let Some(v) = rob.standby {
-            if v as usize >= topo.node_count() {
-                return Err(format!("standby {v} out of range"));
+    if let Some(cap) = &spec.capacity {
+        for (key, tx) in [
+            ("link_tx", Some(cap.link_tx)),
+            ("m_router_tx", cap.m_router_tx),
+        ] {
+            if tx == Some(0) {
+                return Err(format!(
+                    "capacity.{key}: transmission time must be positive"
+                ));
             }
-            config.standby = Some(NodeId(v));
         }
-        if let Some(v) = rob.takeover_rebuild_delay {
-            config.takeover_rebuild_delay = v;
-        }
-        if let Some(v) = rob.tree_retry {
-            config.tree_retry = v;
-        }
-        if let Some(v) = rob.heartbeat_loss_tolerance {
-            config.heartbeat_loss_tolerance = v;
-        }
-        perpetual_timers = config.repair_interval > 0 || config.heartbeat_interval > 0;
     }
-    if let Some(rel) = &spec.reliability {
-        config.reliability = Some(rel.build());
-    }
+    // Delivery expectations from the membership timeline (time-ordered,
+    // stable on ties), then the schedule itself — sends consume their
+    // tags from `sent` so the two passes can never disagree.
+    let (sent, expected) = expected_deliveries(spec)?;
+    let all_events = expanded_events(spec)?;
 
-    let mut engine = build_scmp_engine(topo.clone(), config);
+    // SCMP keeps its router type, so the run can name the routers that
+    // hold the m-router role when it ends.
+    let (mut scmp, mut baseline) = (None, None);
+    let mut perpetual_timers = false;
+    let engine: &mut dyn EngineRunner = if protocol == ProtocolKind::Scmp {
+        let mut config = ScmpConfig::new(m_router);
+        if let Some(rob) = &spec.robustness {
+            rob.apply(&mut config, &topo)?;
+            perpetual_timers = config.repair_interval > 0 || config.heartbeat_interval > 0;
+        }
+        if let Some(rel) = &spec.reliability {
+            config.reliability = Some(rel.build());
+        }
+        scmp.insert(build_scmp_engine(topo.clone(), config))
+    } else {
+        let scmp_only = [
+            ("robustness", spec.robustness.is_some()),
+            ("reliability", spec.reliability.is_some()),
+        ];
+        if let Some((section, _)) = scmp_only.iter().find(|(_, present)| *present) {
+            return Err(format!(
+                "{section}: configures SCMP only, not protocol {:?}",
+                protocol.label()
+            ));
+        }
+        let params = ProtocolParams::new(m_router);
+        baseline
+            .insert(build_engine(protocol, &topo, &params))
+            .as_mut()
+    };
     if let Some(cap) = &spec.capacity {
         let mut model = CapacityModel::uniform(cap.link_tx, cap.queue_limit);
         if let Some(tx) = cap.m_router_tx {
@@ -693,30 +837,23 @@ fn run_scenario_inner(
     if let Some(model) = spec.channel.as_ref().and_then(ChannelModel::from_plan) {
         engine.set_channel(model);
     }
-    if let Some(buf) = capture {
-        engine.set_sink(Box::new(JsonlSink::new(buf.clone())));
-    } else if let Some(tele) = &spec.telemetry {
-        if let Some(path) = &tele.jsonl {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("telemetry jsonl {path:?}: {e}"))?;
-            engine.set_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
+    match trace {
+        TraceTo::Buffer(Some(buf)) => engine.set_sink(Box::new(JsonlSink::new(buf.clone()))),
+        TraceTo::Buffer(None) => {}
+        TraceTo::File => {
+            if let Some(path) = spec.telemetry.as_ref().and_then(|t| t.jsonl.as_ref()) {
+                let file = std::fs::File::create(path)
+                    .map_err(|e| format!("telemetry jsonl {path:?}: {e}"))?;
+                engine.set_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
+            }
         }
     }
-    if let Some(tele) = &spec.telemetry {
-        if let Some(iv) = tele.gauge_interval {
-            engine.set_gauge_interval(iv);
-        }
+    if let Some(iv) = spec.telemetry.as_ref().and_then(|t| t.gauge_interval) {
+        engine.set_gauge_interval(iv);
     }
 
-    // Delivery expectations from the membership timeline (time-ordered,
-    // stable on ties), then the schedule itself — sends consume their
-    // tags from `sent` so the two passes can never disagree.
-    let (sent, expected) = expected_deliveries(spec);
-    let all_events = expanded_events(spec);
-    let mut ordered: Vec<&EventSpec> = all_events.iter().collect();
-    ordered.sort_by_key(|ev| ev.time);
     let mut next_send = sent.iter();
-    for ev in &ordered {
+    for ev in &all_events {
         let group = GroupId(ev.group);
         let app = match ev.op.as_str() {
             "join" => AppEvent::Join(group),
@@ -745,7 +882,7 @@ fn run_scenario_inner(
             // Quiescence never happens with periodic timers armed; give
             // the protocol a generous settling window after the last
             // scheduled event.
-            engine.run_until(last_scheduled + 2_000_000);
+            engine.run_until(last_scheduled.saturating_add(2_000_000));
         }
         None => {
             engine.run_to_quiescence();
@@ -754,12 +891,12 @@ fn run_scenario_inner(
 
     engine.flush_telemetry();
     let gauge_samples = engine.gauges().len() as u64;
-    let m_routers_at_end: Vec<u32> = topo
-        .nodes()
-        .filter(|&v| engine.node_is_up(v) && engine.router(v).is_m_router())
-        .map(|v| v.0)
-        .collect();
-    let stats: &SimStats = engine.stats();
+    let stats = engine.stats().clone();
+    let m_routers_at_end: Vec<u32> = scmp.map_or_else(Vec::new, |engine| {
+        let live_roots = topo.nodes().filter(|&v| engine.node_is_up(v));
+        let live_roots = live_roots.filter(|&v| engine.router(v).is_m_router());
+        live_roots.map(|v| v.0).collect()
+    });
     let delivery_ratio = stats.delivery_ratio(expected.iter().copied());
     let deliveries = sent
         .iter()
@@ -772,7 +909,7 @@ fn run_scenario_inner(
                 .count(),
         })
         .collect();
-    Ok(ScenarioResult {
+    let result = ScenarioResult {
         m_router: m_router.0,
         data_overhead: stats.data_overhead,
         protocol_overhead: stats.protocol_overhead,
@@ -809,7 +946,8 @@ fn run_scenario_inner(
         gauge_samples,
         m_routers_at_end,
         deliveries,
-    })
+    };
+    Ok((result, stats))
 }
 
 #[cfg(test)]
@@ -825,7 +963,7 @@ mod tests {
     }
 
     fn run_captured(json: &str) -> Result<(ScenarioResult, String), String> {
-        run_scenario_captured(&parse(json)?)
+        run_one(&parse(json)?, true).map(|run| (run.result, run.trace))
     }
 
     const BASIC: &str = r#"{
@@ -926,7 +1064,7 @@ mod tests {
             "exactly the resolved m-router holds the role on a healthy run"
         );
         let spec: ScenarioFile = serde_json::from_str(BASIC).unwrap();
-        let (sent, expected) = expected_deliveries(&spec);
+        let (sent, expected) = expected_deliveries(&spec).unwrap();
         assert_eq!(sent, vec![(GroupId(1), 1)]);
         assert_eq!(
             expected,
@@ -1115,6 +1253,47 @@ mod tests {
         );
     }
 
+    #[test]
+    fn zero_link_tx_is_an_error() {
+        let json = BASIC.replace(
+            "\"m_router\": \"rule1\",",
+            "\"m_router\": \"rule1\",\n  \"capacity\": { \"link_tx\": 0, \"queue_limit\": 4 },",
+        );
+        let err = run(&json).unwrap_err();
+        assert_eq!(err, "capacity.link_tx: transmission time must be positive");
+    }
+
+    #[test]
+    fn zero_m_router_tx_is_an_error() {
+        let json = BASIC.replace(
+            "\"m_router\": \"rule1\",",
+            "\"m_router\": \"rule1\",\n  \
+             \"capacity\": { \"link_tx\": 10, \"queue_limit\": 4, \"m_router_tx\": 0 },",
+        );
+        let err = run(&json).unwrap_err();
+        assert_eq!(
+            err,
+            "capacity.m_router_tx: transmission time must be positive"
+        );
+    }
+
+    #[test]
+    fn schedule_times_past_u64_max_are_errors() {
+        let crowd = SCHEDULED.replace(
+            "\"at\": 0, \"stagger\": 500",
+            "\"at\": 0, \"stagger\": 18446744073709551615, \"leave_at\": 5",
+        );
+        let err = run(&crowd).unwrap_err();
+        assert_eq!(err, "membership_schedule[0]: event time overflows u64");
+        // Without `leave_at` the expansion itself meets the overflow.
+        let spec = parse(&crowd.replace(", \"leave_at\": 5", "")).unwrap();
+        let err = expected_deliveries(&spec).unwrap_err();
+        assert_eq!(err, "membership_schedule[0]: event time overflows u64");
+        let churn = SCHEDULED.replace("\"start\": 600000", "\"start\": 18446744073709551515");
+        let err = run(&churn).unwrap_err();
+        assert_eq!(err, "membership_schedule[1]: event time overflows u64");
+    }
+
     /// The error running `topology` as the whole scenario's topology.
     fn topology_error(topology: &str) -> String {
         let json = BASIC.replace("{ \"kind\": \"arpanet\", \"seed\": 1 }", topology);
@@ -1194,8 +1373,8 @@ mod tests {
         .iter()
         .map(|json| parse(json).unwrap())
         .collect();
-        let serial = run_batch(&specs, 1);
-        let parallel = run_batch(&specs, 4);
+        let serial = run_batch(&specs, 1, true);
+        let parallel = run_batch(&specs, 4, true);
         assert_eq!(serial.len(), 4);
         assert!(
             serial[2].is_err(),
@@ -1203,12 +1382,13 @@ mod tests {
         );
         for (s, p) in serial.iter().zip(&parallel) {
             match (s, p) {
-                (Ok((sr, st)), Ok((pr, pt))) => {
+                (Ok(s), Ok(p)) => {
                     assert_eq!(
-                        serde_json::to_string(sr).unwrap(),
-                        serde_json::to_string(pr).unwrap()
+                        serde_json::to_string(&s.result).unwrap(),
+                        serde_json::to_string(&p.result).unwrap()
                     );
-                    assert_eq!(st, pt, "traces byte-identical across jobs");
+                    assert_eq!(s.stats.data_overhead, p.stats.data_overhead);
+                    assert_eq!(s.trace, p.trace, "traces byte-identical across jobs");
                 }
                 (Err(se), Err(pe)) => assert_eq!(se, pe),
                 other => panic!("jobs changed an outcome: {other:?}"),
@@ -1410,7 +1590,7 @@ mod tests {
     #[test]
     fn membership_schedule_drives_oracle_and_run_alike() {
         let spec: ScenarioFile = serde_json::from_str(SCHEDULED).unwrap();
-        let (sent, expected) = expected_deliveries(&spec);
+        let (sent, expected) = expected_deliveries(&spec).unwrap();
         assert_eq!(sent.len(), 3);
         // tag 1: the flash crowd (3 DRs); tag 2: crowd + node 7 mid-day;
         // tag 3: crowd only again (7 left at the half-period, 650000).

@@ -33,8 +33,8 @@
 //! forever after (see `tests/tests/corpus_replay.rs`).
 
 use crate::scenario_file::{
-    expected_deliveries, run_scenario_captured, EventSpec, MRouterSpec, RobustnessSpec,
-    ScenarioFile, ScenarioResult, TopologySpec,
+    expected_deliveries, run_one, EventSpec, MRouterSpec, RobustnessSpec, Run, ScenarioFile,
+    ScenarioResult, TopologySpec,
 };
 use crate::sweep::SweepRunner;
 use rand::Rng;
@@ -298,41 +298,18 @@ fn profile(p: &StressPoint) -> Profile {
 pub fn synthesize(p: &StressPoint) -> ScenarioFile {
     let prof = profile(p);
     let mut events = Vec::new();
-    for (k, &m) in prof.members.iter().enumerate() {
-        events.push(EventSpec {
-            time: k as u64 * 1_000,
-            node: m,
-            op: "join".into(),
-            group: 1,
-            tag: None,
-        });
+    for (k, &m) in (0u64..).zip(prof.members) {
+        events.push(EventSpec::join(k * 1_000, m, 1));
     }
     for k in 0..u64::from(p.churn) {
         let m = prof.members[k as usize % prof.members.len()];
         let leave = 30_000 + k * 7_000;
-        events.push(EventSpec {
-            time: leave,
-            node: m,
-            op: "leave".into(),
-            group: 1,
-            tag: None,
-        });
-        events.push(EventSpec {
-            time: leave + 3_500,
-            node: m,
-            op: "join".into(),
-            group: 1,
-            tag: None,
-        });
+        events.push(EventSpec::leave(leave, m, 1));
+        events.push(EventSpec::join(leave + 3_500, m, 1));
     }
     for k in 0..SENDS {
-        events.push(EventSpec {
-            time: prof.first_send + k * 4_000,
-            node: prof.source,
-            op: "send".into(),
-            group: 1,
-            tag: Some(k + 1),
-        });
+        let time = prof.first_send + k * 4_000;
+        events.push(EventSpec::send(time, prof.source, 1, k + 1));
     }
 
     let mut faults = Vec::new();
@@ -387,36 +364,26 @@ pub fn synthesize(p: &StressPoint) -> ScenarioFile {
         corrupt: 0.0,
         reorder_window: u64::from(p.reorder) * 2,
     };
-    ScenarioFile {
-        topology: prof.topology,
-        m_router: MRouterSpec::Node(prof.m_router),
-        events,
-        membership_schedule: Vec::new(),
-        capacity: None,
-        faults,
-        robustness: Some(RobustnessSpec {
-            repair_interval: Some(REPAIR_INTERVALS[p.repair as usize]),
-            join_retry: Some(retry),
-            leave_retry: Some(retry),
-            heartbeat_interval: Some(prof.heartbeat),
-            standby: Some(prof.standby),
-            takeover_rebuild_delay: Some(500),
-            tree_retry: Some(retry),
-            heartbeat_loss_tolerance: Some(TOLERANCES[p.tolerance as usize]),
-        }),
-        reliability: None,
-        channel: if chan.is_noop() {
-            None
-        } else {
-            Some(ChannelPlan {
-                seed: p.seed,
-                default: Some(chan),
-                links: Vec::new(),
-            })
-        },
-        telemetry: None,
-        run_until: Some(prof.run_until),
-    }
+    let mut spec = ScenarioFile::new(prof.topology, MRouterSpec::Node(prof.m_router), events);
+    spec.faults = faults;
+    spec.robustness = Some(RobustnessSpec {
+        repair_interval: Some(REPAIR_INTERVALS[p.repair as usize]),
+        join_retry: Some(retry),
+        leave_retry: Some(retry),
+        heartbeat_interval: Some(prof.heartbeat),
+        standby: Some(prof.standby),
+        takeover_rebuild_delay: Some(500),
+        tree_retry: Some(retry),
+        heartbeat_loss_tolerance: Some(TOLERANCES[p.tolerance as usize]),
+        tree_packets_only: None,
+    });
+    spec.channel = (!chan.is_noop()).then_some(ChannelPlan {
+        seed: p.seed,
+        default: Some(chan),
+        links: Vec::new(),
+    });
+    spec.run_until = Some(prof.run_until);
+    spec
 }
 
 // ---------------------------------------------------------------------------
@@ -465,12 +432,16 @@ impl Evaluation {
 /// the predicates combine audit, summary and the timeline's own
 /// delivery expectations.
 pub fn evaluate(spec: &ScenarioFile) -> Result<Evaluation, String> {
-    let (result, trace_text) = run_scenario_captured(spec)?;
+    let Run {
+        result,
+        trace: trace_text,
+        ..
+    } = run_one(spec, true)?;
     let trace = Trace::parse(&trace_text).map_err(|e| format!("trace: {e}"))?;
     let audit = trace.audit();
 
     // Per-member expectations: which tags was each member owed?
-    let (_sent, expected) = expected_deliveries(spec);
+    let (_sent, expected) = expected_deliveries(spec)?;
     let mut expected_tags: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
     for &(_, tag, node) in &expected {
         expected_tags.entry(node.0).or_default().insert(tag);

@@ -119,3 +119,7 @@ done
 # so the verdict does not depend on host speed; timing is banded by
 # benchmark/run.sh compare.
 cargo run -q --release -p scmp-bench --bin regress -- --smoke --jobs 2
+# The same artefact check on one worker: every artefact that runs an
+# engine fans its cells out on the sweep pool, so the committed files
+# must come out byte for byte at --jobs 1 too.
+cargo run -q --release -p scmp-bench --bin reproduce -- --check --jobs 1

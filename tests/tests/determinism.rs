@@ -75,8 +75,8 @@ fn run_failstorm() -> Vec<String> {
 /// byte-identical whatever the worker count.
 #[test]
 fn parallel_netperf_sweep_is_byte_identical_to_serial() {
-    let serial = scmp_bench::netperf::run_suite_jobs(1, 1, true);
-    let parallel = scmp_bench::netperf::run_suite_jobs(1, 4, true);
+    let serial = scmp_bench::netperf::run_suite_jobs(1, 1, true).unwrap();
+    let parallel = scmp_bench::netperf::run_suite_jobs(1, 4, true).unwrap();
     assert_eq!(
         serde_json::to_string(&serial.points).unwrap(),
         serde_json::to_string(&parallel.points).unwrap(),
@@ -102,19 +102,19 @@ fn parallel_failstorm_batch_is_byte_identical_to_serial() {
     let spec: scmp_bench::scenario_file::ScenarioFile =
         serde_json::from_str(&json).expect("failstorm scenario parses");
     let specs = vec![spec.clone(), spec.clone(), spec];
-    let serial = scmp_bench::scenario_file::run_batch(&specs, 1);
-    let parallel = scmp_bench::scenario_file::run_batch(&specs, 4);
+    let serial = scmp_bench::scenario_file::run_batch(&specs, 1, true);
+    let parallel = scmp_bench::scenario_file::run_batch(&specs, 4, true);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
-        let (sr, st) = s.as_ref().expect("failstorm runs clean");
-        let (pr, pt) = p.as_ref().expect("failstorm runs clean");
+        let s = s.as_ref().expect("failstorm runs clean");
+        let p = p.as_ref().expect("failstorm runs clean");
         assert_eq!(
-            serde_json::to_string(sr).unwrap(),
-            serde_json::to_string(pr).unwrap(),
+            serde_json::to_string(&s.result).unwrap(),
+            serde_json::to_string(&p.result).unwrap(),
             "scenario summary must not depend on jobs"
         );
-        assert!(!st.is_empty(), "captured trace is non-empty");
-        assert_eq!(st, pt, "captured JSONL must not depend on jobs");
+        assert!(!s.trace.is_empty(), "captured trace is non-empty");
+        assert_eq!(s.trace, p.trace, "captured JSONL must not depend on jobs");
     }
 }
 

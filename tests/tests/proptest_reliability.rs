@@ -93,22 +93,22 @@ proptest! {
         let spec: ScenarioFile = serde_json::from_str(&json)
             .map_err(|e| TestCaseError::fail(format!("parse: {e}")))?;
         let specs = [spec.clone(), spec];
-        let serial = run_batch(&specs, 1);
-        let parallel = run_batch(&specs, 2);
+        let serial = run_batch(&specs, 1, true);
+        let parallel = run_batch(&specs, 2, true);
         for (s, p) in serial.iter().zip(&parallel) {
-            let (sr, st) = s.as_ref().map_err(|e| TestCaseError::fail(e.clone()))?;
-            let (pr, pt) = p.as_ref().map_err(|e| TestCaseError::fail(e.clone()))?;
+            let s = s.as_ref().map_err(|e| TestCaseError::fail(e.clone()))?;
+            let p = p.as_ref().map_err(|e| TestCaseError::fail(e.clone()))?;
             prop_assert_eq!(
-                serde_json::to_string(sr).unwrap(),
-                serde_json::to_string(pr).unwrap(),
+                serde_json::to_string(&s.result).unwrap(),
+                serde_json::to_string(&p.result).unwrap(),
                 "summary must not depend on --jobs"
             );
-            prop_assert_eq!(st, pt, "JSONL trace must not depend on --jobs");
+            prop_assert_eq!(&s.trace, &p.trace, "JSONL trace must not depend on --jobs");
         }
         // The two identical cells must also agree with each other —
         // replay stability within one batch.
-        let (a, _) = serial[0].as_ref().unwrap();
-        let (b, _) = serial[1].as_ref().unwrap();
+        let a = &serial[0].as_ref().unwrap().result;
+        let b = &serial[1].as_ref().unwrap().result;
         prop_assert_eq!(
             serde_json::to_string(a).unwrap(),
             serde_json::to_string(b).unwrap()

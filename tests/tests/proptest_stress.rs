@@ -78,7 +78,7 @@ proptest! {
     ) {
         let p = point(topo, seed, knobs, crash, sched, families);
         let spec = synthesize(&p);
-        let (sent, expected) = expected_deliveries(&spec);
+        let (sent, expected) = expected_deliveries(&spec).unwrap();
         prop_assert_eq!(sent.len() as u64, SENDS);
         let per_send = expected.len() as u64 / SENDS;
         prop_assert!(

@@ -24,6 +24,9 @@
 //! is every protocol's shared-tree root (CBT's core, PIM-SM's RP). The
 //! `robustness` and `reliability` sections configure SCMP only, and
 //! `robustness.tree_packets_only` is the BRANCH ablation's switch.
+//! `"reliability": {}` turns the NACK-recovery tier on; the tier has one
+//! configuration, so the section takes no keys. `membership_schedule`
+//! entries are flash crowds (staggered joins, an optional common leave).
 //!
 //! The serde structs below are the schema: every section denies
 //! unknown keys, so a typo is named with its JSON path and the keys
@@ -278,77 +281,20 @@ pub struct RobustnessSpec {
     pub tree_packets_only: Option<bool>,
 }
 
-/// Reliable-multicast tier knobs mapped onto [`ReliabilityConfig`];
-/// the section's *presence* switches the tier on, and absent fields
-/// keep the config defaults. Without a `reliability` section the run is
+/// The reliable-multicast tier switch: the section's *presence* turns
+/// the tier on, and it takes no keys because the tier has one
+/// configuration. Without a `reliability` section the run is
 /// byte-identical to one on a build without the tier at all.
 #[derive(Clone, Debug, Default, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
-pub struct ReliabilitySpec {
-    /// Base delay before a detected gap NACKs (ticks).
-    #[serde(default)]
-    pub nack_delay: Option<u64>,
-    /// Width of the randomized suppression-jitter window (ticks).
-    #[serde(default)]
-    pub nack_jitter: Option<u64>,
-    /// NACK attempts per gap before giving up.
-    #[serde(default)]
-    pub nack_retries: Option<u32>,
-    /// Per-router repair-cache budget in bytes.
-    #[serde(default)]
-    pub cache_bytes: Option<usize>,
-    /// Period of the origin's sequence-extent announcements (0 = off).
-    #[serde(default)]
-    pub announce_interval: Option<u64>,
-    /// Announcement rounds per kick.
-    #[serde(default)]
-    pub announce_rounds: Option<u32>,
-    /// Smallest modelled payload size in bytes (repair-cache charging).
-    #[serde(default)]
-    pub payload_bytes_min: Option<u32>,
-    /// Largest modelled payload size in bytes.
-    #[serde(default)]
-    pub payload_bytes_max: Option<u32>,
-    /// Seed of the deterministic suppression-jitter hash.
-    #[serde(default)]
-    pub seed: Option<u64>,
-}
-
-impl ReliabilitySpec {
-    /// Materialise the config, defaulting absent fields.
-    pub fn build(&self) -> ReliabilityConfig {
-        let d = ReliabilityConfig::default();
-        ReliabilityConfig {
-            nack_delay: self.nack_delay.unwrap_or(d.nack_delay),
-            nack_jitter: self.nack_jitter.unwrap_or(d.nack_jitter),
-            nack_retries: self.nack_retries.unwrap_or(d.nack_retries),
-            cache_bytes: self.cache_bytes.unwrap_or(d.cache_bytes),
-            announce_interval: self.announce_interval.unwrap_or(d.announce_interval),
-            announce_rounds: self.announce_rounds.unwrap_or(d.announce_rounds),
-            payload_bytes_min: self.payload_bytes_min.unwrap_or(d.payload_bytes_min),
-            payload_bytes_max: self.payload_bytes_max.unwrap_or(d.payload_bytes_max),
-            seed: self.seed.unwrap_or(d.seed),
-        }
-    }
-}
+pub struct ReliabilitySpec {}
 
 /// A generated membership wave: a compact description of many
 /// join/leave events the runner (and the delivery oracle) expand into
-/// the ordinary timeline. Two families from the measurement literature:
-/// the day/night cycle and the flash crowd.
+/// the ordinary timeline.
 #[derive(Clone, Debug, Deserialize, Serialize)]
 #[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum MembershipSchedule {
-    /// Day/night churn: every listed DR joins `group` at each cycle
-    /// start (`start + c * period`) and leaves at the half-period, for
-    /// `cycles` cycles.
-    DiurnalChurn {
-        group: u32,
-        members: Vec<u32>,
-        start: u64,
-        period: u64,
-        cycles: u32,
-    },
     /// Flash crowd: the listed DRs join `group` in quick succession
     /// (`stagger` ticks apart, starting at `at`) and — optionally —
     /// all leave together at `leave_at`.
@@ -366,46 +312,28 @@ impl MembershipSchedule {
     /// Shape-check entry `i` against the topology; errors name the
     /// entry the same way fault validation does.
     pub fn validate(&self, i: usize, topo: &Topology) -> Result<(), String> {
-        let (members, label) = match self {
-            MembershipSchedule::DiurnalChurn {
-                members,
-                period,
-                cycles,
-                ..
-            } => {
-                if *cycles == 0 {
-                    return Err(format!("membership_schedule[{i}]: cycles must be >= 1"));
-                }
-                if *period < 2 {
-                    return Err(format!(
-                        "membership_schedule[{i}]: period {period} too short (day half would be empty)"
-                    ));
-                }
-                (members, "diurnal_churn")
+        let MembershipSchedule::FlashCrowd {
+            members,
+            at,
+            stagger,
+            leave_at,
+            ..
+        } = self;
+        let last_join = (members.len().max(1) as u64 - 1)
+            .checked_mul(*stagger)
+            .and_then(|t| t.checked_add(*at))
+            .ok_or_else(|| overflow(i))?;
+        if let Some(leave) = leave_at {
+            if *leave <= last_join {
+                return Err(format!(
+                    "membership_schedule[{i}]: leave_at {leave} not after the last join at {last_join}"
+                ));
             }
-            MembershipSchedule::FlashCrowd {
-                members,
-                at,
-                stagger,
-                leave_at,
-                ..
-            } => {
-                let last_join = (members.len().max(1) as u64 - 1)
-                    .checked_mul(*stagger)
-                    .and_then(|t| t.checked_add(*at))
-                    .ok_or_else(|| overflow(i))?;
-                if let Some(leave) = leave_at {
-                    if *leave <= last_join {
-                        return Err(format!(
-                            "membership_schedule[{i}]: leave_at {leave} not after the last join at {last_join}"
-                        ));
-                    }
-                }
-                (members, "flash_crowd")
-            }
-        };
+        }
         if members.is_empty() {
-            return Err(format!("membership_schedule[{i}]: {label} has no members"));
+            return Err(format!(
+                "membership_schedule[{i}]: flash_crowd has no members"
+            ));
         }
         for &m in members {
             if m as usize >= topo.node_count() {
@@ -418,39 +346,20 @@ impl MembershipSchedule {
     /// Expand entry `i` into plain timeline events (pure — no topology
     /// needed). A time past `u64::MAX` is an error naming the entry.
     pub fn expand(&self, i: usize) -> Result<Vec<EventSpec>, String> {
-        let at = |time: Option<u64>| time.ok_or_else(|| overflow(i));
+        let MembershipSchedule::FlashCrowd {
+            group,
+            members,
+            at,
+            stagger,
+            leave_at,
+        } = self;
         let mut out = Vec::new();
-        match self {
-            MembershipSchedule::DiurnalChurn {
-                group,
-                members,
-                start,
-                period,
-                cycles,
-            } => {
-                for c in 0..u64::from(*cycles) {
-                    let day = c.checked_mul(*period).and_then(|t| t.checked_add(*start));
-                    let night = at(day.and_then(|d| d.checked_add(period / 2)))?;
-                    let day = at(day)?;
-                    out.extend(members.iter().map(|&m| EventSpec::join(day, m, *group)));
-                    out.extend(members.iter().map(|&m| EventSpec::leave(night, m, *group)));
-                }
-            }
-            MembershipSchedule::FlashCrowd {
-                group,
-                members,
-                at: start,
-                stagger,
-                leave_at,
-            } => {
-                for (k, &m) in (0u64..).zip(members) {
-                    let time = k.checked_mul(*stagger).and_then(|t| t.checked_add(*start));
-                    out.push(EventSpec::join(at(time)?, m, *group));
-                }
-                if let Some(leave) = leave_at {
-                    out.extend(members.iter().map(|&m| EventSpec::leave(*leave, m, *group)));
-                }
-            }
+        for (k, &m) in (0u64..).zip(members) {
+            let time = k.checked_mul(*stagger).and_then(|t| t.checked_add(*at));
+            out.push(EventSpec::join(time.ok_or_else(|| overflow(i))?, m, *group));
+        }
+        if let Some(leave) = leave_at {
+            out.extend(members.iter().map(|&m| EventSpec::leave(*leave, m, *group)));
         }
         Ok(out)
     }
@@ -487,7 +396,7 @@ pub struct ScenarioFile {
     pub protocol: Option<String>,
     /// Timeline.
     pub events: Vec<EventSpec>,
-    /// Generated membership waves (diurnal churn, flash crowds),
+    /// Generated membership waves (flash crowds),
     /// expanded into ordinary join/leave events by the runner and the
     /// delivery oracle alike.
     #[serde(default)]
@@ -806,8 +715,8 @@ fn run_scenario_inner(
             rob.apply(&mut config, &topo)?;
             perpetual_timers = config.repair_interval > 0 || config.heartbeat_interval > 0;
         }
-        if let Some(rel) = &spec.reliability {
-            config.reliability = Some(rel.build());
+        if spec.reliability.is_some() {
+            config.reliability = Some(ReliabilityConfig::default());
         }
         scmp.insert(build_scmp_engine(topo.clone(), config))
     } else {
@@ -1051,6 +960,50 @@ mod tests {
         assert_eq!(r.data_overhead, 17);
     }
 
+    /// Fig. 5 with a `robustness` section, its first member joining at
+    /// t = 10 so a timer armed then overflows once its delay nears
+    /// `u64::MAX`.
+    fn fig5_robust(robustness: &str) -> String {
+        format!(
+            r#"{{
+            "topology": {{ "kind": "custom", "nodes": 6, "links": [
+                [0,1,3,6],[0,2,4,5],[0,3,2,6],[1,2,3,2],[1,4,9,3],[2,3,4,1],[2,5,7,2]
+            ]}},
+            "m_router": 0,
+            "robustness": {robustness},
+            "events": [
+                {{ "time": 10,    "node": 4, "op": "join", "group": 1 }},
+                {{ "time": 100,   "node": 3, "op": "join", "group": 1 }},
+                {{ "time": 10000, "node": 4, "op": "send", "group": 1, "tag": 1 }}
+            ]
+        }}"#
+        )
+    }
+
+    #[test]
+    fn watchdog_past_u64_max_never_fires() {
+        let json = fig5_robust(r#"{ "heartbeat_interval": 9223372036854775807, "standby": 1 }"#);
+        let r = run(&json).unwrap();
+        assert_eq!(r.takeovers, 0, "the standby never gives up on the primary");
+        assert_eq!(r.m_routers_at_end, vec![0]);
+        assert!(
+            (r.delivery_ratio - 1.0).abs() < 1e-9,
+            "{}",
+            r.delivery_ratio
+        );
+    }
+
+    #[test]
+    fn join_retry_past_u64_max_never_fires() {
+        let r = run(&fig5_robust(r#"{ "join_retry": 18446744073709551615 }"#)).unwrap();
+        assert_eq!(r.retransmissions, 0);
+        assert!(
+            (r.delivery_ratio - 1.0).abs() < 1e-9,
+            "{}",
+            r.delivery_ratio
+        );
+    }
+
     #[test]
     fn expectations_and_role_probe_surface_in_result() {
         let r = run(BASIC).unwrap();
@@ -1244,12 +1197,12 @@ mod tests {
             "a link fault names no node: {err}"
         );
 
-        let churn_leave = SCHEDULED.replace("\"cycles\": 2", "\"cycles\": 2, \"leave_at\": 900000");
-        let err = parse(&churn_leave).unwrap_err();
+        let crowd_cycles = SCHEDULED.replace("\"stagger\": 100", "\"stagger\": 100, \"cycles\": 2");
+        let err = parse(&crowd_cycles).unwrap_err();
         assert!(
-            err.contains("membership_schedule[1]: unknown key \"leave_at\"")
-                && err.contains("expected one of: kind, group, members, start, period, cycles)"),
-            "diurnal churn has no leave_at: {err}"
+            err.contains("membership_schedule[1]: unknown key \"cycles\"")
+                && err.contains("expected one of: kind, group, members, at, stagger, leave_at)"),
+            "a flash crowd has no cycles: {err}"
         );
     }
 
@@ -1289,8 +1242,10 @@ mod tests {
         let spec = parse(&crowd.replace(", \"leave_at\": 5", "")).unwrap();
         let err = expected_deliveries(&spec).unwrap_err();
         assert_eq!(err, "membership_schedule[0]: event time overflows u64");
-        let churn = SCHEDULED.replace("\"start\": 600000", "\"start\": 18446744073709551515");
-        let err = run(&churn).unwrap_err();
+        let late = SCHEDULED
+            .replace("\"members\": [7]", "\"members\": [7, 8]")
+            .replace("\"at\": 600000", "\"at\": 18446744073709551615");
+        let err = run(&late).unwrap_err();
         assert_eq!(err, "membership_schedule[1]: event time overflows u64");
     }
 
@@ -1471,10 +1426,7 @@ mod tests {
             ],
             "run_until": 1500000
         }"#;
-        let with = base.replace(
-            "\"robustness\"",
-            "\"reliability\": { \"nack_delay\": 300, \"nack_jitter\": 200 },\n  \"robustness\"",
-        );
+        let with = base.replace("\"robustness\"", "\"reliability\": {},\n  \"robustness\"");
         let off = run(base).unwrap();
         let (on, trace) = run_captured(&with).unwrap();
         assert_eq!(off.nacks_sent, 0, "tier absent means tier silent");
@@ -1508,11 +1460,16 @@ mod tests {
             serde_json::to_string(&again).unwrap()
         );
 
-        // Typo'd reliability knobs are named, not silently defaulted.
-        let typo = with.replace("nack_delay", "nack_dellay");
-        let err = parse(&typo).unwrap_err();
+        // The tier has one configuration: a retired knob is named, not
+        // silently ignored.
+        let knob = with.replace(
+            "\"reliability\": {}",
+            "\"reliability\": { \"nack_delay\": 300 }",
+        );
+        let err = parse(&knob).unwrap_err();
         assert!(
-            err.contains("nack_dellay") && err.contains("reliability"),
+            err.contains("reliability: unknown key \"nack_delay\"")
+                && err.contains("takes no keys"),
             "{err}"
         );
     }
@@ -1569,15 +1526,16 @@ mod tests {
         assert!(err.contains("not in [0, 1]"), "{err}");
     }
 
-    /// Flash crowd joining before the send, with a later diurnal cycle.
+    /// A flash crowd joining before the first send, and a second one
+    /// that joins and leaves between the later sends.
     const SCHEDULED: &str = r#"{
         "topology": { "kind": "arpanet", "seed": 1 },
         "m_router": "rule1",
         "membership_schedule": [
             { "kind": "flash_crowd", "group": 1, "members": [4, 9, 15],
               "at": 0, "stagger": 500 },
-            { "kind": "diurnal_churn", "group": 1, "members": [7],
-              "start": 600000, "period": 100000, "cycles": 2 }
+            { "kind": "flash_crowd", "group": 1, "members": [7],
+              "at": 600000, "stagger": 100, "leave_at": 650000 }
         ],
         "events": [
             { "time": 500000, "node": 3, "op": "send", "group": 1, "tag": 1 },
@@ -1592,8 +1550,8 @@ mod tests {
         let spec: ScenarioFile = serde_json::from_str(SCHEDULED).unwrap();
         let (sent, expected) = expected_deliveries(&spec).unwrap();
         assert_eq!(sent.len(), 3);
-        // tag 1: the flash crowd (3 DRs); tag 2: crowd + node 7 mid-day;
-        // tag 3: crowd only again (7 left at the half-period, 650000).
+        // tag 1: the first crowd (3 DRs); tag 2: both crowds (7 joined
+        // at 600000); tag 3: the first crowd again (7 left at 650000).
         let expects_of = |tag: u64| expected.iter().filter(|e| e.1 == tag).count();
         assert_eq!(expects_of(1), 3);
         assert_eq!(expects_of(2), 4);
@@ -1606,15 +1564,14 @@ mod tests {
             "schedule-driven membership delivers in full: {}",
             r.delivery_ratio
         );
-        assert_eq!(r.deliveries[1].receivers, 4, "day member heard tag 2");
-        assert_eq!(r.deliveries[2].receivers, 3, "night: 7 is gone again");
+        assert_eq!(r.deliveries[1].receivers, 4, "the late joiner heard tag 2");
+        assert_eq!(r.deliveries[2].receivers, 3, "7 is gone again");
     }
 
     #[test]
     fn membership_schedule_validation_errors_are_named() {
         for (breakage, needle) in [
-            ("\"cycles\": 2", "\"cycles\": 0"),
-            ("\"period\": 100000", "\"period\": 1"),
+            ("\"leave_at\": 650000", "\"leave_at\": 600000"),
             ("\"members\": [7]", "\"members\": []"),
             ("\"members\": [7]", "\"members\": [99]"),
         ] {
@@ -1644,24 +1601,10 @@ mod tests {
             err.contains("staggger") && err.contains("membership_schedule[0]"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn payload_size_keys_reach_the_reliability_config() {
-        let spec: ReliabilitySpec =
-            serde_json::from_str(r#"{ "payload_bytes_min": 16, "payload_bytes_max": 1024 }"#)
-                .unwrap();
-        let cfg = spec.build();
-        assert_eq!(cfg.payload_bytes_min, 16);
-        assert_eq!(cfg.payload_bytes_max, 1024);
-
-        let typo = BASIC.replace(
-            "\"m_router\": \"rule1\",",
-            "\"m_router\": \"rule1\",\n  \"reliability\": { \"payload_bytes_mim\": 16 },",
-        );
-        let err = parse(&typo).unwrap_err();
+        let kind = SCHEDULED.replacen("\"flash_crowd\"", "\"diurnal_churn\"", 1);
+        let err = parse(&kind).unwrap_err();
         assert!(
-            err.contains("payload_bytes_mim") && err.contains("reliability"),
+            err.contains("membership_schedule[0]") && err.contains("unknown tag \"diurnal_churn\""),
             "{err}"
         );
     }

@@ -77,67 +77,13 @@ pub struct ScmpConfig {
     pub reliability: Option<ReliabilityConfig>,
 }
 
-/// Knobs for the reliable-multicast data tier (SRM-style NACK recovery
-/// with in-network repair caches). All timers are in simulation time
-/// units; all randomness is a pure hash of `seed` and protocol state,
-/// so replays are deterministic across worker counts.
-#[derive(Clone, Debug)]
-pub struct ReliabilityConfig {
-    /// Base delay before a receiver NACKs a detected gap. Waiting lets
-    /// a reordered packet close the gap for free and spreads NACKs so
-    /// upstream duplicate suppression can thin them (SRM's request
-    /// timer).
-    pub nack_delay: u64,
-    /// Width of the randomized jitter added to `nack_delay` (the
-    /// suppression-timer spread). The actual jitter for a given
-    /// (node, group, origin, attempt) is a pure seeded hash in
-    /// `[0, nack_jitter)`.
-    pub nack_jitter: u64,
-    /// NACK retransmission attempts per missing sequence before giving
-    /// up. Retries back off exponentially like the control-plane ARQs.
-    pub nack_retries: u32,
-    /// Byte cap on each router's repair cache. Entries are evicted in
-    /// least-recently-used order when the summed payload bytes exceed
-    /// the cap (at least one entry is always retained).
-    pub cache_bytes: usize,
-    /// Smallest modelled payload size in bytes. The simulator carries
-    /// no real payload bytes, so each `(group, origin, seq)` payload is
-    /// assigned a deterministic size in
-    /// `[payload_bytes_min, payload_bytes_max]` by a pure seeded hash;
-    /// with `min == max` every payload weighs exactly that much (the
-    /// default pins both to [`CACHE_ENTRY_BYTES`]).
-    pub payload_bytes_min: u32,
-    /// Largest modelled payload size in bytes (see `payload_bytes_min`).
-    pub payload_bytes_max: u32,
-    /// Delay between SEQ-ANNOUNCE rounds after a send burst (tail-loss
-    /// detection); 0 disables announcements.
-    pub announce_interval: u64,
-    /// Number of SEQ-ANNOUNCE rounds sent after each send burst.
-    pub announce_rounds: u32,
-    /// Seed for the NACK suppression-timer jitter hash.
-    pub seed: u64,
-}
-
-/// Default modelled payload size in bytes (header + the simulator's
-/// abstract payload): what every cached payload weighs unless the
-/// `payload_bytes_min`/`payload_bytes_max` model says otherwise.
-pub const CACHE_ENTRY_BYTES: usize = 64;
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            nack_delay: 300,
-            nack_jitter: 200,
-            nack_retries: 8,
-            cache_bytes: 64 * 1024,
-            payload_bytes_min: CACHE_ENTRY_BYTES as u32,
-            payload_bytes_max: CACHE_ENTRY_BYTES as u32,
-            announce_interval: 1_000,
-            announce_rounds: 3,
-            seed: 0x5C3F_11AB,
-        }
-    }
-}
+/// The reliable-multicast data tier (SRM-style NACK recovery with
+/// in-network repair caches). It has one configuration: its timers,
+/// retry budget, cache size and jitter seed are constants of the
+/// router's reliability module, so presence in
+/// [`ScmpConfig::reliability`] is the whole switch.
+#[derive(Clone, Debug, Default)]
+pub struct ReliabilityConfig {}
 
 impl ScmpConfig {
     /// Plain configuration: given m-router, dynamic bound, no standby.

@@ -4,8 +4,7 @@
 //! m-router-only logic lives in the sibling `mrouter` module.
 
 use super::{
-    PendingTree, ScmpRouter, BACKOFF_CAP, MAX_RETRIES, TIMER_JOIN_RETRY_BASE,
-    TIMER_LEAVE_RETRY_BASE,
+    backoff, PendingTree, ScmpRouter, MAX_RETRIES, TIMER_JOIN_RETRY_BASE, TIMER_LEAVE_RETRY_BASE,
 };
 use crate::igmp::{HostId, MembershipEdge};
 use crate::message::ScmpMsg;
@@ -84,7 +83,7 @@ impl ScmpRouter {
             self.join_txns.remove(&group);
             return;
         }
-        let backoff = self.domain.config.join_retry << (*attempt).min(BACKOFF_CAP);
+        let backoff = backoff(self.domain.config.join_retry, *attempt);
         self.pending_interfaces.insert(group);
         let txn = self.join_txn(group);
         let m = self.m_router_for(group);
@@ -111,7 +110,7 @@ impl ScmpRouter {
             self.leave_txns.remove(&group);
             return;
         }
-        let backoff = self.domain.config.leave_retry << attempt.min(BACKOFF_CAP);
+        let backoff = backoff(self.domain.config.leave_retry, attempt);
         let txn = match self.leave_txns.get(&group) {
             Some(&t) => t,
             None => {
@@ -320,8 +319,8 @@ impl ScmpRouter {
         if seq > 0 {
             // Restart the downstream announce series so members learn
             // the stream extent even when the flood's tail is lost.
-            if let Some(cfg) = self.domain.config.reliability.clone() {
-                self.rel_kick_announce(data.group, data.origin, &cfg, ctx);
+            if self.domain.config.reliability.is_some() {
+                self.rel_kick_announce(data.group, data.origin, ctx);
             }
         }
     }
@@ -447,7 +446,7 @@ impl ScmpRouter {
             return;
         }
         ctx.send(child, pkt.clone());
-        let deadline = ctx.now() + retry;
+        let deadline = ctx.now().saturating_add(retry);
         self.pending_trees.insert(
             (group, child),
             PendingTree {
@@ -484,8 +483,8 @@ impl ScmpRouter {
         let attempt = p.attempts;
         let pkt = p.pkt.clone();
         let tag = pkt.tag;
-        let delay = retry << attempt.min(BACKOFF_CAP);
-        p.deadline = now + delay;
+        let delay = backoff(retry, attempt);
+        p.deadline = now.saturating_add(delay);
         ctx.send(child, pkt);
         ctx.observe(EventKind::Retransmit {
             group: group.0,

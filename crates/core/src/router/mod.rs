@@ -32,11 +32,11 @@ mod standby;
 #[cfg(test)]
 mod tests;
 
-pub use config::{ReliabilityConfig, ScmpConfig, CACHE_ENTRY_BYTES};
+pub use config::{ReliabilityConfig, ScmpConfig};
 pub use domain::ScmpDomain;
 pub use entry::RoutingEntry;
 pub use mrouter::MRouterState;
-pub use reliability::{nack_jitter, payload_bytes};
+pub use reliability::nack_jitter;
 pub use standby::StandbyState;
 
 use crate::dedup::RecentSet;
@@ -86,6 +86,13 @@ pub(super) fn tree_retry_token(group: GroupId, child: NodeId) -> u64 {
 const MAX_RETRIES: u32 = 8;
 /// Exponential-backoff shift cap: delay = base << min(attempt, cap).
 const BACKOFF_CAP: u32 = 6;
+
+/// Retry delay after `attempt` tries: `base << min(attempt, BACKOFF_CAP)`,
+/// saturating at `u64::MAX` rather than dropping the high bits.
+fn backoff(base: u64, attempt: u32) -> u64 {
+    base.saturating_mul(1 << attempt.min(BACKOFF_CAP))
+}
+
 /// Tree generations carry a takeover epoch in their upper bits: a
 /// promoted standby starts numbering at the next epoch above every
 /// generation it has observed, so its TREE/BRANCH packets always beat
@@ -283,7 +290,9 @@ impl Router for ScmpRouter {
         if cfg.heartbeat_interval == 0 {
             return;
         }
-        let horizon = cfg.heartbeat_interval * 2 * u64::from(cfg.heartbeat_loss_tolerance.max(1));
+        let horizon = cfg
+            .heartbeat_interval
+            .saturating_mul(2 * u64::from(cfg.heartbeat_loss_tolerance.max(1)));
         match &mut self.role {
             Role::MRouter(_) if cfg.standby.is_some() => {
                 ctx.set_timer(cfg.heartbeat_interval, TIMER_HEARTBEAT);
@@ -292,7 +301,7 @@ impl Router for ScmpRouter {
                 // Generous first deadline (twice the steady-state
                 // tolerance): the primary may be several propagation
                 // delays away.
-                s.deadline = ctx.now() + horizon;
+                s.deadline = ctx.now().saturating_add(horizon);
                 ctx.set_timer(horizon, TIMER_WATCHDOG_BASE);
             }
             _ => {}
@@ -362,7 +371,7 @@ impl Router for ScmpRouter {
             ScmpMsg::Heartbeat { .. } => {
                 let cfg = &self.domain.config;
                 let interval = cfg.heartbeat_interval;
-                let grace = interval * u64::from(cfg.heartbeat_loss_tolerance.max(1));
+                let grace = interval.saturating_mul(u64::from(cfg.heartbeat_loss_tolerance.max(1)));
                 let promoted = Some(self.me) == cfg.standby;
                 let me = self.me;
                 match &mut self.role {
@@ -374,7 +383,7 @@ impl Router for ScmpRouter {
                         // match a reset generation still cannot promote
                         // before the last heartbeat's grace runs out.
                         s.watchdog_gen += 1;
-                        s.deadline = ctx.now() + grace;
+                        s.deadline = ctx.now().saturating_add(grace);
                         let gen = s.watchdog_gen;
                         ctx.set_timer(grace, TIMER_WATCHDOG_BASE + gen);
                     }

@@ -18,9 +18,9 @@
 //!   origin, attempt), so replays are stable across worker counts while
 //!   NACKs from different receivers still spread out (SRM's randomized
 //!   request timer). Retries back off exponentially and give up after
-//!   [`ReliabilityConfig::nack_retries`].
+//!   [`NACK_RETRIES`] attempts.
 //! * **Repair caches** — every on-tree relaying DR keeps a bounded,
-//!   byte-capped LRU cache of recently forwarded payloads (the NDN
+//!   entry-capped LRU cache of recently forwarded payloads (the NDN
 //!   content-store analogue) and answers NACKs from it locally,
 //!   forwarding upstream only on a miss.
 //! * **Duplicate-NACK suppression** — a pending-interest table per
@@ -34,18 +34,45 @@
 //!   ([`ScmpMsg::SeqAnnounce`]); the m-router re-announces decapsulated
 //!   streams down the tree.
 //!
-//! Everything here is inert when `config.reliability` is `None`: the
-//! sequence stamp stays 0, no state is touched, and the data plane is
-//! byte-identical to plain SCMP (pinned by integration tests).
+//! The tier has one configuration: the timers, budgets and jitter seed
+//! below are constants. Everything here is inert when
+//! `config.reliability` is `None`: the sequence stamp stays 0, no state
+//! is touched, and the data plane is byte-identical to plain SCMP
+//! (pinned by integration tests).
 
-use super::config::ReliabilityConfig;
-use super::{ScmpRouter, BACKOFF_CAP, TIMER_ANNOUNCE_BASE, TIMER_NACK_BASE};
+use super::{backoff, ScmpRouter, TIMER_ANNOUNCE_BASE, TIMER_NACK_BASE};
 use crate::message::ScmpMsg;
 use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet, PacketClass};
 use scmp_telemetry::{pack_ctl_tag, EventKind};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Base delay before a receiver NACKs a detected gap. Waiting lets a
+/// reordered packet close the gap for free and spreads NACKs so
+/// upstream duplicate suppression can thin them (SRM's request timer).
+const NACK_DELAY: u64 = 300;
+/// Width of the jitter added to every NACK delay: the jitter for a
+/// given (node, group, origin, attempt) is [`nack_jitter`] of
+/// [`JITTER_SEED`] reduced into `[0, NACK_JITTER)`.
+const NACK_JITTER: u64 = 200;
+/// Seed of the suppression-jitter hash.
+const JITTER_SEED: u64 = 0x5C3F_11AB;
+/// NACK rounds per stream before giving up. Retries back off
+/// exponentially like the control-plane ARQs.
+const NACK_RETRIES: u32 = 8;
+/// Modelled size of one cached payload in bytes (header + the
+/// simulator's abstract payload); every payload weighs the same.
+const CACHE_ENTRY_BYTES: usize = 64;
+/// Repair-cache budget per router in bytes.
+const CACHE_BYTES: usize = 64 * 1024;
+/// Most payloads one repair cache holds: the byte budget at one fixed
+/// payload size.
+const CACHE_ENTRIES: usize = CACHE_BYTES / CACHE_ENTRY_BYTES;
+/// Delay between SEQ-ANNOUNCE rounds after a send burst (tail-loss
+/// detection).
+const ANNOUNCE_INTERVAL: u64 = 1_000;
+/// SEQ-ANNOUNCE rounds sent after each send burst.
+const ANNOUNCE_ROUNDS: u32 = 3;
 /// Most missing sequences NACKed per timer round; the rest wait for the
 /// retry (bounds the burst a pathological gap can emit).
 const NACK_BATCH: usize = 16;
@@ -82,41 +109,10 @@ pub fn nack_jitter(seed: u64, me: NodeId, group: GroupId, origin: NodeId, attemp
     mix(x)
 }
 
-/// Modelled size in bytes of the payload `(group, origin, seq)`: a
-/// pure hash of the stream coordinates into
-/// `[payload_bytes_min, payload_bytes_max]`, so every router charges
-/// the same payload identically without any size travelling on the
-/// wire. Collapses to the configured constant when the range is empty
-/// (the default pins both ends to `CACHE_ENTRY_BYTES`).
-pub fn payload_bytes(cfg: &ReliabilityConfig, group: GroupId, origin: NodeId, seq: u64) -> usize {
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    let lo = u64::from(cfg.payload_bytes_min.min(cfg.payload_bytes_max));
-    let hi = u64::from(cfg.payload_bytes_min.max(cfg.payload_bytes_max));
-    if lo == hi {
-        return lo as usize;
-    }
-    let x = cfg
-        .seed
-        .wrapping_add(mix((origin.0 as u64) << 32 | group.0 as u64))
-        .wrapping_add(mix(seq));
-    (lo + mix(x) % (hi - lo + 1)) as usize
-}
-
-fn jitter_in(
-    cfg: &ReliabilityConfig,
-    me: NodeId,
-    group: GroupId,
-    origin: NodeId,
-    attempt: u32,
-) -> u64 {
-    if cfg.nack_jitter == 0 {
-        return 0;
-    }
-    nack_jitter(cfg.seed, me, group, origin, attempt) % cfg.nack_jitter
+/// The NACK jitter of (node, group, origin, attempt), in
+/// `[0, NACK_JITTER)`.
+fn jitter_in(me: NodeId, group: GroupId, origin: NodeId, attempt: u32) -> u64 {
+    nack_jitter(JITTER_SEED, me, group, origin, attempt) % NACK_JITTER
 }
 
 /// Per-(group, origin) stream receive state.
@@ -185,19 +181,17 @@ impl StreamState {
     }
 }
 
-/// One cached payload, LRU-stamped and charged at its modelled size.
+/// One cached payload, LRU-stamped.
 #[derive(Debug)]
 struct CacheEntry {
     tag: u64,
     created_at: u64,
     stamp: u64,
-    bytes: usize,
 }
 
 /// Bounded retransmission cache: (group, origin, seq) → payload
-/// metadata, byte-capped with least-recently-used eviction. Each entry
-/// is charged its modelled payload size (see [`payload_bytes`]), so a
-/// few jumbo payloads displace many small ones.
+/// metadata, holding at most [`CACHE_ENTRIES`] payloads with
+/// least-recently-used eviction.
 #[derive(Debug, Default)]
 struct RepairCache {
     entries: BTreeMap<(u32, u32, u64), CacheEntry>,
@@ -205,23 +199,12 @@ struct RepairCache {
     /// counter), so the map is a total order of recency.
     lru: BTreeMap<u64, (u32, u32, u64)>,
     next_stamp: u64,
-    /// Summed `bytes` of every live entry.
-    total_bytes: usize,
 }
 
 impl RepairCache {
-    /// Insert (or refresh) a payload charged at `bytes`; returns how
-    /// many entries were evicted to bring the summed payload bytes back
-    /// under `cap_bytes` (the newest entry itself is never evicted, so
-    /// one oversized payload still caches).
-    fn insert(
-        &mut self,
-        key: (u32, u32, u64),
-        tag: u64,
-        created_at: u64,
-        bytes: usize,
-        cap_bytes: usize,
-    ) -> u64 {
+    /// Insert (or refresh) a payload; returns how many entries were
+    /// evicted to bring the cache back to [`CACHE_ENTRIES`] (0 or 1).
+    fn insert(&mut self, key: (u32, u32, u64), tag: u64, created_at: u64) -> u64 {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         if let Some(e) = self.entries.get_mut(&key) {
@@ -236,22 +219,15 @@ impl RepairCache {
                 tag,
                 created_at,
                 stamp,
-                bytes,
             },
         );
         self.lru.insert(stamp, key);
-        self.total_bytes += bytes;
-        let mut evicted = 0;
-        while self.total_bytes > cap_bytes && self.entries.len() > 1 {
-            let (_, victim) = self.lru.pop_first().expect("lru tracks every entry");
-            let gone = self
-                .entries
-                .remove(&victim)
-                .expect("entries track every key");
-            self.total_bytes -= gone.bytes;
-            evicted += 1;
+        if self.entries.len() <= CACHE_ENTRIES {
+            return 0;
         }
-        evicted
+        let (_, victim) = self.lru.pop_first().expect("lru tracks every entry");
+        self.entries.remove(&victim);
+        1
     }
 
     /// Look up a payload, refreshing its recency on a hit.
@@ -296,8 +272,8 @@ pub(super) struct ReliabilityState {
 }
 
 impl ScmpRouter {
-    fn rel_cfg(&self) -> Option<ReliabilityConfig> {
-        self.domain.config.reliability.clone()
+    fn rel_enabled(&self) -> bool {
+        self.domain.config.reliability.is_some()
     }
 
     /// Stamp the next sequence number for a payload this node sends
@@ -309,22 +285,18 @@ impl ScmpRouter {
         tag: u64,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) -> u64 {
-        let Some(cfg) = self.rel_cfg() else {
+        if !self.rel_enabled() {
             return 0;
-        };
+        }
         let seq = self.rel.send_seq.entry(group).or_insert(0);
         *seq += 1;
         let seq = *seq;
-        let bytes = payload_bytes(&cfg, group, self.me, seq);
-        let evicted = self.rel.cache.insert(
-            (group.0, self.me.0, seq),
-            tag,
-            ctx.now(),
-            bytes,
-            cfg.cache_bytes,
-        );
+        let evicted = self
+            .rel
+            .cache
+            .insert((group.0, self.me.0, seq), tag, ctx.now());
         ctx.record_cache_evictions(evicted);
-        self.rel_kick_announce(group, self.me, &cfg, ctx);
+        self.rel_kick_announce(group, self.me, ctx);
         seq
     }
 
@@ -345,9 +317,9 @@ impl ScmpRouter {
         encap: bool,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) -> bool {
-        let Some(cfg) = self.rel_cfg() else {
+        if !self.rel_enabled() {
             return true;
-        };
+        }
         let now = ctx.now();
         let stream = self.rel.streams.entry((group, origin)).or_default();
         stream.encap = stream.encap || encap;
@@ -358,14 +330,10 @@ impl ScmpRouter {
             Arrival::Duplicate => return false,
             Arrival::Fresh { closed_gap_at } => closed_gap_at,
         };
-        let bytes = payload_bytes(&cfg, group, origin, seq);
-        let evicted = self.rel.cache.insert(
-            (group.0, origin.0, seq),
-            tag,
-            created_at,
-            bytes,
-            cfg.cache_bytes,
-        );
+        let evicted = self
+            .rel
+            .cache
+            .insert((group.0, origin.0, seq), tag, created_at);
         ctx.record_cache_evictions(evicted);
         if let Some(detected) = fresh {
             // A gap closed by an ordinary (reordered/duplicated) copy is
@@ -381,7 +349,7 @@ impl ScmpRouter {
                 });
             }
         }
-        self.rel_arm_nack_if_needed(group, origin, &cfg, ctx);
+        self.rel_arm_nack_if_needed(group, origin, ctx);
         true
     }
 
@@ -406,7 +374,6 @@ impl ScmpRouter {
         &mut self,
         group: GroupId,
         origin: NodeId,
-        cfg: &ReliabilityConfig,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
         if !self.rel_responsible(group, origin) {
@@ -421,8 +388,8 @@ impl ScmpRouter {
         }
         stream.nack_armed = true;
         stream.nack_attempt = 0;
-        let delay = cfg.nack_delay + jitter_in(cfg, me, group, origin, 0);
-        stream.nack_deadline = ctx.now() + delay;
+        let delay = NACK_DELAY + jitter_in(me, group, origin, 0);
+        stream.nack_deadline = ctx.now().saturating_add(delay);
         ctx.set_timer(delay, nack_token(group, origin));
     }
 
@@ -433,9 +400,9 @@ impl ScmpRouter {
         origin: NodeId,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        let Some(cfg) = self.rel_cfg() else {
+        if !self.rel_enabled() {
             return;
-        };
+        }
         let now = ctx.now();
         let responsible = self.rel_responsible(group, origin);
         let me = self.me;
@@ -451,7 +418,7 @@ impl ScmpRouter {
             return;
         }
         stream.nack_attempt += 1;
-        if stream.nack_attempt > cfg.nack_retries {
+        if stream.nack_attempt > NACK_RETRIES {
             // Give up: the payloads have aged out of every cache that
             // could answer. The gaps stay recorded (delivery_ratio
             // reflects them); a later repair can still close them.
@@ -482,14 +449,13 @@ impl ScmpRouter {
                 ctx.unicast(m_router, pkt);
             }
         }
-        let delay = (cfg.nack_delay << attempt.min(BACKOFF_CAP))
-            + jitter_in(&cfg, me, group, origin, attempt);
+        let delay = backoff(NACK_DELAY, attempt) + jitter_in(me, group, origin, attempt);
         let stream = self
             .rel
             .streams
             .get_mut(&(group, origin))
             .expect("stream checked above");
-        stream.nack_deadline = now + delay;
+        stream.nack_deadline = now.saturating_add(delay);
         ctx.set_timer(delay, nack_token(group, origin));
     }
 
@@ -503,10 +469,10 @@ impl ScmpRouter {
         seq: u64,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        let Some(cfg) = self.rel_cfg() else {
+        if !self.rel_enabled() {
             ctx.drop_packet_keyed(pkt.group, pkt.tag);
             return;
-        };
+        }
         let group = pkt.group;
         let key = (group.0, origin.0, seq);
         if let Some((tag, created_at)) = self.rel.cache.get(key) {
@@ -548,7 +514,7 @@ impl ScmpRouter {
             return;
         }
         let now = ctx.now();
-        let hold = cfg.nack_delay * 2;
+        let hold = NACK_DELAY * 2;
         if let Some(entry) = self.rel.pit.get_mut(&key) {
             if now.saturating_sub(entry.forwarded_at) < hold {
                 // A NACK for this payload is already travelling
@@ -610,10 +576,10 @@ impl ScmpRouter {
         seq: u64,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        if self.rel_cfg().is_none() {
+        if !self.rel_enabled() {
             ctx.drop_packet_keyed(pkt.group, pkt.tag);
             return;
-        };
+        }
         let group = pkt.group;
         if !self.rel_observe_data(
             group,
@@ -688,10 +654,10 @@ impl ScmpRouter {
         round: u32,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        let Some(cfg) = self.rel_cfg() else {
+        if !self.rel_enabled() {
             ctx.drop_packet_keyed(pkt.group, pkt.tag);
             return;
-        };
+        }
         let group = pkt.group;
         if origin == self.me {
             return; // our own announce echoed back on the tree
@@ -716,11 +682,11 @@ impl ScmpRouter {
             false
         };
         let encap = stream.encap;
-        self.rel_arm_nack_if_needed(group, origin, &cfg, ctx);
+        self.rel_arm_nack_if_needed(group, origin, ctx);
         if is_m && encap {
             // Re-announce the (possibly still unrecovered) extent down
             // the tree so members detect tail loss of the flood too.
-            self.rel_kick_announce(group, origin, &cfg, ctx);
+            self.rel_kick_announce(group, origin, ctx);
             return;
         }
         if relay {
@@ -744,13 +710,9 @@ impl ScmpRouter {
         &mut self,
         group: GroupId,
         origin: NodeId,
-        cfg: &ReliabilityConfig,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        if cfg.announce_interval == 0 || cfg.announce_rounds == 0 {
-            return;
-        }
-        let deadline = ctx.now() + cfg.announce_interval;
+        let deadline = ctx.now().saturating_add(ANNOUNCE_INTERVAL);
         let state = self
             .rel
             .announces
@@ -760,9 +722,9 @@ impl ScmpRouter {
                 round: 0,
                 deadline,
             });
-        state.rounds_left = cfg.announce_rounds;
+        state.rounds_left = ANNOUNCE_ROUNDS;
         state.deadline = deadline;
-        ctx.set_timer(cfg.announce_interval, announce_token(group, origin));
+        ctx.set_timer(ANNOUNCE_INTERVAL, announce_token(group, origin));
     }
 
     /// Announce timer fired for a stream this router sources.
@@ -772,9 +734,9 @@ impl ScmpRouter {
         origin: NodeId,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        let Some(cfg) = self.rel_cfg() else {
+        if !self.rel_enabled() {
             return;
-        };
+        }
         let now = ctx.now();
         let Some(state) = self.rel.announces.get_mut(&(group, origin)) else {
             return;
@@ -791,8 +753,8 @@ impl ScmpRouter {
         let round = state.round;
         let more = state.rounds_left > 0;
         if more {
-            state.deadline = now + cfg.announce_interval;
-            ctx.set_timer(cfg.announce_interval, announce_token(group, origin));
+            state.deadline = now.saturating_add(ANNOUNCE_INTERVAL);
+            ctx.set_timer(ANNOUNCE_INTERVAL, announce_token(group, origin));
         } else {
             self.rel.announces.remove(&(group, origin));
         }
@@ -842,7 +804,6 @@ impl ScmpRouter {
 
 #[cfg(test)]
 mod tests {
-    use super::super::config::CACHE_ENTRY_BYTES;
     use super::*;
 
     #[test]
@@ -875,81 +836,29 @@ mod tests {
     }
 
     #[test]
-    fn repair_cache_is_byte_capped_lru() {
+    fn repair_cache_is_entry_capped_lru() {
         let mut c = RepairCache::default();
-        let cap = 4 * CACHE_ENTRY_BYTES; // room for 4 default-size entries
-        for seq in 1..=4u64 {
-            assert_eq!(c.insert((1, 13, seq), seq, 0, CACHE_ENTRY_BYTES, cap), 0);
+        let full = CACHE_ENTRIES as u64;
+        for seq in 1..=full {
+            assert_eq!(c.insert((1, 13, seq), seq, 0), 0);
         }
         // Touch seq 1 so seq 2 is the LRU victim.
         assert_eq!(c.get((1, 13, 1)), Some((1, 0)));
         assert_eq!(
-            c.insert((1, 13, 5), 5, 0, CACHE_ENTRY_BYTES, cap),
+            c.insert((1, 13, full + 1), full + 1, 0),
             1,
             "one entry evicted"
         );
         assert_eq!(c.get((1, 13, 2)), None, "LRU victim was seq 2");
         assert_eq!(c.get((1, 13, 1)), Some((1, 0)), "recently used survives");
         // Re-inserting an existing key refreshes, never evicts.
-        assert_eq!(c.insert((1, 13, 1), 1, 0, CACHE_ENTRY_BYTES, cap), 0);
-        assert_eq!(c.entries.len(), 4);
-        assert_eq!(c.total_bytes, cap, "accounting matches the live set");
-    }
-
-    #[test]
-    fn repair_cache_charges_actual_payload_bytes() {
-        let mut c = RepairCache::default();
-        let cap = 1_000;
-        // Ten 100-byte payloads fill the cache exactly.
-        for seq in 1..=10u64 {
-            assert_eq!(c.insert((1, 13, seq), seq, 0, 100, cap), 0);
-        }
-        assert_eq!(c.total_bytes, 1_000);
-        // One 550-byte jumbo displaces six small payloads (five would
-        // leave 1_050 > cap), not the single entry a flat per-entry
-        // estimate would charge.
-        assert_eq!(c.insert((1, 13, 11), 11, 0, 550, cap), 6);
-        assert_eq!(c.entries.len(), 5);
-        assert_eq!(c.total_bytes, 4 * 100 + 550);
-        for seq in 1..=6u64 {
-            assert_eq!(c.get((1, 13, seq)), None, "small payload {seq} evicted");
-        }
-        // A tiny payload after the jumbo evicts nothing.
-        assert_eq!(c.insert((1, 13, 12), 12, 0, 8, cap), 0);
-        assert_eq!(c.total_bytes, 4 * 100 + 550 + 8);
-        // An oversize payload beyond the whole cap still caches (the
-        // newest entry is never evicted) but flushes everything else.
-        assert_eq!(c.insert((1, 13, 13), 13, 0, 2_000, cap), 6);
-        assert_eq!(c.entries.len(), 1);
-        assert_eq!(c.total_bytes, 2_000);
-        assert_eq!(c.get((1, 13, 13)), Some((13, 0)));
-    }
-
-    #[test]
-    fn payload_sizes_are_pure_and_ranged() {
-        let mut cfg = ReliabilityConfig {
-            payload_bytes_min: 16,
-            payload_bytes_max: 1_024,
-            ..ReliabilityConfig::default()
-        };
-        let mut distinct = BTreeSet::new();
-        for seq in 1..=64u64 {
-            let a = payload_bytes(&cfg, GroupId(1), NodeId(13), seq);
-            let b = payload_bytes(&cfg, GroupId(1), NodeId(13), seq);
-            assert_eq!(a, b, "same coordinates, same size");
-            assert!((16..=1_024).contains(&a), "size {a} out of range");
-            distinct.insert(a);
-        }
-        assert!(distinct.len() > 1, "a 64-payload mix must vary in size");
-        // A degenerate range is a constant — the default model.
-        cfg.payload_bytes_min = CACHE_ENTRY_BYTES as u32;
-        cfg.payload_bytes_max = CACHE_ENTRY_BYTES as u32;
-        for seq in 1..=8u64 {
-            assert_eq!(
-                payload_bytes(&cfg, GroupId(1), NodeId(13), seq),
-                CACHE_ENTRY_BYTES
-            );
-        }
+        assert_eq!(c.insert((1, 13, 1), 1, 0), 0);
+        assert_eq!(c.entries.len(), CACHE_ENTRIES);
+        assert_eq!(
+            c.lru.len(),
+            CACHE_ENTRIES,
+            "the LRU index matches the live set"
+        );
     }
 
     #[test]

@@ -92,9 +92,10 @@ impl ScmpRouter {
             let mut standby = StandbyState::new();
             standby.membership = state.sessions;
             if cfg.heartbeat_interval > 0 {
-                let horizon =
-                    cfg.heartbeat_interval * 2 * u64::from(cfg.heartbeat_loss_tolerance.max(1));
-                standby.deadline = ctx.now() + horizon;
+                let horizon = cfg
+                    .heartbeat_interval
+                    .saturating_mul(2 * u64::from(cfg.heartbeat_loss_tolerance.max(1)));
+                standby.deadline = ctx.now().saturating_add(horizon);
                 ctx.set_timer(horizon, TIMER_WATCHDOG_BASE);
             }
             self.role = Role::Standby(standby);

@@ -314,9 +314,12 @@ impl<'a, M: Clone + fmt::Debug> Ctx<'a, M> {
         }
     }
 
-    /// Arm a timer that fires `delay` ticks from now with `token`.
+    /// Arm a timer that fires `delay` ticks from now with `token`. A
+    /// deadline past `u64::MAX` is never reached, so it arms nothing.
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
-        let t = self.now + delay;
+        let Some(t) = self.now.checked_add(delay) else {
+            return;
+        };
         let node = self.node;
         self.push(t, node, EventKind::Timer { token });
     }

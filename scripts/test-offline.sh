@@ -32,20 +32,21 @@ SCMP_JOBS=2 cargo run -q --release -p scmp-bench --bin stress -- --smoke --no-pi
 # guard that the deterministic report is byte-identical to a serial
 # re-run (timing rows exempt).
 SCMP_JOBS=2 cargo run -q --release -p scmp-bench --bin scale -- --smoke --jobs 2
-# Partition-and-heal smoke: a reduced correlated-cut series plus the
-# flash-crowd membership scenario under a 2-worker pool. The chaos bin
-# byte-compares the parallel series against a serial re-run; the
-# scenario runner is then driven twice over the same file and its
-# reports compared byte for byte — the cut geometry, degraded mode,
-# and epoch reconciliation are all seeded, so any divergence is a
-# determinism bug.
+# Partition-and-heal smoke: a reduced correlated-cut series under a
+# 2-worker pool; the chaos bin byte-compares the parallel series
+# against a serial re-run.
 SCMP_JOBS=2 cargo run -q --release -p scmp-bench --bin chaos -- 1 --jobs 2 --partition-only
-part_a=$(cargo run -q --release -p scmp-bench --bin scenario -- \
-    tests/scenarios/partition-smoke.json tests/scenarios/partition-smoke.json --jobs 2)
-part_b=$(cargo run -q --release -p scmp-bench --bin scenario -- \
-    tests/scenarios/partition-smoke.json tests/scenarios/partition-smoke.json --jobs 1)
-[ "$part_a" = "$part_b" ] || {
-    echo "partition smoke diverged between --jobs 2 and serial" >&2
+# Every committed scenario file (the examples and the partition smoke
+# with its flash-crowd schedule) runs on 2 workers and on 1, and the
+# reports must match byte for byte: cut geometry, degraded mode, epoch
+# reconciliation and queueing are all seeded, so any divergence is a
+# determinism bug.
+runs_a=$(cargo run -q --release -p scmp-bench --bin scenario -- \
+    examples/scenarios/*.json tests/scenarios/*.json --jobs 2)
+runs_b=$(cargo run -q --release -p scmp-bench --bin scenario -- \
+    examples/scenarios/*.json tests/scenarios/*.json --jobs 1)
+[ "$runs_a" = "$runs_b" ] || {
+    echo "committed scenarios diverged between --jobs 2 and serial" >&2
     exit 1
 }
 # A corpus entry wraps a scenario; it is not one. Fed to the scenario

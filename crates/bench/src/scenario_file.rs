@@ -131,6 +131,9 @@ impl TopologySpec {
             }
             TopologySpec::Arpanet { seed } => arpanet(&mut rng_for("scenario-arpanet", seed)),
             TopologySpec::Custom { nodes, ref links } => {
+                if nodes == 0 {
+                    return Err("topology: custom needs nodes >= 1".into());
+                }
                 let mut b = scmp_net::TopologyBuilder::new(nodes);
                 for (i, &[a, bb, delay, cost]) in links.iter().enumerate() {
                     let (na, nb) = (NodeId(a as u32), NodeId(bb as u32));
@@ -1259,6 +1262,21 @@ mod tests {
     fn waxman_without_nodes_is_an_error() {
         let err = topology_error(r#"{ "kind": "waxman", "n": 0, "seed": 1 }"#);
         assert!(err.contains("topology: waxman needs n >= 1"), "{err}");
+    }
+
+    #[test]
+    fn custom_without_nodes_is_an_error() {
+        for rule in ["rule1", "rule2", "rule3"] {
+            let json = format!(
+                r#"{{ "topology": {{ "kind": "custom", "nodes": 0, "links": [] }},
+                     "m_router": "{rule}", "events": [] }}"#
+            );
+            let err = run(&json).unwrap_err();
+            assert!(
+                err.contains("topology: custom needs nodes >= 1"),
+                "{rule}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! processing (§III-E). Everything here runs on every router; the
 //! m-router-only logic lives in the sibling `mrouter` module.
 
-use super::{
-    backoff, PendingTree, ScmpRouter, MAX_RETRIES, TIMER_JOIN_RETRY_BASE, TIMER_LEAVE_RETRY_BASE,
-};
+use super::timer::{Attempts, Series, Timer};
+use super::{PendingTree, ScmpRouter};
 use crate::igmp::{HostId, MembershipEdge};
 use crate::message::ScmpMsg;
 use crate::tree_packet::{BranchPacket, TreePacket};
 use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet};
 use scmp_telemetry::EventKind;
+use std::collections::BTreeMap;
 
 impl ScmpRouter {
     // ------------------------------------------------------------------
@@ -26,20 +26,20 @@ impl ScmpRouter {
         if edge != MembershipEdge::FirstJoined(group) {
             return;
         }
+        let txn = self.fresh_txn();
+        let series = self.joins.entry(group).or_default();
+        series.txn = Some(txn);
         if let Some(entry) = self.entries.get_mut(&group) {
             // Already on the tree: just open the interface; the JOIN is
             // still sent "for possible accounting and billing purposes".
             entry.local_interface = true;
         } else {
-            self.pending_interfaces.insert(group);
             let retry = self.domain.config.join_retry;
             if retry > 0 {
-                self.join_attempts.insert(group, 0);
-                ctx.set_timer(retry, TIMER_JOIN_RETRY_BASE + group.0 as u64);
+                series.attempts = Attempts::default();
+                ctx.set_timer(retry, Timer::JoinRetry(group).token());
             }
         }
-        let txn = self.fresh_txn();
-        self.join_txns.insert(group, txn);
         let m = self.m_router_for(group);
         let me = self.me;
         ctx.unicast(
@@ -48,23 +48,8 @@ impl ScmpRouter {
         );
     }
 
-    /// The trace key of the group's in-flight JOIN series, minting one
-    /// when the series started before keys existed (e.g. restarted
-    /// toward a new m-router after a takeover).
-    fn join_txn(&mut self, group: GroupId) -> u64 {
-        match self.join_txns.get(&group) {
-            Some(&t) => t,
-            None => {
-                let t = self.fresh_txn();
-                self.join_txns.insert(group, t);
-                t
-            }
-        }
-    }
-
     /// JOIN retry: if the subnet still wants the group but no tree state
-    /// arrived (the JOIN or its TREE/BRANCH answer was lost), resend with
-    /// exponential backoff, giving up after [`MAX_RETRIES`].
+    /// arrived (the JOIN or its TREE/BRANCH answer was lost), resend.
     pub(super) fn retry_join_if_unanswered(&mut self, group: GroupId, ctx: &mut Ctx<'_, ScmpMsg>) {
         let wants = self.subnet.has_members(group);
         let answered = self
@@ -72,60 +57,56 @@ impl ScmpRouter {
             .get(&group)
             .is_some_and(|e| e.local_interface || !wants);
         if !wants || answered || self.is_m_router() {
-            self.join_attempts.remove(&group);
-            self.join_txns.remove(&group);
-            return;
-        }
-        let attempt = self.join_attempts.entry(group).or_insert(0);
-        *attempt += 1;
-        if *attempt > MAX_RETRIES {
-            self.join_attempts.remove(&group);
-            self.join_txns.remove(&group);
-            return;
-        }
-        let backoff = backoff(self.domain.config.join_retry, *attempt);
-        self.pending_interfaces.insert(group);
-        let txn = self.join_txn(group);
-        let m = self.m_router_for(group);
-        let me = self.me;
-        ctx.unicast(
-            m,
-            Packet::control_keyed(group, txn, ScmpMsg::Join { requester: me }),
-        );
-        if self.domain.config.join_retry > 0 {
-            ctx.set_timer(backoff, TIMER_JOIN_RETRY_BASE + group.0 as u64);
+            self.joins.remove(&group);
+        } else {
+            self.resend_series(group, false, ctx);
         }
     }
 
     /// LEAVE retry: the m-router never acked, so either the LEAVE or the
-    /// LEAVE-ACK was lost; resend with backoff until acked or exhausted.
+    /// LEAVE-ACK was lost; resend until acked or exhausted.
     pub(super) fn retry_leave_if_unacked(&mut self, group: GroupId, ctx: &mut Ctx<'_, ScmpMsg>) {
-        let Some(attempt) = self.pending_leaves.get_mut(&group) else {
-            return; // acked in the meantime
-        };
-        *attempt += 1;
-        let attempt = *attempt;
-        if attempt > MAX_RETRIES {
-            self.pending_leaves.remove(&group);
-            self.leave_txns.remove(&group);
-            return;
+        if self.leaves.contains_key(&group) {
+            self.resend_series(group, true, ctx);
         }
-        let backoff = backoff(self.domain.config.leave_retry, attempt);
-        let txn = match self.leave_txns.get(&group) {
-            Some(&t) => t,
-            None => {
-                let t = self.fresh_txn();
-                self.leave_txns.insert(group, t);
-                t
-            }
+    }
+
+    /// Retransmit the group's JOIN (or, with `leave`, its LEAVE) to the
+    /// m-router and re-arm the retry timer with backoff; past
+    /// [`MAX_RETRIES`](super::timer::MAX_RETRIES) the series is dropped
+    /// instead. A series whose trace key a takeover cleared mints a
+    /// fresh one here.
+    fn resend_series(&mut self, group: GroupId, leave: bool, ctx: &mut Ctx<'_, ScmpMsg>) {
+        let cfg = &self.domain.config;
+        let base = if leave {
+            cfg.leave_retry
+        } else {
+            cfg.join_retry
+        };
+        let mut series = self.series(leave).remove(&group).unwrap_or_default();
+        let Some(delay) = series.attempts.next(base) else {
+            return;
+        };
+        let txn = *series.txn.get_or_insert_with(|| self.fresh_txn());
+        self.series(leave).insert(group, series);
+        let me = self.me;
+        let (body, timer) = if leave {
+            (ScmpMsg::Leave { requester: me }, Timer::LeaveRetry(group))
+        } else {
+            (ScmpMsg::Join { requester: me }, Timer::JoinRetry(group))
         };
         let m = self.m_router_for(group);
-        let me = self.me;
-        ctx.unicast(
-            m,
-            Packet::control_keyed(group, txn, ScmpMsg::Leave { requester: me }),
-        );
-        ctx.set_timer(backoff, TIMER_LEAVE_RETRY_BASE + group.0 as u64);
+        ctx.unicast(m, Packet::control_keyed(group, txn, body));
+        ctx.set_timer(delay, timer.token());
+    }
+
+    /// The LEAVE series with `leave`, else the JOIN series.
+    fn series(&mut self, leave: bool) -> &mut BTreeMap<GroupId, Series> {
+        if leave {
+            &mut self.leaves
+        } else {
+            &mut self.joins
+        }
     }
 
     pub(super) fn handle_host_leave(&mut self, group: GroupId, ctx: &mut Ctx<'_, ScmpMsg>) {
@@ -136,7 +117,6 @@ impl ScmpRouter {
         if edge != MembershipEdge::LastLeft(group) {
             return;
         }
-        self.pending_interfaces.remove(&group);
         // One transaction covers the whole departure: the hop-by-hop
         // PRUNE and the LEAVE/LEAVE-ACK exchange share the key.
         let txn = self.fresh_txn();
@@ -159,7 +139,6 @@ impl ScmpRouter {
             send_leave = true;
         }
         if send_leave {
-            self.leave_txns.insert(group, txn);
             let m = self.m_router_for(group);
             let me = self.me;
             ctx.unicast(
@@ -168,8 +147,12 @@ impl ScmpRouter {
             );
             let retry = self.domain.config.leave_retry;
             if retry > 0 {
-                self.pending_leaves.insert(group, 0);
-                ctx.set_timer(retry, TIMER_LEAVE_RETRY_BASE + group.0 as u64);
+                let series = Series {
+                    txn: Some(txn),
+                    ..Series::default()
+                };
+                self.leaves.insert(group, series);
+                ctx.set_timer(retry, Timer::LeaveRetry(group).token());
             }
         }
     }
@@ -355,9 +338,7 @@ impl ScmpRouter {
         // The DR's subnet is the ground truth for the local interface:
         // a concurrent restructure may have flushed an entry (losing the
         // flag) while this router's own JOIN was still in flight.
-        self.pending_interfaces.remove(&group);
-        self.join_attempts.remove(&group);
-        self.join_txns.remove(&group);
+        self.joins.remove(&group);
         let local = self.subnet.has_members(group);
         let entry = self.entries.entry(group).or_default();
         let old_upstream = entry.upstream;
@@ -396,9 +377,7 @@ impl ScmpRouter {
             return;
         }
         let (next, rest) = bp.advance(self.me);
-        self.pending_interfaces.remove(&group);
-        self.join_attempts.remove(&group);
-        self.join_txns.remove(&group);
+        self.joins.remove(&group);
         let local = self.subnet.has_members(group);
         let entry = self.entries.entry(group).or_default();
         let old_upstream = entry.upstream;
@@ -427,7 +406,7 @@ impl ScmpRouter {
     // probability at the worst link's delivery rate. Instead *every*
     // sender — the m-router and each relaying DR — tracks its own
     // transmissions to direct children and retransmits until TREE-ACKed
-    // (bounded by [`MAX_RETRIES`]). A JOIN retried by the member remains
+    // (bounded by `MAX_RETRIES`). A JOIN retried by the member remains
     // the end-to-end backstop once the hop budget is exhausted.
 
     /// Send a TREE/BRANCH packet to a direct child, registering it for
@@ -451,16 +430,16 @@ impl ScmpRouter {
             (group, child),
             PendingTree {
                 gen,
-                attempts: 0,
+                attempts: Attempts::default(),
                 pkt,
                 deadline,
             },
         );
-        ctx.set_timer(retry, super::tree_retry_token(group, child));
+        ctx.set_timer(retry, Timer::TreeRetry(group, child).token());
     }
 
     /// TREE-retry timer fired: resend the pending packet with backoff,
-    /// giving up after [`MAX_RETRIES`].
+    /// giving up after [`MAX_RETRIES`](super::timer::MAX_RETRIES).
     pub(super) fn retry_tree_if_unacked(
         &mut self,
         group: GroupId,
@@ -475,15 +454,13 @@ impl ScmpRouter {
         if now < p.deadline {
             return; // stale timer from a superseded arming
         }
-        p.attempts += 1;
-        if p.attempts > MAX_RETRIES {
+        let Some(delay) = p.attempts.next(retry) else {
             self.pending_trees.remove(&(group, child));
             return;
-        }
-        let attempt = p.attempts;
+        };
+        let attempt = p.attempts.count();
         let pkt = p.pkt.clone();
         let tag = pkt.tag;
-        let delay = backoff(retry, attempt);
         p.deadline = now.saturating_add(delay);
         ctx.send(child, pkt);
         ctx.observe(EventKind::Retransmit {
@@ -492,7 +469,7 @@ impl ScmpRouter {
             attempt,
             tag,
         });
-        ctx.set_timer(delay, super::tree_retry_token(group, child));
+        ctx.set_timer(delay, Timer::TreeRetry(group, child).token());
     }
 
     /// TREE-ACK from a direct child: clear the pending transmission,

@@ -31,6 +31,7 @@ mod reliability;
 mod standby;
 #[cfg(test)]
 mod tests;
+mod timer;
 
 pub use config::{ReliabilityConfig, ScmpConfig};
 pub use domain::ScmpDomain;
@@ -44,54 +45,9 @@ use crate::igmp::{HostId, Subnet};
 use crate::message::ScmpMsg;
 use scmp_net::NodeId;
 use scmp_sim::{AppEvent, Ctx, GroupId, Packet, Router};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Timer tokens.
-const TIMER_HEARTBEAT: u64 = 1;
-const TIMER_REBUILD: u64 = 3;
-/// Periodic m-router repair scan (robustness extension): check every
-/// mirrored tree against the IGP liveness view and re-run DCDM over the
-/// surviving topology when a tree is damaged.
-const TIMER_REPAIR: u64 = 4;
-/// Watchdog tokens are generation-stamped: `TIMER_WATCHDOG_BASE + gen`.
-/// Every heartbeat bumps the generation, so only the deadman timer armed
-/// after the *last* heartbeat can trigger a takeover.
-const TIMER_WATCHDOG_BASE: u64 = 1_000;
-/// Session-expiry tokens: `TIMER_EXPIRY_BASE + gid`. Must stay above
-/// every watchdog token; group ids are small in practice, and the bases
-/// are far enough apart that overlap would need 2^63 heartbeats.
-const TIMER_EXPIRY_BASE: u64 = 1 << 63;
-/// JOIN-retry tokens: `TIMER_JOIN_RETRY_BASE + gid`.
-const TIMER_JOIN_RETRY_BASE: u64 = 1 << 62;
-/// LEAVE-retry tokens: `TIMER_LEAVE_RETRY_BASE + gid`.
-const TIMER_LEAVE_RETRY_BASE: u64 = 1 << 61;
-/// TREE-retry tokens: `TIMER_TREE_RETRY_BASE + (gid << 24) + child`.
-/// Node ids fit 24 bits in any simulated domain and group ids stay far
-/// below 2^36, so the token never reaches [`TIMER_LEAVE_RETRY_BASE`].
-const TIMER_TREE_RETRY_BASE: u64 = 1 << 60;
-/// NACK suppression-timer tokens (reliability tier):
-/// `TIMER_NACK_BASE + (gid << 24) + stream_origin`.
-const TIMER_NACK_BASE: u64 = 1 << 59;
-/// SEQ-ANNOUNCE series tokens (reliability tier):
-/// `TIMER_ANNOUNCE_BASE + (gid << 24) + stream_origin`.
-const TIMER_ANNOUNCE_BASE: u64 = 1 << 58;
-
-/// Encode one parent → child tree-ARQ slot as a timer token.
-pub(super) fn tree_retry_token(group: GroupId, child: NodeId) -> u64 {
-    TIMER_TREE_RETRY_BASE + ((group.0 as u64) << 24) + child.0 as u64
-}
-/// Give up a JOIN/LEAVE retransmission series after this many attempts
-/// (the m-router is gone for good; a takeover or operator intervenes).
-const MAX_RETRIES: u32 = 8;
-/// Exponential-backoff shift cap: delay = base << min(attempt, cap).
-const BACKOFF_CAP: u32 = 6;
-
-/// Retry delay after `attempt` tries: `base << min(attempt, BACKOFF_CAP)`,
-/// saturating at `u64::MAX` rather than dropping the high bits.
-fn backoff(base: u64, attempt: u32) -> u64 {
-    base.saturating_mul(1 << attempt.min(BACKOFF_CAP))
-}
+use timer::{Attempts, Series, Timer};
 
 /// Tree generations carry a takeover epoch in their upper bits: a
 /// promoted standby starts numbering at the next epoch above every
@@ -106,7 +62,7 @@ const GEN_EPOCH_SHIFT: u32 = 32;
 #[derive(Debug)]
 struct PendingTree {
     gen: u64,
-    attempts: u32,
+    attempts: Attempts,
     pkt: Packet<ScmpMsg>,
     /// Earliest time a retry timer may act. Retry timers are keyed by
     /// `(group, child)` only, so when a newer TREE replaces a pending
@@ -136,11 +92,6 @@ pub struct ScmpRouter {
     role: Role,
     /// Multicast routing table: one entry per group.
     entries: BTreeMap<GroupId, RoutingEntry>,
-    /// Groups whose local interface is marked pending a TREE/BRANCH
-    /// packet (§III-B: "the interface ... is marked so that it will be
-    /// added to the downstream ... when the DR receives the TREE packet
-    /// later").
-    pending_interfaces: BTreeSet<GroupId>,
     /// Flush tombstones: highest generation at which this router was
     /// told to discard a group's state; older TREE/BRANCH are ignored.
     flushed: BTreeMap<GroupId, u64>,
@@ -150,10 +101,11 @@ pub struct ScmpRouter {
     next_host: u32,
     /// Host stack per group so Leave events pop a real joined host.
     joined_hosts: BTreeMap<GroupId, Vec<HostId>>,
-    /// JOIN retransmissions already made per group (backoff exponent).
-    join_attempts: BTreeMap<GroupId, u32>,
-    /// LEAVEs awaiting a LEAVE-ACK, with retransmission count.
-    pending_leaves: BTreeMap<GroupId, u32>,
+    /// The JOIN series per group, from the first JOIN until a TREE or
+    /// BRANCH answers it (or it gives up).
+    joins: BTreeMap<GroupId, Series>,
+    /// LEAVEs awaiting a LEAVE-ACK (kept only when `leave_retry > 0`).
+    leaves: BTreeMap<GroupId, Series>,
     /// TREE/BRANCH packets this node sent to a direct child and not yet
     /// TREE-ACKed, keyed by `(group, child)`. Lives on every router, not
     /// just the m-router: tree distribution is relayed hop by hop, and
@@ -178,11 +130,6 @@ pub struct ScmpRouter {
     /// Sequence counter behind [`ScmpRouter::fresh_txn`]: every control
     /// transaction this node originates gets a distinct causal trace key.
     next_txn: u32,
-    /// The trace key of the in-flight JOIN series per group: retries
-    /// reuse it so the whole series correlates as one transaction.
-    join_txns: BTreeMap<GroupId, u64>,
-    /// The trace key of the in-flight LEAVE series per group.
-    leave_txns: BTreeMap<GroupId, u64>,
 }
 
 /// How many data-packet keys each router remembers for duplicate
@@ -211,20 +158,17 @@ impl ScmpRouter {
             domain,
             role,
             entries: BTreeMap::new(),
-            pending_interfaces: BTreeSet::new(),
             flushed: BTreeMap::new(),
             subnet: Subnet::new(),
             next_host: 0,
             joined_hosts: BTreeMap::new(),
-            join_attempts: BTreeMap::new(),
-            pending_leaves: BTreeMap::new(),
+            joins: BTreeMap::new(),
+            leaves: BTreeMap::new(),
             pending_trees: BTreeMap::new(),
             gen_high_water: 0,
             recent_data: RecentSet::new(RECENT_DATA_CAP),
             rel: reliability::ReliabilityState::default(),
             next_txn: 0,
-            join_txns: BTreeMap::new(),
-            leave_txns: BTreeMap::new(),
         }
     }
 
@@ -285,7 +229,7 @@ impl Router for ScmpRouter {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ScmpMsg>) {
         let cfg = &self.domain.config;
         if cfg.repair_interval > 0 && self.is_m_router() {
-            ctx.set_timer(cfg.repair_interval, TIMER_REPAIR);
+            ctx.set_timer(cfg.repair_interval, Timer::Repair.token());
         }
         if cfg.heartbeat_interval == 0 {
             return;
@@ -295,14 +239,14 @@ impl Router for ScmpRouter {
             .saturating_mul(2 * u64::from(cfg.heartbeat_loss_tolerance.max(1)));
         match &mut self.role {
             Role::MRouter(_) if cfg.standby.is_some() => {
-                ctx.set_timer(cfg.heartbeat_interval, TIMER_HEARTBEAT);
+                ctx.set_timer(cfg.heartbeat_interval, Timer::Heartbeat.token());
             }
             Role::Standby(s) => {
                 // Generous first deadline (twice the steady-state
                 // tolerance): the primary may be several propagation
                 // delays away.
                 s.deadline = ctx.now().saturating_add(horizon);
-                ctx.set_timer(horizon, TIMER_WATCHDOG_BASE);
+                ctx.set_timer(horizon, Timer::Watchdog(0).token());
             }
             _ => {}
         }
@@ -385,7 +329,7 @@ impl Router for ScmpRouter {
                         s.watchdog_gen += 1;
                         s.deadline = ctx.now().saturating_add(grace);
                         let gen = s.watchdog_gen;
-                        ctx.set_timer(grace, TIMER_WATCHDOG_BASE + gen);
+                        ctx.set_timer(grace, Timer::Watchdog(gen).token());
                     }
                     Role::MRouter(state) if promoted => {
                         // A heartbeat reaching a *promoted* standby means
@@ -401,7 +345,7 @@ impl Router for ScmpRouter {
                         if !state.peer_alive {
                             state.peer_alive = true;
                             if interval > 0 {
-                                ctx.set_timer(interval, TIMER_HEARTBEAT);
+                                ctx.set_timer(interval, Timer::Heartbeat.token());
                             }
                         }
                     }
@@ -415,8 +359,7 @@ impl Router for ScmpRouter {
                 }
             }
             ScmpMsg::LeaveAck => {
-                self.pending_leaves.remove(&group);
-                self.leave_txns.remove(&group);
+                self.leaves.remove(&group);
             }
             ScmpMsg::NewMRouter { address } => self.handle_new_mrouter(address, ctx),
             ScmpMsg::TreeAck { gen } => self.handle_tree_ack(group, from, gen),
@@ -424,75 +367,18 @@ impl Router for ScmpRouter {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, ScmpMsg>) {
-        match token {
-            TIMER_HEARTBEAT => {
-                let cfg = self.domain.config.clone();
-                let me = self.me;
-                if let Role::MRouter(state) = &mut self.role {
-                    state.heartbeat_seq += 1;
-                    let seq = state.heartbeat_seq;
-                    // A promoted standby beacons back to the deposed
-                    // primary (its new standby); the primary beacons to
-                    // the configured standby as always.
-                    let peer = if Some(me) == cfg.standby {
-                        Some(cfg.m_router)
-                    } else {
-                        cfg.standby
-                    };
-                    if let Some(peer) = peer {
-                        ctx.unicast(
-                            peer,
-                            Packet::control(GroupId(0), ScmpMsg::Heartbeat { seq }),
-                        );
-                    }
-                    ctx.set_timer(cfg.heartbeat_interval, TIMER_HEARTBEAT);
-                }
-            }
-            TIMER_REBUILD => self.rebuild_after_takeover(ctx),
-            TIMER_REPAIR => self.m_repair_scan(ctx),
-            token if token >= TIMER_EXPIRY_BASE => {
-                self.expire_session_if_empty(GroupId((token - TIMER_EXPIRY_BASE) as u32));
-            }
-            token if token >= TIMER_JOIN_RETRY_BASE => {
-                self.retry_join_if_unanswered(GroupId((token - TIMER_JOIN_RETRY_BASE) as u32), ctx);
-            }
-            token if token >= TIMER_LEAVE_RETRY_BASE => {
-                self.retry_leave_if_unacked(GroupId((token - TIMER_LEAVE_RETRY_BASE) as u32), ctx);
-            }
-            token if token >= TIMER_TREE_RETRY_BASE => {
-                let slot = token - TIMER_TREE_RETRY_BASE;
-                let group = GroupId((slot >> 24) as u32);
-                let child = NodeId((slot & 0x00FF_FFFF) as u32);
-                self.retry_tree_if_unacked(group, child, ctx);
-            }
-            token if token >= TIMER_NACK_BASE => {
-                let slot = token - TIMER_NACK_BASE;
-                let group = GroupId((slot >> 24) as u32);
-                let origin = NodeId((slot & 0x00FF_FFFF) as u32);
-                self.rel_nack_timer(group, origin, ctx);
-            }
-            token if token >= TIMER_ANNOUNCE_BASE => {
-                let slot = token - TIMER_ANNOUNCE_BASE;
-                let group = GroupId((slot >> 24) as u32);
-                let origin = NodeId((slot & 0x00FF_FFFF) as u32);
-                self.rel_announce_timer(group, origin, ctx);
-            }
-            token if token >= TIMER_WATCHDOG_BASE => {
-                let take_over = match &self.role {
-                    // Both guards must agree: the generation stamp kills
-                    // timers superseded by a later heartbeat, and the
-                    // deadline kills stale timers whose token matches a
-                    // reset generation (e.g. right after a demotion).
-                    Role::Standby(s) => {
-                        token - TIMER_WATCHDOG_BASE == s.watchdog_gen && ctx.now() >= s.deadline
-                    }
-                    _ => false,
-                };
-                if take_over {
-                    self.standby_takeover(ctx);
-                }
-            }
-            _ => {}
+        match Timer::decode(token) {
+            Some(Timer::Heartbeat) => self.heartbeat_tick(ctx),
+            Some(Timer::Rebuild) => self.rebuild_after_takeover(ctx),
+            Some(Timer::Repair) => self.m_repair_scan(ctx),
+            Some(Timer::Watchdog(gen)) => self.watchdog_expired(gen, ctx),
+            Some(Timer::Expiry(group)) => self.expire_session_if_empty(group),
+            Some(Timer::JoinRetry(group)) => self.retry_join_if_unanswered(group, ctx),
+            Some(Timer::LeaveRetry(group)) => self.retry_leave_if_unacked(group, ctx),
+            Some(Timer::TreeRetry(group, child)) => self.retry_tree_if_unacked(group, child, ctx),
+            Some(Timer::Nack(group, origin)) => self.rel_nack_timer(group, origin, ctx),
+            Some(Timer::Announce(group, origin)) => self.rel_announce_timer(group, origin, ctx),
+            None => {}
         }
     }
 

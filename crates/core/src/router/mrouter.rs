@@ -3,7 +3,7 @@
 //! the switching-fabric port assignment (§II-B) and the periodic tree
 //! repair scan (robustness extension).
 
-use super::{Role, ScmpDomain, ScmpRouter, TIMER_EXPIRY_BASE, TIMER_REPAIR};
+use super::{Role, ScmpDomain, ScmpRouter, Timer};
 use crate::message::ScmpMsg;
 use crate::session::SessionDb;
 use crate::tree_packet::{BranchPacket, TreePacket};
@@ -255,7 +255,6 @@ impl ScmpRouter {
         entry.upstream = None;
         entry.downstream_routers = tree.children(me).iter().copied().collect();
         if requester == me {
-            self.pending_interfaces.remove(&group);
             entry.local_interface = true;
         }
 
@@ -374,10 +373,7 @@ impl ScmpRouter {
         };
         state.trees.insert(group, tree);
         if emptied && domain.config.session_expiry > 0 {
-            ctx.set_timer(
-                domain.config.session_expiry,
-                TIMER_EXPIRY_BASE + group.0 as u64,
-            );
+            ctx.set_timer(domain.config.session_expiry, Timer::Expiry(group).token());
         }
         self.mirror_membership(group, txn, requester, false, ctx);
     }
@@ -430,7 +426,7 @@ impl ScmpRouter {
         let interval = domain.config.repair_interval;
         if interval > 0 {
             // Re-arm first so a scan can never silence itself.
-            ctx.set_timer(interval, TIMER_REPAIR);
+            ctx.set_timer(interval, Timer::Repair.token());
         }
         let epoch = ctx.routes().epoch();
         let same_epoch = state.scanned_epoch == Some(epoch);

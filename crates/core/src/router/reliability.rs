@@ -40,7 +40,8 @@
 //! is touched, and the data plane is byte-identical to plain SCMP
 //! (pinned by integration tests).
 
-use super::{backoff, ScmpRouter, TIMER_ANNOUNCE_BASE, TIMER_NACK_BASE};
+use super::timer::{backoff, Timer};
+use super::ScmpRouter;
 use crate::message::ScmpMsg;
 use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet, PacketClass};
@@ -82,16 +83,6 @@ const NACK_BATCH: usize = 16;
 const MAX_GAPS_PER_STREAM: usize = 1024;
 /// Most pending-interest entries per router.
 const MAX_PIT: usize = 1024;
-
-/// Encode one (group, origin-stream) NACK-timer slot as a timer token.
-fn nack_token(group: GroupId, origin: NodeId) -> u64 {
-    TIMER_NACK_BASE + ((group.0 as u64) << 24) + origin.0 as u64
-}
-
-/// Encode one (group, origin-stream) announce-timer slot.
-fn announce_token(group: GroupId, origin: NodeId) -> u64 {
-    TIMER_ANNOUNCE_BASE + ((group.0 as u64) << 24) + origin.0 as u64
-}
 
 /// Deterministic suppression-timer jitter in `[0, width)`: a splitmix64
 /// finalizer over the seed and the scheduling coordinates. A pure hash
@@ -390,7 +381,7 @@ impl ScmpRouter {
         stream.nack_attempt = 0;
         let delay = NACK_DELAY + jitter_in(me, group, origin, 0);
         stream.nack_deadline = ctx.now().saturating_add(delay);
-        ctx.set_timer(delay, nack_token(group, origin));
+        ctx.set_timer(delay, Timer::Nack(group, origin).token());
     }
 
     /// NACK suppression timer fired for stream (group, origin).
@@ -456,7 +447,7 @@ impl ScmpRouter {
             .get_mut(&(group, origin))
             .expect("stream checked above");
         stream.nack_deadline = now.saturating_add(delay);
-        ctx.set_timer(delay, nack_token(group, origin));
+        ctx.set_timer(delay, Timer::Nack(group, origin).token());
     }
 
     /// An incoming NACK: answer from the repair cache, or aggregate it
@@ -724,7 +715,7 @@ impl ScmpRouter {
             });
         state.rounds_left = ANNOUNCE_ROUNDS;
         state.deadline = deadline;
-        ctx.set_timer(ANNOUNCE_INTERVAL, announce_token(group, origin));
+        ctx.set_timer(ANNOUNCE_INTERVAL, Timer::Announce(group, origin).token());
     }
 
     /// Announce timer fired for a stream this router sources.
@@ -754,7 +745,7 @@ impl ScmpRouter {
         let more = state.rounds_left > 0;
         if more {
             state.deadline = now.saturating_add(ANNOUNCE_INTERVAL);
-            ctx.set_timer(ANNOUNCE_INTERVAL, announce_token(group, origin));
+            ctx.set_timer(ANNOUNCE_INTERVAL, Timer::Announce(group, origin).token());
         } else {
             self.rel.announces.remove(&(group, origin));
         }

@@ -3,7 +3,7 @@
 //! promotes itself — announcing the new m-router address and rebuilding
 //! every tree around the dead primary.
 
-use super::{MRouterState, Role, ScmpRouter, TIMER_REBUILD, TIMER_WATCHDOG_BASE};
+use super::{Attempts, MRouterState, Role, ScmpRouter, Timer};
 use crate::message::ScmpMsg;
 use crate::session::SessionDb;
 use crate::tree_packet::TreePacket;
@@ -40,6 +40,44 @@ impl StandbyState {
 }
 
 impl ScmpRouter {
+    /// Heartbeat timer: an active m-router beacons to its peer and
+    /// re-arms. A promoted standby beacons back to the deposed primary
+    /// (its new standby); the primary beacons to the configured standby.
+    pub(super) fn heartbeat_tick(&mut self, ctx: &mut Ctx<'_, ScmpMsg>) {
+        let domain = Arc::clone(&self.domain);
+        let cfg = &domain.config;
+        let Role::MRouter(state) = &mut self.role else {
+            return;
+        };
+        state.heartbeat_seq += 1;
+        let seq = state.heartbeat_seq;
+        let peer = if Some(self.me) == cfg.standby {
+            Some(cfg.m_router)
+        } else {
+            cfg.standby
+        };
+        if let Some(peer) = peer {
+            ctx.unicast(
+                peer,
+                Packet::control(GroupId(0), ScmpMsg::Heartbeat { seq }),
+            );
+        }
+        ctx.set_timer(cfg.heartbeat_interval, Timer::Heartbeat.token());
+    }
+
+    /// Watchdog timer of heartbeat generation `gen`. Both guards must
+    /// agree before a takeover: the generation stamp kills timers
+    /// superseded by a later heartbeat, and the deadline kills stale
+    /// timers whose generation matches a reset counter (e.g. right after
+    /// a demotion).
+    pub(super) fn watchdog_expired(&mut self, gen: u64, ctx: &mut Ctx<'_, ScmpMsg>) {
+        if let Role::Standby(s) = &self.role {
+            if gen == s.watchdog_gen && ctx.now() >= s.deadline {
+                self.standby_takeover(ctx);
+            }
+        }
+    }
+
     pub(super) fn standby_takeover(&mut self, ctx: &mut Ctx<'_, ScmpMsg>) {
         let domain = Arc::clone(&self.domain);
         let me = self.me;
@@ -68,7 +106,7 @@ impl ScmpRouter {
         }
         self.m_router = me;
         ctx.observe(EventKind::Takeover);
-        ctx.set_timer(domain.config.takeover_rebuild_delay, TIMER_REBUILD);
+        ctx.set_timer(domain.config.takeover_rebuild_delay, Timer::Rebuild.token());
     }
 
     /// NewMRouter announcement processing, shared by every role.
@@ -96,32 +134,32 @@ impl ScmpRouter {
                     .heartbeat_interval
                     .saturating_mul(2 * u64::from(cfg.heartbeat_loss_tolerance.max(1)));
                 standby.deadline = ctx.now().saturating_add(horizon);
-                ctx.set_timer(horizon, TIMER_WATCHDOG_BASE);
+                ctx.set_timer(horizon, Timer::Watchdog(0).token());
             }
             self.role = Role::Standby(standby);
         }
         // The old trees are rooted at the previous primary: drop all
         // forwarding state. The new m-router pushes rebuilt TREE packets
         // after `takeover_rebuild_delay`; until they arrive, sources
-        // fall back to unicast encapsulation. Subnets that still have
-        // members re-mark their interface as pending so the rebuilt
-        // tree re-opens it on arrival.
+        // fall back to unicast encapsulation. The rebuilt tree re-opens
+        // the local interface of every group the subnet still wants.
         self.m_router = address;
         self.entries.clear();
         self.flushed.clear();
-        // The old transaction series died with the old primary; JOINs
-        // toward the new address open fresh ones.
-        self.join_txns.clear();
-        self.leave_txns.clear();
-        self.pending_interfaces = self.subnet.active_groups().into_iter().collect();
-        // Restart the JOIN retry series toward the new address: the
-        // rebuilt TREE push may miss a DR whose original JOIN died with
-        // the primary.
+        // The old transaction keys died with the old primary; the next
+        // retransmission of each series mints a fresh one. A pending
+        // LEAVE keeps its retry count.
+        for series in self.joins.values_mut().chain(self.leaves.values_mut()) {
+            series.txn = None;
+        }
+        // Restart the JOIN retry series of every group the subnet still
+        // wants, toward the new address: the rebuilt TREE push may miss
+        // a DR whose original JOIN died with the primary.
         let retry = self.domain.config.join_retry;
         if retry > 0 {
-            for &g in &self.pending_interfaces {
-                self.join_attempts.insert(g, 0);
-                ctx.set_timer(retry, super::TIMER_JOIN_RETRY_BASE + g.0 as u64);
+            for g in self.subnet.active_groups() {
+                self.joins.entry(g).or_default().attempts = Attempts::default();
+                ctx.set_timer(retry, Timer::JoinRetry(g).token());
             }
         }
     }

@@ -19,7 +19,7 @@ build:
 # Style gate: formatting and clippy, warnings as errors.
 lint:
     cargo fmt --check
-    cargo clippy --workspace -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
 
 # Fault-injection demo: link cuts + router crash against Fig. 5.
 failstorm:

@@ -6,7 +6,8 @@ set -eu
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+# Lints cover tests, examples and bins too, not only the libraries.
+cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 # (No bench targets are left in the workspace, so `cargo test -q` runs
 # tests and doctests only; timing lives in benchmark/, driven below.)

@@ -285,8 +285,8 @@ pub fn loss_scenario(loss: f64, seed: u64, reliable: bool) -> ScenarioFile {
 /// The partition-series scenario: same ARPANET membership as the loss
 /// sweep on a lossless channel, with a seeded [`Partition`] family cut
 /// at [`PARTITION_AT`] healing at [`HEAL_AT`]. Sends bracket the cut:
-/// [`PRE_SENDS`] after convergence, [`MID_SENDS`] mid-partition (the
-/// stranded side is *expected* to miss these), and [`POST_SENDS`]
+/// `PRE_SENDS` after convergence, `MID_SENDS` mid-partition (the
+/// stranded side is *expected* to miss these), and `POST_SENDS`
 /// starting [`RECONVERGE_WINDOW`] after the heal, which reconciliation
 /// must deliver in full.
 ///

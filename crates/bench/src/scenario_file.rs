@@ -570,8 +570,6 @@ pub struct ScenarioResult {
     pub recoveries: u64,
     pub p50_recovery_latency: u64,
     pub p99_recovery_latency: u64,
-    /// Checksum-valid frames of an unimplemented kind, counted at decode.
-    pub unknown_kind_drops: u64,
     /// Gauge samples captured (0 unless `telemetry.gauge_interval` set).
     pub gauge_samples: u64,
     /// Every *live* router claiming the m-router role when the run
@@ -854,7 +852,6 @@ fn run_scenario_inner(
         recoveries: stats.recoveries,
         p50_recovery_latency: stats.recovery_hist.p50(),
         p99_recovery_latency: stats.recovery_hist.p99(),
-        unknown_kind_drops: stats.unknown_kind_drops,
         gauge_samples,
         m_routers_at_end,
         deliveries,

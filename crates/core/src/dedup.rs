@@ -1,96 +1,14 @@
-//! Receiver-side duplicate suppression.
+//! Receiver-side duplicate suppression for data packets.
 //!
-//! Two independent mechanisms, for the two ways a lossy channel can
-//! replay traffic:
-//!
-//! * [`SeqWindow`] — per-sender sliding-window dedup over the wire
-//!   header's control sequence number (the IPsec anti-replay scheme):
-//!   a retransmitted or channel-duplicated control message is
-//!   recognised and discarded even when its payload is not idempotent.
-//! * [`RecentSet`] — a bounded FIFO set of recently-forwarded data
-//!   packet keys. Data packets carry no per-sender sequence (any member
-//!   may source), so routers suppress duplicates by the key
-//!   `(group, origin, tag, encapsulated)` instead (see the router's
-//!   `recent_data` field), which also guarantees the "no member
-//!   receives a data packet twice" chaos invariant under channel
-//!   duplication.
+//! [`RecentSet`] is a bounded FIFO set of recently-forwarded data
+//! packet keys. Data packets carry no per-sender sequence (any member
+//! may source), so routers suppress duplicates by the key
+//! `(group, origin, tag, encapsulated)` instead (see the router's
+//! `recent_data` field), which also guarantees the "no member receives
+//! a data packet twice" chaos invariant under channel duplication.
 
-use scmp_net::NodeId;
 use scmp_sim::FxBuildHasher;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
-
-/// Sliding anti-replay window width (seqs older than this many behind
-/// the newest are treated as replays).
-const WINDOW: u32 = 64;
-
-/// Per-sender sliding-window sequence dedup.
-///
-/// For each sender the window tracks the highest sequence seen and a
-/// bitmap of the `WINDOW` numbers below it. [`SeqWindow::observe`]
-/// returns `true` for a fresh sequence and `false` for a duplicate or
-/// anything that fell off the window (too old to judge — dropping is
-/// the safe side, and a live sender's retransmissions carry fresh
-/// sequence numbers anyway).
-#[derive(Debug, Default)]
-pub struct SeqWindow {
-    peers: HashMap<NodeId, PeerWindow>,
-}
-
-#[derive(Debug)]
-struct PeerWindow {
-    max_seq: u32,
-    /// Bit `i` set ⇔ `max_seq - i` was seen (bit 0 = `max_seq` itself).
-    bitmap: u64,
-}
-
-impl SeqWindow {
-    /// A window with no history.
-    pub fn new() -> Self {
-        SeqWindow::default()
-    }
-
-    /// Record `seq` from `sender`; `true` iff it was never seen before
-    /// (within the window).
-    pub fn observe(&mut self, sender: NodeId, seq: u32) -> bool {
-        match self.peers.get_mut(&sender) {
-            None => {
-                self.peers.insert(
-                    sender,
-                    PeerWindow {
-                        max_seq: seq,
-                        bitmap: 1,
-                    },
-                );
-                true
-            }
-            Some(w) => {
-                if seq > w.max_seq {
-                    let advance = seq - w.max_seq;
-                    w.bitmap = if advance >= 64 {
-                        1
-                    } else {
-                        (w.bitmap << advance) | 1
-                    };
-                    w.max_seq = seq;
-                    true
-                } else {
-                    let behind = w.max_seq - seq;
-                    if behind >= WINDOW {
-                        return false; // too old to judge: drop
-                    }
-                    let bit = 1u64 << behind;
-                    if w.bitmap & bit != 0 {
-                        false
-                    } else {
-                        w.bitmap |= bit;
-                        true
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Most keys one [`RecentSet`] can remember: its fingerprints live
 /// inline, one byte per slot.
@@ -210,94 +128,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::{HashSet, VecDeque};
-
-    const A: NodeId = NodeId(1);
-    const B: NodeId = NodeId(2);
-
-    #[test]
-    fn fresh_sequences_pass_duplicates_fail() {
-        let mut w = SeqWindow::new();
-        assert!(w.observe(A, 1));
-        assert!(w.observe(A, 2));
-        assert!(!w.observe(A, 2), "exact duplicate");
-        assert!(!w.observe(A, 1), "older duplicate inside the window");
-        assert!(w.observe(A, 5), "gap forward is fresh");
-        assert!(w.observe(A, 3), "late arrival inside the gap is fresh");
-        assert!(!w.observe(A, 3), "…but only once");
-    }
-
-    #[test]
-    fn senders_are_independent() {
-        let mut w = SeqWindow::new();
-        assert!(w.observe(A, 7));
-        assert!(w.observe(B, 7), "same seq from another sender is fresh");
-        assert!(!w.observe(A, 7));
-    }
-
-    #[test]
-    fn ancient_sequences_are_dropped() {
-        let mut w = SeqWindow::new();
-        assert!(w.observe(A, 1000));
-        assert!(!w.observe(A, 1000 - WINDOW), "fell off the window");
-        assert!(w.observe(A, 1000 - WINDOW + 1), "just inside");
-    }
-
-    #[test]
-    fn big_jumps_reset_the_bitmap() {
-        let mut w = SeqWindow::new();
-        assert!(w.observe(A, 1));
-        assert!(w.observe(A, 1 + 200));
-        assert!(!w.observe(A, 1 + 200));
-        // 1 is now far outside the window.
-        assert!(!w.observe(A, 1));
-    }
-
-    #[test]
-    fn window_boundary_is_exact() {
-        // behind == WINDOW - 1 is the oldest judgeable sequence;
-        // behind == WINDOW is one past the edge and must be dropped.
-        let mut w = SeqWindow::new();
-        assert!(w.observe(A, WINDOW));
-        assert!(w.observe(A, 1), "behind = WINDOW - 1: just inside");
-        assert!(!w.observe(A, 0), "behind = WINDOW: just outside");
-        assert!(!w.observe(A, 1), "inside duplicate still caught");
-    }
-
-    #[test]
-    fn sequences_near_u32_max_do_not_wrap() {
-        let mut w = SeqWindow::new();
-        assert!(w.observe(A, u32::MAX - 1));
-        assert!(w.observe(A, u32::MAX), "advance to the numeric ceiling");
-        assert!(!w.observe(A, u32::MAX), "duplicate at the ceiling");
-        assert!(
-            !w.observe(A, u32::MAX - 1),
-            "window bitmap survived the shift"
-        );
-        assert!(
-            w.observe(A, u32::MAX - u64::from(WINDOW) as u32 + 1),
-            "oldest in-window sequence below the ceiling is fresh"
-        );
-        // A sender restarting at 0 after u32::MAX looks maximally old:
-        // the window drops it (safe side — a live sender's next real
-        // sequences are fresh, and 2^32 control packets outlive any
-        // session this simulator runs).
-        assert!(
-            !w.observe(A, 0),
-            "wrapped-around restart is dropped, not UB"
-        );
-    }
-
-    #[test]
-    fn exactly_64_step_advance_clears_history_correctly() {
-        let mut w = SeqWindow::new();
-        assert!(w.observe(A, 10));
-        // advance == 64 must not shift the bitmap by its full width
-        // (UB on u64); the window resets to just the new maximum.
-        assert!(w.observe(A, 10 + 64));
-        assert!(!w.observe(A, 10 + 64));
-        assert!(w.observe(A, 10 + 64 - 1), "one behind the new max is fresh");
-        assert!(!w.observe(A, 10), "behind = 64 fell off");
-    }
 
     #[test]
     fn recent_set_capacity_one_still_dedups_the_latest() {

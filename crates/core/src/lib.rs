@@ -21,11 +21,9 @@
 //!   m-router.
 //! * [`session`] — multicast session and group-address management
 //!   (§II-C), including the accounting/billing event log.
-//! * [`wire`] — a byte-level codec for complete SCMP packets (header +
-//!   per-type body + trailing checksum), total and fuzz-tested.
-//! * [`dedup`] — receiver-side duplicate suppression: sliding-window
-//!   control-sequence dedup and the bounded recent-set routers use to
-//!   keep channel-duplicated data packets away from member hosts.
+//! * [`dedup`] — receiver-side duplicate suppression: the bounded
+//!   recent-set routers use to keep channel-duplicated data packets
+//!   away from member hosts.
 //!
 //! The m-router's switching fabric lives in [`scmp_fabric`]; the
 //! [`router::MRouterState`] assigns an output port per active group, an
@@ -39,7 +37,6 @@ pub mod placement;
 pub mod router;
 pub mod session;
 pub mod tree_packet;
-pub mod wire;
 
 pub use message::ScmpMsg;
 pub use router::{ScmpConfig, ScmpRouter};

@@ -39,7 +39,7 @@ pub struct ScmpConfig {
     /// long — protects membership against congestion-dropped JOIN or
     /// TREE/BRANCH packets when the link-capacity model is active.
     /// Retries back off exponentially (`join_retry << attempt`, capped)
-    /// and give up after [`MAX_RETRIES`](super::timer::MAX_RETRIES).
+    /// and give up after `timer::MAX_RETRIES` (8).
     /// 0 disables retries.
     pub join_retry: u64,
     /// Retransmit an unacknowledged LEAVE after this long, with the same

@@ -16,7 +16,7 @@
 //!
 //! The state machine is split by role: this module holds the
 //! [`ScmpRouter`] shell (fields, role dispatch, the [`Router`] impl);
-//! [`config`]/[`domain`]/[`entry`] hold the shared plain data types;
+//! `config`/`domain`/`entry` hold the shared plain data types;
 //! the designated-router side (membership, data plane, TREE/BRANCH
 //! install) lives in `dr`; the m-router side (DCDM, sessions, fabric,
 //! repair scans) in `mrouter`; and the hot-standby failover machinery

@@ -1,15 +1,12 @@
 //! Property-based tests for scmp-core's pure components: the TREE
-//! packet codec, BRANCH packets, the IGMP subnet model and the session
-//! database.
+//! packet codec, the IGMP subnet model and the session database.
 
 use proptest::prelude::*;
 use scmp_core::igmp::{HostId, MembershipEdge, Subnet};
-use scmp_core::message::ScmpMsg;
 use scmp_core::session::SessionDb;
-use scmp_core::tree_packet::BranchPacket;
-use scmp_core::{wire, TreePacket};
+use scmp_core::TreePacket;
 use scmp_net::NodeId;
-use scmp_sim::{GroupId, Packet};
+use scmp_sim::GroupId;
 use scmp_tree::MulticastTree;
 
 /// Build a random tree over `n` nodes rooted at 0 from a parent-choice
@@ -99,62 +96,6 @@ proptest! {
             prop_assert_eq!(subnet.member_count(g), model.len());
             prop_assert_eq!(subnet.has_members(g), !model.is_empty());
         }
-    }
-
-    /// The wire codec roundtrips every representable packet, including
-    /// TREE messages over arbitrary tree shapes.
-    #[test]
-    fn wire_roundtrip(
-        choices in prop::collection::vec(any::<u32>(), 0..40),
-        group in any::<u32>(),
-        tag in any::<u64>(),
-        created in any::<u64>(),
-        origin in any::<u32>(),
-        gen in any::<u64>(),
-        variant in 0usize..15,
-    ) {
-        let tree = random_tree(&choices);
-        let body = match variant {
-            0 => ScmpMsg::Join { requester: NodeId(7) },
-            1 => ScmpMsg::Leave { requester: NodeId(8) },
-            2 => ScmpMsg::Prune,
-            3 => ScmpMsg::Tree { gen, packet: TreePacket::from_tree(&tree, NodeId(0)) },
-            4 => ScmpMsg::Branch { gen, packet: BranchPacket { path: vec![NodeId(1), NodeId(2)] } },
-            5 => ScmpMsg::Flush { gen },
-            6 => ScmpMsg::Data { seq: gen },
-            7 => ScmpMsg::EncapData { seq: gen },
-            8 => ScmpMsg::StandbySync { member: NodeId(9), joined: gen.is_multiple_of(2) },
-            9 => ScmpMsg::NewMRouter { address: NodeId(10) },
-            10 => ScmpMsg::LeaveAck,
-            11 => ScmpMsg::Nack { origin: NodeId(origin), seq: gen },
-            12 => ScmpMsg::Repair { origin: NodeId(origin), seq: gen },
-            13 => ScmpMsg::SeqAnnounce { origin: NodeId(origin), seq: gen, round: group },
-            _ => ScmpMsg::Heartbeat { seq: gen },
-        };
-        let pkt = Packet {
-            class: if matches!(body, ScmpMsg::Data { .. } | ScmpMsg::EncapData { .. }) {
-                scmp_sim::PacketClass::Data
-            } else {
-                scmp_sim::PacketClass::Control
-            },
-            group: GroupId(group),
-            tag,
-            created_at: created,
-            origin: NodeId(origin),
-            body,
-        };
-        let back = wire::decode(wire::encode(&pkt)).unwrap();
-        prop_assert_eq!(back.body, pkt.body);
-        prop_assert_eq!(back.group, pkt.group);
-        prop_assert_eq!(back.tag, pkt.tag);
-        prop_assert_eq!(back.created_at, pkt.created_at);
-        prop_assert_eq!(back.origin, pkt.origin);
-    }
-
-    /// Arbitrary byte soup never panics the decoder.
-    #[test]
-    fn wire_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let _ = wire::decode(bytes::Bytes::from(bytes));
     }
 
     /// Session-log replay equals a straightforward set interpretation.

@@ -398,6 +398,14 @@ impl FaultPlan {
                             "fault[{i}]: flap storm period {period} too short (down half would be empty)"
                         ));
                     }
+                    // The last up-time bounds every time `expand` computes.
+                    let last_up = u64::from(cycles - 1)
+                        .checked_mul(period)
+                        .and_then(|t| t.checked_add(spec.time))
+                        .and_then(|t| t.checked_add(period / 2));
+                    if last_up.is_none() {
+                        return Err(format!("fault[{i}]: flap storm event time overflows u64"));
+                    }
                 }
             }
         }
@@ -669,6 +677,32 @@ mod tests {
             .validate(&topo)
             .unwrap_err()
             .contains("period 1 too short"));
+    }
+
+    #[test]
+    fn a_flap_storm_ending_past_u64_max_is_refused() {
+        let topo = line(4, LinkWeight::new(1, 1));
+        let storm = |time, cycles, period| {
+            FaultPlan::new().at(
+                time,
+                FaultKind::FlapStorm {
+                    seed: 1,
+                    links: 1,
+                    cycles,
+                    period,
+                },
+            )
+        };
+        let err = "fault[0]: flap storm event time overflows u64";
+        // 1 000 + 2 × 2^63 passes u64::MAX on the last down-time ...
+        assert_eq!(storm(1_000, 3, 1 << 63).expand(&topo).unwrap_err(), err);
+        // ... and here only the last up-time, half a period later, does.
+        let period = 1 << 62;
+        let start = u64::MAX - period / 2 + 1 - 2 * period;
+        assert_eq!(storm(start, 3, period).validate(&topo).unwrap_err(), err);
+        // The latest storm that fits ends exactly at u64::MAX.
+        let events = storm(start - 1, 3, period).expand(&topo).unwrap();
+        assert_eq!(events.iter().map(|s| s.time).max(), Some(u64::MAX));
     }
 
     #[test]

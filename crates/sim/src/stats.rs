@@ -86,9 +86,6 @@ pub struct SimStats {
     pub repair_cache_evictions: u64,
     /// Data gaps closed at receivers via the reliability tier.
     pub recoveries: u64,
-    /// Valid frames carrying a message kind this build does not
-    /// implement, counted and skipped at decode.
-    pub unknown_kind_drops: u64,
     /// Distribution of gap-recovery latencies (gap detected → closed).
     pub recovery_hist: Histogram,
     /// Repair-scan passes the m-router served in partition-degraded
@@ -130,7 +127,6 @@ impl SimStats {
                     DropReason::QueueFull => self.queue_drops += 1,
                     DropReason::ChannelLoss => self.channel_dropped += 1,
                     DropReason::Corrupt => self.channel_corrupted += 1,
-                    DropReason::UnknownKind => self.unknown_kind_drops += 1,
                     DropReason::DeadLink
                     | DropReason::DeadNode
                     | DropReason::NoRoute
@@ -362,9 +358,6 @@ impl SimStats {
                 self.recovery_hist.max()
             );
         }
-        if self.unknown_kind_drops > 0 {
-            let _ = writeln!(out, "unknown-kind frames: {}", self.unknown_kind_drops);
-        }
         // Partition lines appear only when a partition was ever seen, so
         // partition-free runs keep their golden reports byte-stable.
         if self.partition_degraded_ticks + self.reconciliations > 0 {
@@ -485,13 +478,8 @@ mod tests {
         }
         assert_eq!(s.drops, DropReason::ALL.len() as u64);
         assert_eq!(
-            (
-                s.queue_drops,
-                s.channel_dropped,
-                s.channel_corrupted,
-                s.unknown_kind_drops
-            ),
-            (1, 1, 1, 1)
+            (s.queue_drops, s.channel_dropped, s.channel_corrupted),
+            (1, 1, 1)
         );
         // A delivery is keyed by the node the event fired at.
         let local = EventKind::DeliverLocal {
@@ -540,14 +528,12 @@ mod tests {
         assert!(!r.contains("nacks:"), "{r}");
         assert!(!r.contains("repair cache:"), "{r}");
         assert!(!r.contains("recoveries:"), "{r}");
-        assert!(!r.contains("unknown-kind"), "{r}");
 
         let mut s = SimStats {
             nacks_sent: 3,
             nacks_suppressed: 1,
             repair_cache_hits: 2,
             repair_cache_misses: 1,
-            unknown_kind_drops: 1,
             ..Default::default()
         };
         for latency in [700, 300] {
@@ -570,7 +556,6 @@ mod tests {
             "{r}"
         );
         assert!(r.contains("recoveries: 2"), "{r}");
-        assert!(r.contains("unknown-kind frames: 1"), "{r}");
     }
 
     #[test]

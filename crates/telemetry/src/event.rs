@@ -160,10 +160,6 @@ label_enum! {
         ChannelLoss = "channel_loss",
         /// The packet arrived corrupted and failed the receiver's checksum.
         Corrupt = "corrupt",
-        /// The frame carried a message kind this build does not implement
-        /// (a future protocol revision); the checksum was valid, so the
-        /// frame is counted and skipped rather than treated as corruption.
-        UnknownKind = "unknown_kind",
     }
 }
 

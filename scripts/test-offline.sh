@@ -8,6 +8,9 @@ export CARGO_NET_OFFLINE=true
 cargo fmt --check
 # Lints cover tests, examples and bins too, not only the libraries.
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc must build clean: a doc link to a private or deleted item
+# fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 cargo build --release
 # (No bench targets are left in the workspace, so `cargo test -q` runs
 # tests and doctests only; timing lives in benchmark/, driven below.)

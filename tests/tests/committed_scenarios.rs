@@ -3,7 +3,9 @@
 //! runs, so a schema edit cannot strand one. The pinned STRESS corpus
 //! (`tests/scenarios/corpus/`) replays in `corpus_replay.rs`.
 
-use scmp_bench::scenario_file::{run_one, ScenarioFile};
+use scmp_bench::scenario_file::{run_one, Run, ScenarioFile};
+use scmp_sim::{ChannelPlan, ChannelSpec};
+use scmp_telemetry::Trace;
 use std::path::{Path, PathBuf};
 
 /// The `*.json` files directly inside `dir` (relative to the repo
@@ -19,6 +21,18 @@ fn scenario_files(dir: &str) -> Vec<PathBuf> {
     files
 }
 
+/// Parse the scenario file at `path`.
+fn load(path: &Path) -> ScenarioFile {
+    let name = path.display();
+    let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{name}: {e}"));
+    serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// Run `spec` with its trace captured, panicking with `name` on error.
+fn run(name: &str, spec: &ScenarioFile) -> Run {
+    run_one(spec, true).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
 #[test]
 fn every_committed_scenario_file_runs() {
     let examples = scenario_files("examples/scenarios");
@@ -28,19 +42,53 @@ fn every_committed_scenario_file_runs() {
         "scenario files found"
     );
     for path in examples.iter().chain(&tests) {
-        let name = path.display();
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let spec: ScenarioFile =
-            serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let run = run_one(&spec, false).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let name = path.display().to_string();
+        let result = run(&name, &load(path)).result;
         assert!(
-            run.result.expected_deliveries > 0,
+            result.expected_deliveries > 0,
             "{name}: the timeline expects deliveries"
         );
         assert_eq!(
-            run.result.m_routers_at_end.len(),
+            result.m_routers_at_end.len(),
             1,
             "{name}: one m-router at the end"
         );
+    }
+}
+
+/// A channel that delivers every packet twice changes nothing a member
+/// sees: the same payloads reach the same receivers, no sooner or later,
+/// over the same data transmissions, and no member hears one twice. Only
+/// the control-plane transmission count may grow.
+#[test]
+fn duplicated_packets_change_no_delivery() {
+    for path in scenario_files("examples/scenarios") {
+        let name = path.display().to_string();
+        let clean_spec = load(&path);
+        assert!(
+            clean_spec.channel.is_none(),
+            "{name}: already has a channel"
+        );
+        let mut dup_spec = clean_spec.clone();
+        dup_spec.channel = Some(ChannelPlan {
+            default: Some(ChannelSpec {
+                duplicate: 1.0,
+                ..ChannelSpec::default()
+            }),
+            ..ChannelPlan::default()
+        });
+        let (clean, dup) = (run(&name, &clean_spec), run(&name, &dup_spec));
+        let (c, d) = (&clean.result, &dup.result);
+        assert!(d.channel_duplicated > 0, "{name}: the channel duplicated");
+        assert_eq!(d.delivery_ratio, c.delivery_ratio, "{name}");
+        let per_payload = |r: &Run| -> Vec<_> {
+            let lines = r.result.deliveries.iter();
+            lines.map(|l| (l.group, l.tag, l.receivers)).collect()
+        };
+        assert_eq!(per_payload(&dup), per_payload(&clean), "{name}");
+        assert_eq!(d.data_overhead, c.data_overhead, "{name}");
+        assert_eq!(d.max_end_to_end_delay, c.max_end_to_end_delay, "{name}");
+        let audit = Trace::parse(&dup.trace).expect("trace parses").audit();
+        assert!(audit.duplicates.is_empty(), "{name}: {}", audit.report());
     }
 }

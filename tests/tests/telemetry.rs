@@ -152,13 +152,12 @@ fn inspector_replays_engine_statistics_from_the_trace() {
 }
 
 /// Every counter that has an event kind, by name.
-fn event_counters(s: &SimStats) -> [(&'static str, u64); 15] {
+fn event_counters(s: &SimStats) -> [(&'static str, u64); 14] {
     [
         ("drops", s.drops),
         ("queue_drops", s.queue_drops),
         ("channel_dropped", s.channel_dropped),
         ("channel_corrupted", s.channel_corrupted),
-        ("unknown_kind_drops", s.unknown_kind_drops),
         ("channel_duplicated", s.channel_duplicated),
         ("channel_reordered", s.channel_reordered),
         ("retransmissions", s.retransmissions),
@@ -245,22 +244,13 @@ fn stats_replay_from_the_trace() {
         assert_eq!(drops_for(&[DropReason::QueueFull]), live.queue_drops);
         assert_eq!(drops_for(&[DropReason::ChannelLoss]), live.channel_dropped);
         assert_eq!(drops_for(&[DropReason::Corrupt]), live.channel_corrupted);
-        assert_eq!(
-            drops_for(&[DropReason::UnknownKind]),
-            live.unknown_kind_drops
-        );
     }
     // The failstorm exercises the fault side of the vocabulary ...
     assert!(failstorm.stats().reconciliations > 0 && failstorm.stats().drops > 0);
     // ... and the lossy run every channel and reliability counter.
     let s = lossy.stats();
     for (counter, n) in event_counters(s) {
-        let quiet = [
-            "queue_drops",
-            "unknown_kind_drops",
-            "takeovers",
-            "reconciliations",
-        ];
+        let quiet = ["queue_drops", "takeovers", "reconciliations"];
         assert_eq!(n == 0, quiet.contains(&counter), "lossy {counter} = {n}");
     }
 }

@@ -15,16 +15,16 @@
 //! with identical tie-breaking, the distributed decisions agree and each
 //! member receives exactly one copy at unicast delay.
 //!
-//! All routers of one domain share an `Arc<dyn PathProvider>` — the
-//! simulation-level analogue of "every router computes over the same
-//! link-state database": one memoized Dijkstra per source serves the
-//! whole domain instead of one per (router, packet).
+//! Every router reads its SPTs from the healthy store of the engine's
+//! one path store (`ctx.routes().healthy()`) — the simulation-level
+//! analogue of "every router computes over the same link-state
+//! database": one Dijkstra per source serves the whole domain instead
+//! of one per (router, packet). The SPTs ignore faults.
 
 use crate::common::LocalMembers;
-use scmp_net::{Metric, NodeId, PathProvider};
+use scmp_net::{Metric, NodeId};
 use scmp_sim::{AppEvent, Ctx, GroupId, Packet, Router};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// MOSPF wire messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,8 +43,6 @@ pub enum MospfMsg {
 /// The MOSPF router state machine.
 pub struct MospfRouter {
     me: NodeId,
-    /// Shared source-tree provider (the link-state database's SPTs).
-    paths: Arc<dyn PathProvider>,
     members: LocalMembers,
     /// Domain-wide membership database: group -> DRs with members.
     group_db: BTreeMap<GroupId, BTreeSet<NodeId>>,
@@ -60,13 +58,10 @@ pub struct MospfRouter {
 }
 
 impl MospfRouter {
-    /// State machine for node `me`. `paths` is the domain-shared
-    /// source-tree provider; pass one `Arc` clone per router (see
-    /// [`scmp_net::shared_provider_for`]).
-    pub fn new(me: NodeId, paths: Arc<dyn PathProvider>) -> Self {
+    /// State machine for node `me`.
+    pub fn new(me: NodeId) -> Self {
         MospfRouter {
             me,
-            paths,
             members: LocalMembers::new(),
             group_db: BTreeMap::new(),
             lsa_seen: BTreeMap::new(),
@@ -146,7 +141,7 @@ impl MospfRouter {
                 return (targets.clone(), *on_path);
             }
         }
-        let spt = self.paths.tree(source, Metric::Delay);
+        let spt = ctx.routes().healthy().tree(source, Metric::Delay);
         // Mark every node on a source->member path.
         let mut needed = vec![false; ctx.topo().node_count()];
         if let Some(members) = self.group_db.get(&group) {
@@ -191,8 +186,8 @@ impl MospfRouter {
             // Accept only from the SPT parent (consistent databases make
             // this the only sender in practice; the check guards against
             // transients while LSAs are in flight).
-            let spt_parent_ok =
-                self.paths.tree(source, Metric::Delay).predecessor(self.me) == Some(from);
+            let spt = ctx.routes().healthy().tree(source, Metric::Delay);
+            let spt_parent_ok = spt.predecessor(self.me) == Some(from);
             if !spt_parent_ok {
                 ctx.drop_packet();
                 return;
@@ -262,11 +257,7 @@ mod tests {
     const G: GroupId = GroupId(1);
 
     fn engine() -> Engine<MospfRouter> {
-        let topo = fig5();
-        let paths = scmp_net::shared_provider_for(&topo);
-        Engine::new(topo, move |me, _, _| {
-            MospfRouter::new(me, Arc::clone(&paths))
-        })
+        Engine::new(fig5(), |me, _, _| MospfRouter::new(me))
     }
 
     #[test]

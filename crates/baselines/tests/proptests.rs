@@ -119,10 +119,7 @@ proptest! {
     #[test]
     fn mospf_exactly_once(seed in 0u64..400, n in 8usize..30, g in 1usize..8) {
         let (topo, members, source) = scenario(seed, n, g);
-        let provider = scmp_net::shared_provider_for(&topo);
-        let mut e = Engine::new(topo.clone(), move |me, _, _| {
-            MospfRouter::new(me, std::sync::Arc::clone(&provider))
-        });
+        let mut e = Engine::new(topo.clone(), |me, _, _| MospfRouter::new(me));
         drive(&mut e, &members, source, 3);
         assert_exactly_once(&e, &topo, &members, 3, "mospf")?;
         let paths = scmp_net::AllPairsPaths::compute(&topo);

@@ -4,8 +4,8 @@
 //! The paper stops at 50-node Waxman graphs; the ROADMAP's first open
 //! item is that the eager `O(n²)` `P_sl`/`P_lc` tables are what dies
 //! first beyond that. This bench drives the layers that replaced them —
-//! CSR [`Topology`], [`OnDemandPaths`], lazy [`scmp_net::RoutingTables`]
-//! — at GT-ITM transit–stub and Waxman sizes the old code could not
+//! CSR [`Topology`], [`OnDemandPaths`] and the engine's one path store
+//! [`scmp_net::LivePaths`] — at GT-ITM transit–stub and Waxman sizes the old code could not
 //! reach, and *measures* the `O(n²) → O(n·cached)` claim instead of
 //! asserting it:
 //!

@@ -1,41 +1,23 @@
 //! The immutable per-domain context shared by every router.
 
 use super::ScmpConfig;
-use scmp_net::{provider_for, PathProvider, Topology};
+use scmp_net::Topology;
 use std::sync::Arc;
 
-/// Immutable domain context shared by all routers (the m-router's global
-/// knowledge; i-routers only use the topology for neighbour checks).
+/// Immutable domain context shared by all routers. The m-router's
+/// link-state database is not here: every router reads the engine's one
+/// path store, [`scmp_net::LivePaths`], through `Ctx::routes`.
 #[derive(Debug)]
 pub struct ScmpDomain {
     /// The domain topology.
     pub topo: Topology,
-    /// `P_sl`/`P_lc` path tables (link-state database) — eager all-pairs
-    /// at paper scale, on-demand memoized source trees for large domains.
-    pub paths: Box<dyn PathProvider>,
     /// Protocol configuration.
     pub config: ScmpConfig,
-    /// Failover view: the topology with the primary m-router's links
-    /// removed, plus its path tables. Precomputed when a standby is
-    /// configured so the takeover plans trees around the dead primary.
-    pub failover: Option<(Topology, Box<dyn PathProvider>)>,
 }
 
 impl ScmpDomain {
-    /// Build the shared context (the path provider is chosen by domain
-    /// size; see [`provider_for`]).
+    /// Build the shared context.
     pub fn new(topo: Topology, config: ScmpConfig) -> Arc<Self> {
-        let paths = provider_for(&topo);
-        let failover = config.standby.map(|_| {
-            let ft = topo.without_node(config.m_router);
-            let fp = provider_for(&ft);
-            (ft, fp)
-        });
-        Arc::new(ScmpDomain {
-            topo,
-            paths,
-            config,
-            failover,
-        })
+        Arc::new(ScmpDomain { topo, config })
     }
 }

@@ -3,7 +3,7 @@
 //! the switching-fabric port assignment (§II-B) and the periodic tree
 //! repair scan (robustness extension).
 
-use super::{Role, ScmpDomain, ScmpRouter, Timer};
+use super::{Role, ScmpRouter, Timer};
 use crate::message::ScmpMsg;
 use crate::session::SessionDb;
 use crate::tree_packet::{BranchPacket, TreePacket};
@@ -39,24 +39,6 @@ pub(super) fn record_tree_health(
         stretch_milli: h.stretch_milli,
         delay_var: h.delay_var,
     });
-}
-
-/// The path tables the m-router plans trees over right now: the
-/// domain's construction-time `P_sl`/`P_lc` tables while every link and
-/// router is up (a direct index at paper scale), the engine's live view
-/// — trees over whatever is alive, per liveness epoch — while anything
-/// is down. Both root their trees with the same Dijkstra, so the switch
-/// is invisible except that a degraded plan never crosses a dead link.
-pub(super) fn planning_paths<'a>(
-    domain: &'a ScmpDomain,
-    ctx: &Ctx<'a, ScmpMsg>,
-) -> &'a dyn PathProvider {
-    let live = ctx.routes();
-    if live.degraded() {
-        live
-    } else {
-        &*domain.paths
-    }
 }
 
 /// m-router-only state.
@@ -224,7 +206,7 @@ impl ScmpRouter {
         state.assign_fabric_port(group);
         // Plan over what is alive: a join during a fault grafts around
         // the dead links instead of across them.
-        let paths = planning_paths(&domain, ctx);
+        let paths = ctx.routes();
         // Reachability from our own (hot) delay tree: links and liveness
         // masks are symmetric, so it answers as the joiner's would, and
         // the joiner's tree is fetched only if DCDM needs it — never
@@ -302,7 +284,7 @@ impl ScmpRouter {
             group,
             HealthTrigger::Join,
             &domain.topo,
-            &*domain.paths,
+            ctx.routes().healthy(),
             &tree,
             ctx,
         );
@@ -342,12 +324,7 @@ impl ScmpRouter {
         let Some(tree) = state.trees.remove(&group) else {
             return;
         };
-        let mut dcdm = Dcdm::with_tree(
-            &domain.topo,
-            planning_paths(&domain, ctx),
-            tree,
-            domain.config.bound,
-        );
+        let mut dcdm = Dcdm::with_tree(&domain.topo, ctx.routes(), tree, domain.config.bound);
         dcdm.leave(requester);
         let tree = dcdm.into_tree();
         // The physical prune travels hop-by-hop from the leaving DR
@@ -364,7 +341,7 @@ impl ScmpRouter {
             group,
             HealthTrigger::Leave,
             &domain.topo,
-            &*domain.paths,
+            ctx.routes().healthy(),
             &tree,
             ctx,
         );
@@ -438,7 +415,7 @@ impl ScmpRouter {
             return;
         }
         ctx.record_repair_scan(true);
-        let paths = planning_paths(&domain, ctx);
+        let paths = ctx.routes();
         // Reachable = has a distance in the tree rooted here.
         let reach = paths.tree(me, Metric::Delay);
         let reachable = |v: NodeId| reach.distance(v).is_some();

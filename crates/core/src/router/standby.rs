@@ -7,7 +7,7 @@ use super::{Attempts, MRouterState, Role, ScmpRouter, Timer};
 use crate::message::ScmpMsg;
 use crate::session::SessionDb;
 use crate::tree_packet::TreePacket;
-use scmp_net::NodeId;
+use scmp_net::{provider_for, NodeId};
 use scmp_sim::{Ctx, GroupId, Packet, SimTime};
 use scmp_telemetry::EventKind;
 use scmp_tree::Dcdm;
@@ -40,6 +40,18 @@ impl StandbyState {
 }
 
 impl ScmpRouter {
+    /// The other node of the primary/standby pair: the configured
+    /// primary for the standby, the standby for the primary. `None`
+    /// without a standby.
+    fn pair_peer(&self) -> Option<NodeId> {
+        let cfg = &self.domain.config;
+        if Some(self.me) == cfg.standby {
+            Some(cfg.m_router)
+        } else {
+            cfg.standby
+        }
+    }
+
     /// Heartbeat timer: an active m-router beacons to its peer and
     /// re-arms. A promoted standby beacons back to the deposed primary
     /// (its new standby); the primary beacons to the configured standby.
@@ -51,12 +63,7 @@ impl ScmpRouter {
         };
         state.heartbeat_seq += 1;
         let seq = state.heartbeat_seq;
-        let peer = if Some(self.me) == cfg.standby {
-            Some(cfg.m_router)
-        } else {
-            cfg.standby
-        };
-        if let Some(peer) = peer {
+        if let Some(peer) = self.pair_peer() {
             ctx.unicast(
                 peer,
                 Packet::control(GroupId(0), ScmpMsg::Heartbeat { seq }),
@@ -167,13 +174,19 @@ impl ScmpRouter {
     pub(super) fn rebuild_after_takeover(&mut self, ctx: &mut Ctx<'_, ScmpMsg>) {
         let domain = Arc::clone(&self.domain);
         let me = self.me;
-        // Plan around the failed primary: its links are unusable.
-        let (topo, paths) = match &domain.failover {
-            Some((t, p)) => (t, p),
-            None => (&domain.topo, &domain.paths),
-        };
-        let Role::MRouter(state) = &mut self.role else {
+        if !self.is_m_router() {
             return;
+        }
+        // Plan around the m-router this node replaced: its links are
+        // unusable. That is the configured primary for a promoted
+        // standby, and the standby for a primary promoted back.
+        let topo = match self.pair_peer() {
+            Some(peer) => domain.topo.without_node(peer),
+            None => domain.topo.clone(),
+        };
+        let paths = provider_for(&topo);
+        let Role::MRouter(state) = &mut self.role else {
+            unreachable!()
         };
         let groups: Vec<GroupId> = state.sessions.active_groups();
         let mut rebuilt = Vec::new();
@@ -191,7 +204,7 @@ impl ScmpRouter {
                 continue;
             }
             state.assign_fabric_port(group);
-            let mut dcdm = Dcdm::new(topo, &**paths, me, domain.config.bound);
+            let mut dcdm = Dcdm::new(&topo, &paths, me, domain.config.bound);
             for m in &members {
                 dcdm.join(*m);
             }
@@ -216,8 +229,8 @@ impl ScmpRouter {
             super::mrouter::record_tree_health(
                 group,
                 scmp_telemetry::HealthTrigger::Takeover,
-                topo,
-                &**paths,
+                &topo,
+                &paths,
                 &tree,
                 ctx,
             );

@@ -230,6 +230,37 @@ fn failover_restores_service() {
 }
 
 #[test]
+fn re_promoted_primary_plans_around_the_standby() {
+    use scmp_sim::FaultEvent;
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.standby = Some(NodeId(2));
+    cfg.heartbeat_interval = 500;
+    let mut e = build(fig5(), cfg);
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    e.schedule_app(1_000, NodeId(3), AppEvent::Join(G));
+    // Cut the primary off long enough for the standby to promote, then
+    // heal: the primary hears the promoted standby and steps down.
+    let a = NodeId(0);
+    let neighbours: Vec<NodeId> = e.topo().neighbors(a).iter().map(|l| l.to).collect();
+    for &b in &neighbours {
+        e.schedule_fault(3_000, FaultEvent::LinkDown { a, b });
+        e.schedule_fault(20_000, FaultEvent::LinkUp { a, b });
+    }
+    e.run_until(40_000);
+    assert!(e.router(NodeId(2)).is_m_router(), "standby promoted");
+    assert!(!e.router(NodeId(0)).is_m_router(), "primary stepped down");
+    // The promoted standby dies and the primary takes over again. Its
+    // rebuild must plan around node 2, not around itself.
+    e.set_node_down(NodeId(2), true);
+    e.schedule_app(81_000, NodeId(1), AppEvent::Send { group: G, tag: 7 });
+    e.run_until(200_000);
+    assert!(e.router(NodeId(0)).is_m_router(), "primary promoted back");
+    for m in [4u32, 3] {
+        assert_eq!(e.stats().delivery_count(G, 7, NodeId(m)), 1, "member {m}");
+    }
+}
+
+#[test]
 fn no_takeover_while_primary_alive() {
     let mut cfg = ScmpConfig::new(NodeId(0));
     cfg.standby = Some(NodeId(2));

@@ -11,7 +11,7 @@
 //! # The kernel
 //!
 //! Every tree in the workspace — [`crate::OnDemandPaths`] misses,
-//! [`crate::AllPairsPaths`], [`crate::RoutingTables`] rows and
+//! [`crate::AllPairsPaths`], the [`crate::RoutingTables`] oracle and
 //! [`crate::LivePaths`]' per-epoch trees — comes out of one loop. Its
 //! heap is a hand-rolled binary min-heap holding one integer per entry,
 //! `(dist << 32) | node`. Integer order on that key *is* the
@@ -250,7 +250,7 @@ impl<K: Key> MinHeap<K> {
 ///
 /// Runs in `O(m log n)`; zero-weight links are allowed (the Waxman model
 /// can draw delay 0). Allocates fresh working memory per call — hot
-/// paths (the path providers, [`crate::RoutingTables`]) use
+/// paths (the path providers, the live view) use
 /// [`dijkstra_with`] and a shared [`DijkstraScratch`] instead.
 pub fn dijkstra(topo: &Topology, source: NodeId, metric: Metric) -> ShortestPathTree {
     dijkstra_with(topo, source, metric, &mut DijkstraScratch::new())

@@ -14,16 +14,16 @@
 //!   P_lc and P_sl, ... which were computed in advance");
 //!   [`OnDemandPaths`] computes source trees lazily behind a bounded LRU
 //!   so 10k-node domains don't pay `O(n²)` memory. [`provider_for`]
-//!   picks by size.
-//! * [`LivePaths`] — the live path view: the static topology, a liveness
-//!   mask with an epoch, and the paths over whatever is alive. The
-//!   link-state unicast routing protocol the paper assumes is running in
-//!   the domain; every layer of the simulator queries this one value.
-//! * [`RoutingTables`] — per-node unicast next-hop tables of a fixed
-//!   topology, derived from the shortest-delay paths: the view's healthy
-//!   state (dense matrix at paper scale, lazy per-destination rows
-//!   beyond [`routing::DENSE_MAX_NODES`]) and the oracle its degraded
-//!   answers are tested against.
+//!   picks by size, at [`provider::ALL_PAIRS_MAX_NODES`].
+//! * [`LivePaths`] — the live path view and an engine's one path store:
+//!   the static topology, a liveness mask with an epoch, a healthy store
+//!   picked by the same threshold, and the paths over whatever is alive.
+//!   The link-state unicast routing protocol the paper assumes is
+//!   running in the domain; every layer of the simulator — forwarding,
+//!   the baselines, the m-router's planning — queries this one value.
+//! * [`RoutingTables`] — dense per-node unicast next-hop tables of a
+//!   fixed topology, by the view's destination-rooted rule: the oracle
+//!   its answers are tested against.
 //! * [`topology`] — generators: the paper's Waxman model (§IV-A), a
 //!   GT-ITM-like flat random model with target average degree (§IV-B),
 //!   a transit–stub model, the classic ARPANET map, and regular test
@@ -44,5 +44,5 @@ pub use dijkstra::{dijkstra, dijkstra_with, DijkstraScratch, Metric, ShortestPat
 pub use graph::{EdgeRef, LinkWeight, NodeId, Topology, TopologyBuilder};
 pub use live::LivePaths;
 pub use paths::AllPairsPaths;
-pub use provider::{provider_for, shared_provider_for, CacheStats, OnDemandPaths, PathProvider};
+pub use provider::{provider_for, CacheStats, OnDemandPaths, PathProvider};
 pub use routing::RoutingTables;

@@ -2,44 +2,47 @@
 //! right now?" for every layer that asks.
 //!
 //! The paper gives every domain a link-state IGP (§II-D) and an m-router
-//! that holds the link-state database (§III-D). [`LivePaths`] is that
-//! database in the simulator: the static [`Topology`], a liveness mask
-//! over its nodes and links, and a **liveness epoch** that counts the
-//! mask's changes. Unicast forwarding, the baselines' RPF lookups, the
-//! m-router's repair scan and its join planning while degraded all query
-//! this one value.
+//! that holds the link-state database and plans over `P_sl`/`P_lc`
+//! tables computed from it (§III-D). [`LivePaths`] is that database in
+//! the simulator — the one path store of an engine: the static
+//! [`Topology`], a liveness mask over its nodes and links, and a
+//! **liveness epoch** that counts the mask's changes. Unicast
+//! forwarding, the baselines' RPF lookups and SPTs, and the m-router's
+//! join planning and repair scan all query this one value.
 //!
+//! * **A healthy domain reads one healthy store.** While the mask is
+//!   empty, [`PathProvider::tree`] answers from a store built in
+//!   [`LivePaths::new`] and chosen by [`crate::provider::ALL_PAIRS_MAX_NODES`]: eager
+//!   [`crate::AllPairsPaths`] at paper scale (no lock, no hash — an
+//!   index), a bounded [`crate::OnDemandPaths`] sharing the view's
+//!   topology above.
+//!   [`LivePaths::healthy`] hands that store out for readers that must
+//!   ignore faults.
 //! * **A fault is O(1).** [`LivePaths::set_link_down`] /
 //!   [`LivePaths::set_node_down`] flip the mask, bump the epoch and drop
 //!   the per-epoch trees. Nothing is recomputed until somebody asks.
-//! * **Shortest-path trees are lazy, per root and metric, per epoch.**
+//! * **Degraded trees are lazy, per root and metric, per epoch.**
 //!   A query runs one Dijkstra over the masked CSR graph (no topology
-//!   copy) and memoizes the tree in a bounded LRU until the next epoch.
+//!   copy) and memoizes the tree in a bounded LRU until the next epoch;
+//!   the moment the last fault heals, the healthy store answers again.
 //! * **Routes are destination-rooted.** `src → dst` follows the
-//!   shortest-delay tree rooted at **`dst`** — the rule of
-//!   [`RoutingTables`], loop-free hop by hop under equal-cost ties — so a
-//!   degraded route equals what dense tables rebuilt over the surviving
-//!   topology would hold, bit for bit.
-//! * **A healthy domain answers from construction-time state.** While
-//!   the mask is empty, [`LivePaths::next_hop`] and [`LivePaths::route`]
-//!   read the [`RoutingTables`] built in [`LivePaths::new`] — no lock, no
-//!   hash — and do so again the moment the last fault heals. The tables
-//!   are built eagerly on purpose: making them lazy would move their cost
-//!   into the first join of every freshly built small-domain engine.
+//!   shortest-delay tree rooted at **`dst`** — loop-free hop by hop
+//!   under equal-cost ties — in both states, so a route equals what
+//!   [`crate::RoutingTables::compute_dense`] over the surviving topology
+//!   would hold, bit for bit.
 
 use crate::dijkstra::{dijkstra_masked, Metric, ShortestPathTree};
 use crate::graph::{NodeId, Topology};
-use crate::provider::{PathProvider, TreeCache, DEFAULT_TREE_CAPACITY};
-use crate::routing::RoutingTables;
+use crate::provider::{provider_over, PathProvider, TreeCache, DEFAULT_TREE_CAPACITY};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// The static topology, its liveness mask and epoch, and the paths over
 /// whatever is currently alive. See the [module docs](self).
 pub struct LivePaths {
-    topo: Topology,
-    /// Next hops of the fault-free domain, built at construction.
-    healthy: RoutingTables,
+    topo: Arc<Topology>,
+    /// Trees of the fault-free domain (see [`LivePaths::healthy`]).
+    healthy: Box<dyn PathProvider>,
     node_down: Vec<bool>,
     down_nodes: usize,
     /// Per CSR half-edge: is the link administratively cut? Both
@@ -63,11 +66,14 @@ impl fmt::Debug for LivePaths {
 }
 
 impl LivePaths {
-    /// A fully-up view of `topo`. Builds the healthy next-hop tables
-    /// (eagerly up to [`crate::routing::DENSE_MAX_NODES`] nodes).
+    /// A fully-up view of `topo`. Builds the healthy store as
+    /// [`crate::provider_for`] would, over the view's own topology:
+    /// all-pairs tables (2n Dijkstra runs) at paper scale, an empty
+    /// on-demand cache above.
     pub fn new(topo: Topology) -> Self {
+        let topo = Arc::new(topo);
         LivePaths {
-            healthy: RoutingTables::compute(&topo),
+            healthy: provider_over(Arc::clone(&topo)),
             node_down: vec![false; topo.node_count()],
             down_nodes: 0,
             cut: vec![false; 2 * topo.edge_count()],
@@ -89,8 +95,15 @@ impl LivePaths {
         self.epoch
     }
 
-    /// Shortest-path trees computed on demand so far (construction-time
-    /// tables not counted).
+    /// The fault-free domain's paths, whatever the mask: what the IGP
+    /// computed before anything failed. [`PathProvider::tree`] answers
+    /// from it while nothing is down.
+    pub fn healthy(&self) -> &dyn PathProvider {
+        &*self.healthy
+    }
+
+    /// Shortest-path trees computed over a non-empty mask so far (the
+    /// healthy store's trees are not counted).
     pub fn spf_runs(&self) -> u64 {
         self.trees.lock().expect("live view lock").stats().misses
     }
@@ -177,9 +190,6 @@ impl LivePaths {
     /// Next hop on the unicast route from `src` to `dst` over what is
     /// alive. `None` when `src == dst` or `dst` is unreachable.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        if !self.degraded() {
-            return self.healthy.next_hop(src, dst);
-        }
         if src == dst {
             return None;
         }
@@ -188,9 +198,6 @@ impl LivePaths {
 
     /// The full hop-by-hop route `src -> … -> dst` over what is alive.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        if !self.degraded() {
-            return self.healthy.route(src, dst);
-        }
         // The tree path dst -> … -> src, walked backwards (links are
         // symmetric).
         let mut route = self.tree(dst, Metric::Delay).path_to(src)?;
@@ -207,6 +214,9 @@ impl PathProvider for LivePaths {
     /// The tree over the live sub-graph: links that are not cut between
     /// routers that are up. A down root reaches only itself.
     fn tree(&self, root: NodeId, metric: Metric) -> Arc<ShortestPathTree> {
+        if !self.degraded() {
+            return self.healthy.tree(root, metric);
+        }
         let root_up = self.node_up(root);
         self.trees
             .lock()
@@ -218,12 +228,9 @@ impl PathProvider for LivePaths {
             })
     }
 
-    fn invalidate(&self) {
-        self.trees.lock().expect("live view lock").clear();
-    }
-
     fn resident_path_bytes(&self) -> usize {
-        self.healthy.resident_bytes() + self.trees.lock().expect("live view lock").resident_bytes()
+        self.healthy.resident_path_bytes()
+            + self.trees.lock().expect("live view lock").resident_bytes()
     }
 }
 
@@ -291,7 +298,37 @@ mod tests {
         assert_eq!(v.spf_runs(), 1, "same root, same epoch: one run");
         v.set_link_down(A, B, false);
         assert_eq!(v.route(NodeId(4), A), Some(vec![NodeId(4), B, A]));
-        assert_eq!(v.spf_runs(), 1, "healed: the construction-time tables");
+        assert_eq!(v.spf_runs(), 1, "healed: the healthy store answers");
+    }
+
+    #[test]
+    fn healthy_routes_are_destination_rooted() {
+        let v = LivePaths::new(fig5());
+        // From g1 (node 4) toward the m-router (node 0): 4-1-0.
+        assert_eq!(v.next_hop(NodeId(4), A), Some(B));
+        assert_eq!(v.route(NodeId(4), A), Some(vec![NodeId(4), B, A]));
+        assert_eq!(v.next_hop(A, A), None);
+        assert_eq!(v.route(A, A), Some(vec![A]));
+        let healthy = v.healthy().tree(A, Metric::Delay);
+        assert!(Arc::ptr_eq(&v.tree(A, Metric::Delay), &healthy));
+        assert_eq!(v.spf_runs(), 0, "the healthy store is not an SPF run");
+    }
+
+    #[test]
+    fn healthy_state_above_the_all_pairs_threshold_is_bounded() {
+        // Past ALL_PAIRS_MAX_NODES the healthy store is an on-demand
+        // cache: routing to every destination keeps at most
+        // DEFAULT_TREE_CAPACITY trees resident, not one row per node.
+        let n = 1_100;
+        let v = LivePaths::new(crate::topology::ring(n, LinkWeight::new(1, 1)));
+        for dst in v.topo().nodes() {
+            let route = v.route(A, dst).expect("a ring is connected");
+            assert_eq!(route.len(), dst.index().min(n - dst.index()) + 1);
+            assert_eq!(v.next_hop(A, dst), route.get(1).copied());
+        }
+        let per_tree = v.healthy().tree(A, Metric::Delay).resident_bytes();
+        assert!(v.resident_path_bytes() <= DEFAULT_TREE_CAPACITY * per_tree);
+        assert_eq!(v.spf_runs(), 0);
     }
 
     #[test]

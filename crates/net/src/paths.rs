@@ -70,25 +70,6 @@ impl AllPairsPaths {
     pub fn path(&self, src: NodeId, dst: NodeId, metric: Metric) -> Option<Vec<NodeId>> {
         self.tree(src, metric).path_to(dst)
     }
-
-    /// Next hop from `src` toward `dst` along the shortest-delay path —
-    /// what a unicast routing table would return. `None` when `src == dst`
-    /// or unreachable.
-    pub fn next_hop_by_delay(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        if src == dst {
-            return None;
-        }
-        // Walk dst's predecessor chain in the tree rooted at src.
-        let tree = &self.by_delay[src.index()];
-        let mut cur = dst;
-        loop {
-            let pred = tree.predecessor(cur)?;
-            if pred == src {
-                return Some(cur);
-            }
-            cur = pred;
-        }
-    }
 }
 
 impl PathProvider for AllPairsPaths {
@@ -103,9 +84,6 @@ impl PathProvider for AllPairsPaths {
         };
         Arc::clone(arc)
     }
-
-    // invalidate(): default no-op — the tables are a snapshot of the
-    // topology they were computed from.
 
     fn resident_path_bytes(&self) -> usize {
         self.by_delay
@@ -160,14 +138,20 @@ mod tests {
         assert_eq!(t.path_weight(&p).unwrap().cost, 7); // 5-2-0
     }
 
+    /// The next hop toward `dst` under the destination-rooted rule every
+    /// router forwards by: `src`'s predecessor in `dst`'s delay tree.
+    fn next_hop(ap: &AllPairsPaths, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        ap.tree(dst, Metric::Delay).predecessor(src)
+    }
+
     #[test]
     fn next_hop_walks_shortest_delay_path() {
         let t = fig5();
         let ap = AllPairsPaths::compute(&t);
         // From g1 (node 4) toward the m-router (node 0): 4-1-0.
-        assert_eq!(ap.next_hop_by_delay(NodeId(4), NodeId(0)), Some(NodeId(1)));
-        assert_eq!(ap.next_hop_by_delay(NodeId(1), NodeId(0)), Some(NodeId(0)));
-        assert_eq!(ap.next_hop_by_delay(NodeId(0), NodeId(0)), None);
+        assert_eq!(next_hop(&ap, NodeId(4), NodeId(0)), Some(NodeId(1)));
+        assert_eq!(next_hop(&ap, NodeId(1), NodeId(0)), Some(NodeId(0)));
+        assert_eq!(next_hop(&ap, NodeId(0), NodeId(0)), None);
     }
 
     #[test]
@@ -179,7 +163,7 @@ mod tests {
                 let mut cur = src;
                 let mut hops = 0;
                 while cur != dst {
-                    cur = ap.next_hop_by_delay(cur, dst).expect("connected");
+                    cur = next_hop(&ap, cur, dst).expect("connected");
                     hops += 1;
                     assert!(hops <= t.node_count(), "routing loop {src:?}->{dst:?}");
                 }
@@ -195,6 +179,6 @@ mod tests {
         let ap = AllPairsPaths::compute(&b.build());
         assert_eq!(ap.distance(NodeId(0), NodeId(2), Metric::Delay), None);
         assert_eq!(ap.path(NodeId(0), NodeId(3), Metric::Cost), None);
-        assert_eq!(ap.next_hop_by_delay(NodeId(1), NodeId(2)), None);
+        assert_eq!(next_hop(&ap, NodeId(1), NodeId(2)), None);
     }
 }

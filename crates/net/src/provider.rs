@@ -5,17 +5,17 @@
 //! fine at 50 nodes, fatal at 10k. [`PathProvider`] is the seam that
 //! hides the choice: [`crate::AllPairsPaths`] stays the eager
 //! implementation for paper-scale graphs, while [`OnDemandPaths`]
-//! computes source trees lazily, memoizes them in a bounded LRU, and
-//! exposes explicit invalidation for fault/repair-driven topology
-//! changes. Both produce bit-identical trees (same Dijkstra, same
-//! tie-breaking), so swapping implementations never perturbs a golden
-//! trace.
+//! computes source trees lazily and memoizes them in a bounded LRU.
+//! Both produce bit-identical trees (same Dijkstra, same tie-breaking),
+//! so swapping implementations never perturbs a golden trace.
 //!
-//! Every algorithm that used to take `&AllPairsPaths` now takes
-//! `&dyn PathProvider`; the workloads those algorithms generate touch
-//! only a handful of sources (the m-router plus the joining members),
-//! which is exactly what makes the lazy provider `O(n·cached)` instead
-//! of `O(n²)`.
+//! Every algorithm takes `&dyn PathProvider`; the workloads those
+//! algorithms generate touch only a handful of sources (the m-router
+//! plus the joining members), which is exactly what makes the lazy
+//! provider `O(n·cached)` instead of `O(n²)`. Inside an engine the one
+//! provider is [`crate::LivePaths`], whose healthy store is picked by
+//! [`ALL_PAIRS_MAX_NODES`] like [`provider_for`]; the free-standing
+//! providers serve analyses and experiments outside an engine.
 
 use crate::dijkstra::{dijkstra_with, DijkstraScratch, Metric, ShortestPathTree};
 use crate::graph::{NodeId, Topology};
@@ -26,9 +26,9 @@ use std::sync::{Arc, Mutex};
 /// A source of shortest-path trees under either link metric.
 ///
 /// The trait is object-safe; algorithms take `&dyn PathProvider` so one
-/// compiled body serves both implementations. Trees are returned as
-/// `Arc`s — the provider may share them with its cache (or with other
-/// routers: MOSPF's per-source SPTs are one shared provider), and a
+/// compiled body serves every implementation. Trees are returned as
+/// `Arc`s — the provider may share them with its cache (or with every
+/// router of an engine, which all read one [`crate::LivePaths`]), and a
 /// caller doing many queries against one source should hold the `Arc`
 /// rather than re-asking per query.
 pub trait PathProvider: fmt::Debug + Send + Sync {
@@ -37,12 +37,6 @@ pub trait PathProvider: fmt::Debug + Send + Sync {
 
     /// The Dijkstra tree rooted at `src` for `metric`.
     fn tree(&self, src: NodeId, metric: Metric) -> Arc<ShortestPathTree>;
-
-    /// Drop memoized state. After a call, queries recompute from the
-    /// provider's topology. Invalidation contract: implementations whose
-    /// answers derive from an immutable snapshot ([`crate::AllPairsPaths`])
-    /// may no-op; caching implementations must forget every tree.
-    fn invalidate(&self) {}
 
     /// Bytes of resident path state (cached or precomputed trees) —
     /// the quantity the `scale` bench tracks to prove the
@@ -64,24 +58,6 @@ pub trait PathProvider: fmt::Debug + Send + Sync {
     fn path(&self, src: NodeId, dst: NodeId, metric: Metric) -> Option<Vec<NodeId>> {
         self.tree(src, metric).path_to(dst)
     }
-
-    /// Next hop from `src` toward `dst` along the shortest-delay path —
-    /// what a unicast routing table would return. `None` when
-    /// `src == dst` or unreachable.
-    fn next_hop_by_delay(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        if src == dst {
-            return None;
-        }
-        let tree = self.tree(src, Metric::Delay);
-        let mut cur = dst;
-        loop {
-            let pred = tree.predecessor(cur)?;
-            if pred == src {
-                return Some(cur);
-            }
-            cur = pred;
-        }
-    }
 }
 
 // `Box<dyn PathProvider>` (what `provider_for` hands out) is itself a
@@ -93,10 +69,6 @@ impl<P: PathProvider + ?Sized> PathProvider for Box<P> {
 
     fn tree(&self, src: NodeId, metric: Metric) -> Arc<ShortestPathTree> {
         (**self).tree(src, metric)
-    }
-
-    fn invalidate(&self) {
-        (**self).invalidate()
     }
 
     fn resident_path_bytes(&self) -> usize {
@@ -229,13 +201,11 @@ impl TreeCache {
 ///   entry is evicted (ties broken toward the smaller key so eviction
 ///   order is deterministic). Evicted trees that nothing else still
 ///   references donate their buffers back to the scratch pool.
-/// * [`OnDemandPaths::set_topology`] swaps in a new topology view and
-///   invalidates. Plain [`PathProvider::invalidate`] keeps the topology
-///   and drops the memoized trees.
 ///
-/// Interior state sits behind a `Mutex`, so a provider can be shared
-/// (`Arc<OnDemandPaths>`) by every router of a simulated domain; with
-/// single-threaded access the lock is uncontended.
+/// Interior state sits behind a `Mutex`, so a provider can be shared —
+/// as the healthy store of a large [`crate::LivePaths`], it serves every
+/// router of an engine; with single-threaded access the lock is
+/// uncontended.
 pub struct OnDemandPaths {
     topo: Arc<Topology>,
     state: Mutex<TreeCache>,
@@ -277,19 +247,6 @@ impl OnDemandPaths {
         }
     }
 
-    /// The topology paths are provided over.
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.topo
-    }
-
-    /// Swap in a new topology and drop every memoized tree. The
-    /// Dijkstra scratch pool survives, so re-population reuses the old
-    /// allocations.
-    pub fn set_topology(&mut self, topo: Arc<Topology>) {
-        self.topo = topo;
-        self.invalidate();
-    }
-
     /// Cache counters (hits/misses/evictions/resident).
     pub fn stats(&self) -> CacheStats {
         self.state.lock().expect("provider lock").stats()
@@ -310,10 +267,6 @@ impl PathProvider for OnDemandPaths {
             })
     }
 
-    fn invalidate(&self) {
-        self.state.lock().expect("provider lock").clear();
-    }
-
     fn resident_path_bytes(&self) -> usize {
         self.state.lock().expect("provider lock").resident_bytes()
     }
@@ -329,21 +282,16 @@ pub const ALL_PAIRS_MAX_NODES: usize = 256;
 /// [`ALL_PAIRS_MAX_NODES`]. Both yield identical answers; only memory
 /// and compute scheduling differ.
 pub fn provider_for(topo: &Topology) -> Box<dyn PathProvider> {
-    if topo.node_count() <= ALL_PAIRS_MAX_NODES {
-        Box::new(crate::AllPairsPaths::compute(topo))
-    } else {
-        Box::new(OnDemandPaths::from_topology(topo))
-    }
+    provider_over(Arc::new(topo.clone()))
 }
 
-/// [`provider_for`], shareable: routers of one simulated domain hold
-/// clones of the same `Arc` so source trees are computed once per domain
-/// rather than once per router (MOSPF's per-source SPTs, notably).
-pub fn shared_provider_for(topo: &Topology) -> Arc<dyn PathProvider> {
+/// [`provider_for`] over a topology the caller keeps sharing (the live
+/// view's healthy store).
+pub(crate) fn provider_over(topo: Arc<Topology>) -> Box<dyn PathProvider> {
     if topo.node_count() <= ALL_PAIRS_MAX_NODES {
-        Arc::new(crate::AllPairsPaths::compute(topo))
+        Box::new(crate::AllPairsPaths::compute(&topo))
     } else {
-        Arc::new(OnDemandPaths::from_topology(topo))
+        Box::new(OnDemandPaths::new(topo))
     }
 }
 
@@ -369,7 +317,6 @@ mod tests {
                     assert_eq!(od.distance(s, d, m), ap.distance(s, d, m));
                     assert_eq!(od.path(s, d, m), ap.path(s, d, m));
                 }
-                assert_eq!(od.next_hop_by_delay(s, d), ap.next_hop_by_delay(s, d));
             }
         }
         let st = od.stats();
@@ -389,30 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_then_requery_is_consistent() {
+    fn evicted_tree_requery_is_consistent() {
         let topo = fig5();
-        let od = on_demand(&topo, 8);
-        let before = od.tree(NodeId(2), Metric::Cost).distance(NodeId(4));
-        od.invalidate();
-        assert_eq!(od.stats().resident, 0);
-        assert_eq!(od.resident_path_bytes(), 0);
-        let after = od.tree(NodeId(2), Metric::Cost).distance(NodeId(4));
-        assert_eq!(before, after);
-        assert_eq!(od.stats().misses, 2, "requery recomputes");
-    }
-
-    #[test]
-    fn set_topology_switches_the_answers() {
-        let topo = fig5();
-        let mut od = on_demand(&topo, 8);
-        let full = od.unicast_delay(NodeId(0), NodeId(4));
-        assert!(full.is_some());
-        // Cut node 1 out: 0-1-4 dies, the detour via 2 takes over.
-        let cut = topo.without_node(NodeId(1));
-        let expect = AllPairsPaths::compute(&cut).unicast_delay(NodeId(0), NodeId(4));
-        od.set_topology(Arc::new(cut));
-        assert_eq!(od.unicast_delay(NodeId(0), NodeId(4)), expect);
-        assert_ne!(od.unicast_delay(NodeId(0), NodeId(4)), full);
+        let od = on_demand(&topo, 1);
+        let before = od.tree(NodeId(2), Metric::Cost);
+        od.tree(NodeId(3), Metric::Cost);
+        assert_eq!(od.stats().resident, 1);
+        let after = od.tree(NodeId(2), Metric::Cost);
+        assert!(!Arc::ptr_eq(&before, &after), "evicted: recomputed");
+        for v in topo.nodes() {
+            assert_eq!(before.distance(v), after.distance(v));
+            assert_eq!(before.predecessor(v), after.predecessor(v));
+        }
+        assert_eq!(od.stats().misses, 3, "requery recomputes");
     }
 
     #[test]
@@ -458,7 +394,10 @@ mod tests {
         let od = on_demand(&topo, 4);
         assert_eq!(od.distance(NodeId(0), NodeId(3), Metric::Delay), None);
         assert_eq!(od.path(NodeId(0), NodeId(3), Metric::Cost), None);
-        assert_eq!(od.next_hop_by_delay(NodeId(1), NodeId(1)), None);
-        assert_eq!(od.next_hop_by_delay(NodeId(0), NodeId(3)), None);
+        assert_eq!(
+            od.path(NodeId(1), NodeId(1), Metric::Delay),
+            Some(vec![NodeId(1)])
+        );
+        assert_eq!(od.distance(NodeId(1), NodeId(1), Metric::Delay), Some(0));
     }
 }

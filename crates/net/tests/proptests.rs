@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn routing_tables_sound(seed in 0u64..500, n in 2usize..20) {
         let t = small_waxman(seed, n);
-        let rt = RoutingTables::compute(&t);
+        let rt = RoutingTables::compute_dense(&t);
         let ap = AllPairsPaths::compute(&t);
         for src in t.nodes() {
             for dst in t.nodes() {
@@ -107,16 +107,14 @@ fn small_transit_stub(seed: u64, stub_size: usize) -> scmp_net::Topology {
 }
 
 /// The on-demand provider must be observationally identical to the
-/// eager tables: same trees, distances, paths, and next hops — with a
-/// tiny cache so eviction-and-recompute is exercised, and again after
-/// an explicit `invalidate`.
+/// eager tables: same trees (so the same next hops under the
+/// destination-rooted rule), distances and paths — with a tiny cache so
+/// eviction-and-recompute is exercised, and again in a second round
+/// that recomputes every evicted tree.
 fn assert_provider_matches(topo: &scmp_net::Topology) -> Result<(), TestCaseError> {
     let ap = AllPairsPaths::compute(topo);
     let od = OnDemandPaths::with_capacity(std::sync::Arc::new(topo.clone()), 2);
-    for round in 0..2 {
-        if round == 1 {
-            PathProvider::invalidate(&od);
-        }
+    for _round in 0..2 {
         for src in topo.nodes() {
             for m in [Metric::Delay, Metric::Cost] {
                 let et = PathProvider::tree(&ap, src, m);
@@ -131,10 +129,6 @@ fn assert_provider_matches(topo: &scmp_net::Topology) -> Result<(), TestCaseErro
                     prop_assert_eq!(ap.distance(src, dst, m), od.distance(src, dst, m));
                     prop_assert_eq!(ap.path(src, dst, m), od.path(src, dst, m));
                 }
-                prop_assert_eq!(
-                    ap.next_hop_by_delay(src, dst),
-                    od.next_hop_by_delay(src, dst)
-                );
             }
         }
     }
@@ -146,8 +140,8 @@ fn assert_provider_matches(topo: &scmp_net::Topology) -> Result<(), TestCaseErro
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On-demand ≡ all-pairs on Waxman graphs, across evictions and an
-    /// invalidate-and-requery cycle.
+    /// On-demand ≡ all-pairs on Waxman graphs, across evictions and a
+    /// requery of every evicted tree.
     #[test]
     fn on_demand_matches_all_pairs_waxman(seed in 0u64..500, n in 2usize..20) {
         let t = small_waxman(seed, n);
@@ -243,25 +237,50 @@ fn assert_live_view_differential(topo: Topology, seed: u64) -> Result<(), TestCa
         view.set_link_down(edges[e].0, edges[e].1, before[e]);
     }
     assert_view_matches_rebuild(&view, &down_nodes, &cut)?;
-    // The last heal: from here on routes come from the construction-time
-    // tables again, and no shortest-path tree is ever computed for them.
+    // The last heal: from here on the healthy store answers again.
     for v in 0..n {
         view.set_node_down(NodeId(v as u32), false);
     }
     for &(a, b, _) in &edges {
         view.set_link_down(a, b, false);
     }
+    assert_healthy_view_matches(&view)
+}
+
+/// A fault-free view against its oracles: routes and next hops equal the
+/// dense tables, trees a plain Dijkstra, and no answer is an SPF run —
+/// they all come from the healthy store.
+fn assert_healthy_view_matches(view: &LivePaths) -> Result<(), TestCaseError> {
     prop_assert!(!view.degraded());
     let spf_before = view.spf_runs();
-    let healthy = RoutingTables::compute_dense(view.topo());
-    for src in view.topo().nodes() {
-        for dst in view.topo().nodes() {
+    let topo = view.topo();
+    let healthy = RoutingTables::compute_dense(topo);
+    for src in topo.nodes() {
+        for dst in topo.nodes() {
             prop_assert_eq!(view.route(src, dst), healthy.route(src, dst));
             prop_assert_eq!(view.next_hop(src, dst), healthy.next_hop(src, dst));
+        }
+        for metric in [Metric::Delay, Metric::Cost] {
+            let got = view.tree(src, metric);
+            let want = dijkstra(topo, src, metric);
+            for v in topo.nodes() {
+                prop_assert_eq!(got.distance(v), want.distance(v));
+                prop_assert_eq!(got.predecessor(v), want.predecessor(v));
+            }
         }
     }
     prop_assert_eq!(view.spf_runs(), spf_before);
     Ok(())
+}
+
+/// The healthy view past `ALL_PAIRS_MAX_NODES`, where its store is a
+/// bounded on-demand cache that routing evicts from as it goes: a
+/// 303-node transit–stub, every pair, against the same oracles.
+#[test]
+fn healthy_view_matches_rebuild_past_the_all_pairs_threshold() {
+    let topo = transit_stub(3, 4, 25, 1000, &mut rng_for("prop-ts", 7));
+    assert!(topo.node_count() > scmp_net::provider::ALL_PAIRS_MAX_NODES);
+    assert_healthy_view_matches(&LivePaths::new(topo)).unwrap();
 }
 
 proptest! {

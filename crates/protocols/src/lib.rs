@@ -137,12 +137,7 @@ pub fn build_engine(
                 DvmrpRouter::new(me, cfg)
             }))
         }
-        ProtocolKind::Mospf => {
-            let paths = scmp_net::shared_provider_for(topo);
-            Box::new(Engine::new(topo.clone(), move |me, _, _| {
-                MospfRouter::new(me, std::sync::Arc::clone(&paths))
-            }))
-        }
+        ProtocolKind::Mospf => Box::new(Engine::new(topo.clone(), |me, _, _| MospfRouter::new(me))),
         ProtocolKind::PimSm => {
             let rp = params.center;
             Box::new(Engine::new(topo.clone(), move |me, _, _| {

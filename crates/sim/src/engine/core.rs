@@ -69,8 +69,11 @@ impl<R: Router> Engine<R> {
         topo: Topology,
         mut make: impl FnMut(NodeId, &Topology, &LivePaths) -> R + Send + 'static,
     ) -> Self {
-        // The healthy unicast tables are built here, eagerly: deferring
-        // them would charge the first join of every fresh engine.
+        // The engine's one path store. At paper scale its healthy
+        // all-pairs tables are built here, eagerly: deferring them would
+        // charge the first join of every fresh engine. Above
+        // `ALL_PAIRS_MAX_NODES` the healthy trees are computed on demand
+        // into a bounded cache, so the build runs no Dijkstra.
         let paths = LivePaths::new(topo);
         let routers = paths
             .topo()

@@ -23,8 +23,10 @@ pub struct ScmpConfig {
     pub bound: DelayBound,
     /// Primary→standby heartbeat period (0 disables failover machinery).
     pub heartbeat_interval: u64,
-    /// After a takeover, wait this long before pushing rebuilt TREE
-    /// packets (lets the NewMRouter announcements land first).
+    /// Delay before a promoted m-router's first repair scan, which
+    /// rebuilds its trees (lets the NewMRouter announcements land
+    /// first). The scan runs even when `repair_interval` is 0; it then
+    /// does not repeat.
     pub takeover_rebuild_delay: u64,
     /// Ablation switch: always distribute full TREE packets, never
     /// BRANCH packets (§III-E motivates BRANCH as the cheap path; the
@@ -68,8 +70,9 @@ pub struct ScmpConfig {
     /// tree against the domain's liveness view (the IGP's link-state
     /// database) and re-run DCDM over the surviving topology when the
     /// tree is damaged or a logged member is reachable but off-tree.
-    /// 0 disables the scan. Note: a non-zero interval re-arms forever,
-    /// so drive such simulations with `run_until`, not quiescence.
+    /// 0 disables the periodic scan (a takeover still runs one). Note:
+    /// a non-zero interval re-arms forever, so drive such simulations
+    /// with `run_until`, not quiescence.
     pub repair_interval: u64,
     /// Optional reliable-multicast data tier (NACK recovery + i-router
     /// repair caches). `None` — the default — keeps the data plane

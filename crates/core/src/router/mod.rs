@@ -369,7 +369,6 @@ impl Router for ScmpRouter {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, ScmpMsg>) {
         match Timer::decode(token) {
             Some(Timer::Heartbeat) => self.heartbeat_tick(ctx),
-            Some(Timer::Rebuild) => self.rebuild_after_takeover(ctx),
             Some(Timer::Repair) => self.m_repair_scan(ctx),
             Some(Timer::Watchdog(gen)) => self.watchdog_expired(gen, ctx),
             Some(Timer::Expiry(group)) => self.expire_session_if_empty(group),

@@ -8,7 +8,7 @@ use crate::message::ScmpMsg;
 use crate::session::SessionDb;
 use crate::tree_packet::{BranchPacket, TreePacket};
 use scmp_net::{Metric, NodeId, PathProvider, Topology};
-use scmp_sim::{Ctx, GroupId, Packet};
+use scmp_sim::{Ctx, GroupId, Packet, SimTime};
 use scmp_telemetry::{EventKind, HealthTrigger};
 use scmp_tree::{Dcdm, MulticastTree};
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,9 +80,14 @@ pub struct MRouterState {
     /// tree can become damaged and no logged member can become both
     /// reachable and off its tree — JOIN/LEAVE plan over the live view
     /// and keep the mirror whole — so scans at `scanned_epoch` are
-    /// skipped. Cleared by whatever installs trees planned over another
-    /// view (the takeover rebuild).
-    pub(super) scan_clean: bool,
+    /// skipped. False on fresh state, so the first scan of a primary
+    /// or of a promoted standby (whose mirrors start empty) looks.
+    scan_clean: bool,
+    /// When this m-router's one repair-scan series fires next. A scan
+    /// timer due before it was armed by an earlier mastership of this
+    /// node (stepped down, then promoted again) and dies without
+    /// re-arming, so a node never runs two series.
+    pub(super) next_scan: SimTime,
 }
 
 impl MRouterState {
@@ -99,6 +104,7 @@ impl MRouterState {
             unreachable: BTreeSet::new(),
             scanned_epoch: None,
             scan_clean: false,
+            next_scan: 0,
         }
     }
 
@@ -387,7 +393,9 @@ impl ScmpRouter {
     /// tree — or a tree missing a reachable logged member, e.g. after a
     /// partition heals — is rebuilt by re-running DCDM over whatever is
     /// alive. Pruned-off routers get explicit flushes so stale entries
-    /// cannot black-hole later traffic.
+    /// cannot black-hole later traffic. The same scan builds a promoted
+    /// standby's trees: its mirrors start empty, so its first scan
+    /// readopts every logged member it can reach.
     ///
     /// Everything the scan looks at is a function of the liveness epoch
     /// and of the mirror, and JOIN/LEAVE keep the mirror whole, so a
@@ -400,9 +408,13 @@ impl ScmpRouter {
         let Role::MRouter(state) = &mut self.role else {
             return; // role changed since the timer was armed
         };
+        if ctx.now() < state.next_scan {
+            return; // armed before this node last stepped down
+        }
         let interval = domain.config.repair_interval;
         if interval > 0 {
             // Re-arm first so a scan can never silence itself.
+            state.next_scan = ctx.now().saturating_add(interval);
             ctx.set_timer(interval, Timer::Repair.token());
         }
         let epoch = ctx.routes().epoch();

@@ -1,16 +1,16 @@
 //! Hot-standby failover (§V item 4): the standby mirrors membership via
 //! StandbySync, watches the primary's heartbeats, and on watchdog expiry
-//! promotes itself — announcing the new m-router address and rebuilding
-//! every tree around the dead primary.
+//! promotes itself — announcing the new m-router address, seeding an
+//! empty mirror per active group and arming the repair scan, which
+//! readopts every reachable logged member over the live path view.
 
 use super::{Attempts, MRouterState, Role, ScmpRouter, Timer};
 use crate::message::ScmpMsg;
 use crate::session::SessionDb;
-use crate::tree_packet::TreePacket;
-use scmp_net::{provider_for, NodeId};
+use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet, SimTime};
 use scmp_telemetry::EventKind;
-use scmp_tree::Dcdm;
+use scmp_tree::MulticastTree;
 use std::sync::Arc;
 
 /// Standby-only state: the mirrored membership plus the deadman
@@ -98,8 +98,18 @@ impl ScmpRouter {
         // its own, and ours must win the staleness race everywhere.
         state.gen_epoch =
             ((self.gen_high_water >> super::GEN_EPOCH_SHIFT) + 1) << super::GEN_EPOCH_SHIFT;
+        // Every logged member is off these empty mirrors, so the first
+        // repair scan readopts each one it can reach, planning over the
+        // live view like every other tree this m-router builds.
+        let n = domain.topo.node_count();
+        for group in state.sessions.active_groups() {
+            state.trees.insert(group, MulticastTree::new(n, me));
+            state.assign_fabric_port(group);
+        }
+        let delay = domain.config.takeover_rebuild_delay;
+        state.next_scan = ctx.now().saturating_add(delay);
         self.role = Role::MRouter(state);
-        // Announce the new address to every router first; the rebuilt
+        // Announce the new address to every router first; the scan's
         // TREE packets follow after `takeover_rebuild_delay`. One
         // transaction key covers the whole announcement wave.
         let txn = self.fresh_txn();
@@ -113,7 +123,7 @@ impl ScmpRouter {
         }
         self.m_router = me;
         ctx.observe(EventKind::Takeover);
-        ctx.set_timer(domain.config.takeover_rebuild_delay, Timer::Rebuild.token());
+        ctx.set_timer(delay, Timer::Repair.token());
     }
 
     /// NewMRouter announcement processing, shared by every role.
@@ -146,10 +156,11 @@ impl ScmpRouter {
             self.role = Role::Standby(standby);
         }
         // The old trees are rooted at the previous primary: drop all
-        // forwarding state. The new m-router pushes rebuilt TREE packets
-        // after `takeover_rebuild_delay`; until they arrive, sources
-        // fall back to unicast encapsulation. The rebuilt tree re-opens
-        // the local interface of every group the subnet still wants.
+        // forwarding state. The new m-router's first repair scan pushes
+        // rebuilt TREE packets `takeover_rebuild_delay` after its
+        // takeover; until they arrive, sources fall back to unicast
+        // encapsulation. The rebuilt tree re-opens the local interface
+        // of every group the subnet still wants.
         self.m_router = address;
         self.entries.clear();
         self.flushed.clear();
@@ -168,80 +179,6 @@ impl ScmpRouter {
                 self.joins.entry(g).or_default().attempts = Attempts::default();
                 ctx.set_timer(retry, Timer::JoinRetry(g).token());
             }
-        }
-    }
-
-    pub(super) fn rebuild_after_takeover(&mut self, ctx: &mut Ctx<'_, ScmpMsg>) {
-        let domain = Arc::clone(&self.domain);
-        let me = self.me;
-        if !self.is_m_router() {
-            return;
-        }
-        // Plan around the m-router this node replaced: its links are
-        // unusable. That is the configured primary for a promoted
-        // standby, and the standby for a primary promoted back.
-        let topo = match self.pair_peer() {
-            Some(peer) => domain.topo.without_node(peer),
-            None => domain.topo.clone(),
-        };
-        let paths = provider_for(&topo);
-        let Role::MRouter(state) = &mut self.role else {
-            unreachable!()
-        };
-        let groups: Vec<GroupId> = state.sessions.active_groups();
-        let mut rebuilt = Vec::new();
-        for group in groups {
-            // Members partitioned away by the primary's failure cannot be
-            // served until the operator restores connectivity; skip them.
-            let members: Vec<NodeId> = state
-                .sessions
-                .members_from_log(group)
-                .iter()
-                .copied()
-                .filter(|&m| paths.unicast_delay(m, me).is_some())
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            state.assign_fabric_port(group);
-            let mut dcdm = Dcdm::new(&topo, &paths, me, domain.config.bound);
-            for m in &members {
-                dcdm.join(*m);
-            }
-            rebuilt.push((group, dcdm.into_tree()));
-        }
-        for (group, tree) in rebuilt {
-            let txn = self.fresh_txn();
-            let Role::MRouter(state) = &mut self.role else {
-                unreachable!()
-            };
-            let gen = state.next_gen(group);
-            let entry = self.entries.entry(group).or_default();
-            entry.upstream = None;
-            entry.downstream_routers = tree.children(me).iter().copied().collect();
-            entry.local_interface = tree.is_member(me);
-            entry.gen = gen;
-            for &child in tree.children(me) {
-                let tp = TreePacket::from_tree(&tree, child);
-                let pkt = Packet::control_keyed(group, txn, ScmpMsg::Tree { gen, packet: tp });
-                self.send_tree_tracked(group, child, gen, pkt, ctx);
-            }
-            super::mrouter::record_tree_health(
-                group,
-                scmp_telemetry::HealthTrigger::Takeover,
-                &topo,
-                &paths,
-                &tree,
-                ctx,
-            );
-            let Role::MRouter(state) = &mut self.role else {
-                unreachable!()
-            };
-            state.trees.insert(group, tree);
-            // Planned around the primary, not over the live view: a
-            // member only reachable through it is off this tree and a
-            // dead link may be on it, for the repair scan to find.
-            state.scan_clean = false;
         }
     }
 }

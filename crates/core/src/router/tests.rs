@@ -250,7 +250,7 @@ fn re_promoted_primary_plans_around_the_standby() {
     assert!(e.router(NodeId(2)).is_m_router(), "standby promoted");
     assert!(!e.router(NodeId(0)).is_m_router(), "primary stepped down");
     // The promoted standby dies and the primary takes over again. Its
-    // rebuild must plan around node 2, not around itself.
+    // first scan plans over the live view, where node 2 is down.
     e.set_node_down(NodeId(2), true);
     e.schedule_app(81_000, NodeId(1), AppEvent::Send { group: G, tag: 7 });
     e.run_until(200_000);
@@ -258,6 +258,129 @@ fn re_promoted_primary_plans_around_the_standby() {
     for m in [4u32, 3] {
         assert_eq!(e.stats().delivery_count(G, 7, NodeId(m)), 1, "member {m}");
     }
+}
+
+/// Scan ticks counted so far, full and skipped alike.
+fn scans(e: &Engine<ScmpRouter>) -> u64 {
+    e.stats().repair_scans_full + e.stats().repair_scans_skipped
+}
+
+#[test]
+fn a_promoted_standby_keeps_scanning() {
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.standby = Some(NodeId(2));
+    cfg.heartbeat_interval = 500;
+    cfg.repair_interval = 1_000;
+    let mut e = build(fig5(), cfg);
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    e.schedule_app(1_000, NodeId(3), AppEvent::Join(G));
+    e.run_until(3_000);
+    e.set_node_down(NodeId(0), true);
+    e.run_until(10_000);
+    assert!(e.router(NodeId(2)).is_m_router(), "standby promoted");
+    // The takeover armed a series that keeps its period for good: one
+    // tick per interval, never a second series alongside.
+    let mut seen = scans(&e);
+    for (from, to) in [(10_000, 20_000), (20_000, 40_000), (40_000, 60_000)] {
+        e.run_until(to);
+        assert_eq!(
+            scans(&e) - seen,
+            (to - from) / 1_000,
+            "scans in ({from}, {to}]"
+        );
+        seen = scans(&e);
+    }
+    let m = e.router(NodeId(2)).m_state().unwrap();
+    let tree = m.tree(G).unwrap();
+    assert!(tree.is_member(NodeId(4)) && tree.is_member(NodeId(3)));
+}
+
+#[test]
+fn a_re_promoted_primary_runs_one_scan_series() {
+    use scmp_sim::FaultEvent;
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.standby = Some(NodeId(2));
+    cfg.heartbeat_interval = 500;
+    cfg.repair_interval = 50_000;
+    let mut e = build(fig5(), cfg);
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    // Node 0 is cut off while its first scan is still pending, steps
+    // down on the heal, and is promoted again once node 2 dies: that
+    // old timer then fires on a node whose takeover armed a series.
+    let a = NodeId(0);
+    let neighbours: Vec<NodeId> = e.topo().neighbors(a).iter().map(|l| l.to).collect();
+    for &b in &neighbours {
+        e.schedule_fault(3_000, FaultEvent::LinkDown { a, b });
+        e.schedule_fault(20_000, FaultEvent::LinkUp { a, b });
+    }
+    e.run_until(25_000);
+    e.set_node_down(NodeId(2), true);
+    e.run_until(100_000);
+    assert!(e.router(NodeId(0)).is_m_router(), "primary promoted back");
+    let before = scans(&e);
+    e.run_until(300_000);
+    assert_eq!(scans(&e) - before, 4, "one tick per 50 000");
+}
+
+#[test]
+fn a_takeover_plans_over_what_is_alive() {
+    use scmp_net::{LinkWeight, Metric, TopologyBuilder};
+    use scmp_sim::FaultEvent;
+    use scmp_tree::{repair, Dcdm};
+    // Primary 0 is one hop from member 4; without it, the standby's
+    // short way to 4 is 1-2-4 and its long one 1-3-4.
+    let detour = |with_primary: bool| {
+        let primary = [(0, 1, 1), (0, 4, 1)];
+        let rest = [(1, 2, 1), (2, 4, 1), (1, 3, 5), (3, 4, 5)];
+        let mut b = TopologyBuilder::new(5);
+        for (x, y, d) in rest
+            .into_iter()
+            .chain(primary.into_iter().filter(|_| with_primary))
+        {
+            b.add_link(NodeId(x), NodeId(y), LinkWeight::new(d, d));
+        }
+        b.build()
+    };
+    let dead = (NodeId(2), NodeId(4));
+    // The static plan around the primary crosses the link that dies.
+    let around = detour(false);
+    let paths = scmp_net::AllPairsPaths::compute(&around);
+    assert_eq!(
+        paths.path(NodeId(1), NodeId(4), Metric::Delay),
+        Some(vec![NodeId(1), dead.0, dead.1])
+    );
+    let mut plan = Dcdm::new(&around, &paths, NodeId(1), scmp_tree::DelayBound::Dynamic);
+    plan.join(NodeId(4));
+    assert!(plan.into_tree().edges().contains(&dead));
+
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.standby = Some(NodeId(1));
+    cfg.heartbeat_interval = 500;
+    let mut e = build(detour(true), cfg);
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    e.schedule_fault(
+        1_000,
+        FaultEvent::LinkDown {
+            a: dead.0,
+            b: dead.1,
+        },
+    );
+    e.schedule_fault(3_000, FaultEvent::RouterCrash { node: NodeId(0) });
+    e.schedule_app(15_000, NodeId(3), AppEvent::Send { group: G, tag: 1 });
+    e.run_until(20_000);
+    assert!(e.router(NodeId(1)).is_m_router(), "standby promoted");
+    let tree = e.router(NodeId(1)).m_state().unwrap().tree(G).unwrap();
+    assert!(tree.is_member(NodeId(4)), "member readopted");
+    let damage = repair::assess(
+        tree,
+        |v| e.node_is_up(v),
+        |a, b| (a.min(b), a.max(b)) != dead,
+    );
+    assert!(
+        damage.is_intact(),
+        "the mirror crosses a dead link: {damage:?}"
+    );
+    assert_eq!(e.stats().delivery_count(G, 1, NodeId(4)), 1);
 }
 
 #[test]

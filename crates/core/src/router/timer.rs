@@ -31,10 +31,9 @@ const GROUPS: u64 = 1 << 32;
 pub(super) enum Timer {
     /// The m-router beacons to its standby peer (§V item 4).
     Heartbeat,
-    /// A promoted standby rebuilds every tree around the dead primary.
-    Rebuild,
     /// Periodic m-router repair scan: check every mirrored tree against
-    /// the live path view and re-run DCDM over a damaged one.
+    /// the live path view and re-run DCDM over a damaged one. A
+    /// takeover arms the promoted standby's first.
     Repair,
     /// The standby's deadman timer, stamped with the heartbeat
     /// generation that armed it: only the timer armed after the *last*
@@ -62,7 +61,6 @@ impl Timer {
         };
         match self {
             Timer::Heartbeat => 1,
-            Timer::Rebuild => 3,
             Timer::Repair => 4,
             Timer::Watchdog(gen) => WATCHDOG + gen,
             Timer::Expiry(group) => EXPIRY + u64::from(group.0),
@@ -87,7 +85,6 @@ impl Timer {
         };
         match token {
             1 => Some(Timer::Heartbeat),
-            3 => Some(Timer::Rebuild),
             4 => Some(Timer::Repair),
             WATCHDOG..ANNOUNCE => Some(Timer::Watchdog(token - WATCHDOG)),
             ANNOUNCE..NACK => pair(ANNOUNCE).map(|(g, n)| Timer::Announce(g, n)),
@@ -157,7 +154,6 @@ mod tests {
     fn every_family_keeps_its_token() {
         let cases = [
             (Timer::Heartbeat, 1),
-            (Timer::Rebuild, 3),
             (Timer::Repair, 4),
             (Timer::Watchdog(0), 1_000),
             (Timer::Watchdog(17), 1_017),
@@ -182,6 +178,7 @@ mod tests {
         let strays = [
             0,
             2,
+            3,
             5,
             999,
             ANNOUNCE + PAIRS,
@@ -211,14 +208,13 @@ mod tests {
         let (g, n) = (GroupId(group), NodeId(node));
         match kind {
             0 => Timer::Heartbeat,
-            1 => Timer::Rebuild,
-            2 => Timer::Repair,
-            3 => Timer::Watchdog(gen),
-            4 => Timer::Expiry(g),
-            5 => Timer::JoinRetry(g),
-            6 => Timer::LeaveRetry(g),
-            7 => Timer::TreeRetry(g, n),
-            8 => Timer::Nack(g, n),
+            1 => Timer::Repair,
+            2 => Timer::Watchdog(gen),
+            3 => Timer::Expiry(g),
+            4 => Timer::JoinRetry(g),
+            5 => Timer::LeaveRetry(g),
+            6 => Timer::TreeRetry(g, n),
+            7 => Timer::Nack(g, n),
             _ => Timer::Announce(g, n),
         }
     }
@@ -240,7 +236,7 @@ mod tests {
 
         #[test]
         fn decode_inverts_token(
-            kind in 0u8..10,
+            kind in 0u8..9,
             group in any::<u32>(),
             node in 0u32..1 << NODE_BITS,
             gen in 0u64..ANNOUNCE - WATCHDOG,

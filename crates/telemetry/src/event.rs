@@ -210,10 +210,9 @@ label_enum! {
         Join = "join",
         /// A member leave pruned the tree.
         Leave = "leave",
-        /// The repair scan rebuilt the tree on the surviving topology.
+        /// The repair scan rebuilt the tree on the surviving topology
+        /// (a promoted standby's trees included).
         Repair = "repair",
-        /// A promoted standby rebuilt the tree after takeover.
-        Takeover = "takeover",
     }
 }
 

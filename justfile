@@ -117,11 +117,13 @@ journey spec="1" trace="tests/golden/failstorm_events.jsonl":
 telemetry-tour:
     cargo run --example telemetry_tour
 
-# Refresh the committed golden traces (structured JSONL + journeys) and
-# the benchmark's pinned CI-size model digests after an intentional
-# protocol change; review the diff like code.
+# Refresh the committed golden traces (structured JSONL + journeys),
+# the committed scenarios' reports and the benchmark's pinned CI-size
+# model digests after an intentional protocol change; review the diff
+# like code.
 golden-update:
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test telemetry
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test lossy_control_plane
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test journey_golden
+    reports=$(cargo run -q --release -p scmp-bench --bin scenario -- examples/scenarios/*.json tests/scenarios/*.json --jobs 1) && printf '%s\n' "$reports" > tests/golden/scenario_reports.txt
     digests=$(scripts/bench-quick-digests.sh) && printf '%s\n' "$digests" > tests/golden/bench_quick_digests.txt

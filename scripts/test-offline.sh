@@ -45,12 +45,25 @@ SCMP_JOBS=2 cargo run -q --release -p scmp-bench --bin chaos -- 1 --jobs 2 --par
 # reports must match byte for byte: cut geometry, degraded mode, epoch
 # reconciliation and queueing are all seeded, so any divergence is a
 # determinism bug.
-runs_a=$(cargo run -q --release -p scmp-bench --bin scenario -- \
-    examples/scenarios/*.json tests/scenarios/*.json --jobs 2)
-runs_b=$(cargo run -q --release -p scmp-bench --bin scenario -- \
-    examples/scenarios/*.json tests/scenarios/*.json --jobs 1)
+set -- examples/scenarios/*.json tests/scenarios/*.json
+runs_a=$(cargo run -q --release -p scmp-bench --bin scenario -- "$@" --jobs 2)
+runs_b=$(cargo run -q --release -p scmp-bench --bin scenario -- "$@" --jobs 1)
 [ "$runs_a" = "$runs_b" ] || {
     echo "committed scenarios diverged between --jobs 2 and serial" >&2
+    exit 1
+}
+# The reports themselves are pinned (`just golden-update` rewrites the
+# file after an intentional change). On a difference, name each
+# scenario whose report moved: report N is the N-th top-level object.
+pinned=tests/golden/scenario_reports.txt
+report() { awk -v n="$1" '/^\{/ { i++ } i == n'; }
+[ "$runs_b" = "$(cat "$pinned")" ] || {
+    i=0
+    for scenario in "$@"; do
+        i=$((i + 1))
+        [ "$(printf '%s\n' "$runs_b" | report "$i")" = "$(report "$i" <"$pinned")" ] ||
+            echo "scenario $scenario: report differs from $pinned" >&2
+    done
     exit 1
 }
 # A corpus entry wraps a scenario; it is not one. Fed to the scenario

@@ -11,14 +11,15 @@
 //!
 //! Replays the pinned scenario corpus serially and on a worker pool and
 //! requires byte-identical results and traces, regenerates every
-//! committed paper artefact and requires it to match `bench_results/`
-//! byte for byte, then re-runs the chaos sweep against the reliability
-//! and partition bands of `bench_results/chaos.json`. Full mode writes
+//! committed paper artefact and the full STRESS search and requires
+//! each to match `bench_results/` byte for byte, then re-runs the chaos
+//! sweep against the reliability and partition bands of
+//! `bench_results/chaos.json`. Full mode writes
 //! the verdict to `bench_results/regress.json`. Exits 1 on any failed
 //! check or guard mismatch, 2 on any other argument.
 
 use scmp_bench::scenario_file::{self, ScenarioFile};
-use scmp_bench::stress::CorpusEntry;
+use scmp_bench::stress::{self, CorpusEntry, SearchConfig};
 use scmp_bench::sweep::{reject_leftovers, resolve_jobs, take_flag, take_jobs_arg};
 use scmp_bench::{regress, report, reproduce};
 use std::path::Path;
@@ -67,6 +68,17 @@ fn corpus_byte_identity(jobs: usize) -> Result<usize, String> {
     Ok(specs.len())
 }
 
+/// Re-run the full STRESS search (the `stress` bin's default) and
+/// compare it with the committed `bench_results/stress.json`: a change
+/// that moves a boundary, or the search's evaluation count, fails here
+/// naming the first line that differs.
+fn stress_record(jobs: usize) -> Result<u64, String> {
+    let rep = stress::search(&SearchConfig::full(0), jobs);
+    let json = report::to_json(&rep)?;
+    reproduce::compare(Path::new("bench_results"), &[("stress.json".into(), json)])?;
+    Ok(rep.evaluations)
+}
+
 fn main() -> ExitCode {
     let (mut args, jobs_flag) = take_jobs_arg(std::env::args().skip(1).collect());
     let smoke = take_flag(&mut args, "--smoke");
@@ -87,6 +99,14 @@ fn main() -> ExitCode {
         Ok(n) => println!("artefact check: {n} files byte-identical at jobs={ajobs}"),
         Err(e) => {
             eprintln!("regress: artefact check: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    match stress_record(ajobs) {
+        Ok(n) => println!("stress record: {n} evaluations byte-identical at jobs={ajobs}"),
+        Err(e) => {
+            eprintln!("regress: stress record: {e}");
+            eprintln!("(an intended move: rerun `stress --no-pin` and commit the record)");
             return ExitCode::FAILURE;
         }
     }

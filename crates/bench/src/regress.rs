@@ -5,8 +5,10 @@
 //! It then regenerates every committed paper artefact (the
 //! [`crate::reproduce`] registry, on at least two workers) and requires
 //! each JSON record and SVG chart to match `bench_results/` byte for
-//! byte. Last it re-runs the chaos sweep and holds it to two bands
-//! against the committed `bench_results/chaos.json`:
+//! byte, and does the same for the full STRESS search
+//! (`bench_results/stress.json`). Last it re-runs the chaos sweep and
+//! holds it to two bands against the committed
+//! `bench_results/chaos.json`:
 //!
 //! * **reliability** ([`chaos_band`]) — absolute worst-seed delivery
 //!   floors and a 2x ceiling on worst-case gap-recovery latency;

@@ -6,13 +6,12 @@
 //! *edges* — when the first host of a subnet joins a group, or the last
 //! one leaves.
 //!
-//! This module models one subnet: a set of hosts, DR election (lowest
-//! address wins, as in IGMPv2), queries, reports with suppression (a host
-//! cancels its report when it hears another member report the same
-//! group), and leave processing. It is deliberately link-traffic-free —
-//! subnet chatter stays on the LAN and does not touch the §IV-B overhead
-//! metrics — but the message counts are exposed so tests can check the
-//! suppression behaviour.
+//! This module models one subnet as what the routing side needs from
+//! it: the member hosts of each group, and the join and leave edges
+//! that change whether the group has any. It is link-traffic-free —
+//! subnet chatter (queries, reports, report suppression) stays on the
+//! LAN and does not touch the §IV-B overhead metrics, so none of it is
+//! modelled.
 
 use scmp_sim::GroupId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,21 +32,11 @@ pub enum MembershipEdge {
     NoChange,
 }
 
-/// One subnet: hosts, their memberships, and the DR.
+/// One subnet: the member hosts of each group.
 #[derive(Clone, Debug, Default)]
 pub struct Subnet {
-    hosts: BTreeSet<HostId>,
-    /// group -> member hosts.
+    /// group -> member hosts; a group with none has no key.
     members: BTreeMap<GroupId, BTreeSet<HostId>>,
-    /// IGMP message counters (reports actually transmitted, suppressed
-    /// reports, queries, leaves).
-    pub reports_sent: u64,
-    /// Reports suppressed because another member answered first.
-    pub reports_suppressed: u64,
-    /// Queries the DR transmitted.
-    pub queries_sent: u64,
-    /// Leave messages hosts transmitted.
-    pub leaves_sent: u64,
 }
 
 impl Subnet {
@@ -56,28 +45,13 @@ impl Subnet {
         Subnet::default()
     }
 
-    /// Attach a host to the subnet.
-    pub fn add_host(&mut self, h: HostId) {
-        self.hosts.insert(h);
-    }
-
-    /// The designated router election winner among `candidates` — IGMPv2
-    /// picks the lowest address. Returns `None` for an empty slate.
-    pub fn elect_dr(candidates: &[u32]) -> Option<u32> {
-        candidates.iter().copied().min()
-    }
-
     /// Host `h` joins `group` (sends an unsolicited report, as IGMPv2
     /// joiners do). Returns the routing-visible edge.
     pub fn host_join(&mut self, h: HostId, group: GroupId) -> MembershipEdge {
-        self.hosts.insert(h);
         let set = self.members.entry(group).or_default();
         let first = set.is_empty();
-        if set.insert(h) {
-            self.reports_sent += 1;
-            if first {
-                return MembershipEdge::FirstJoined(group);
-            }
+        if set.insert(h) && first {
+            return MembershipEdge::FirstJoined(group);
         }
         MembershipEdge::NoChange
     }
@@ -91,9 +65,6 @@ impl Subnet {
         if !set.remove(&h) {
             return MembershipEdge::NoChange;
         }
-        self.leaves_sent += 1;
-        // Last-member query: the DR asks; remaining members would answer.
-        self.queries_sent += 1;
         if set.is_empty() {
             self.members.remove(&group);
             MembershipEdge::LastLeft(group)
@@ -102,39 +73,24 @@ impl Subnet {
         }
     }
 
-    /// The DR's periodic general Query: every group with members is
-    /// answered by exactly one report (the others suppress). Returns the
-    /// groups confirmed alive.
-    pub fn general_query(&mut self) -> Vec<GroupId> {
-        self.queries_sent += 1;
-        let mut alive = Vec::new();
-        for (&g, set) in &self.members {
-            if !set.is_empty() {
-                alive.push(g);
-                self.reports_sent += 1;
-                self.reports_suppressed += set.len() as u64 - 1;
-            }
-        }
-        alive
-    }
-
     /// Does any host on this subnet belong to `group`?
     pub fn has_members(&self, group: GroupId) -> bool {
-        self.members.get(&group).is_some_and(|s| !s.is_empty())
+        self.members.contains_key(&group)
     }
 
     /// Groups with at least one member host.
     pub fn active_groups(&self) -> Vec<GroupId> {
-        self.members
-            .iter()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(&g, _)| g)
-            .collect()
+        self.members.keys().copied().collect()
     }
 
     /// Number of member hosts of `group`.
     pub fn member_count(&self, group: GroupId) -> usize {
         self.members.get(&group).map_or(0, |s| s.len())
+    }
+
+    /// The member host of `group` with the highest id, if any.
+    pub fn newest_member(&self, group: GroupId) -> Option<HostId> {
+        self.members.get(&group)?.last().copied()
     }
 }
 
@@ -172,23 +128,15 @@ mod tests {
     }
 
     #[test]
-    fn report_suppression_on_query() {
+    fn newest_member_is_the_highest_id() {
         let mut s = Subnet::new();
-        for h in 0..5 {
-            s.host_join(HostId(h), G);
-        }
-        let before = s.reports_sent;
-        let alive = s.general_query();
-        assert_eq!(alive, vec![G]);
-        // One report answers the query, four are suppressed.
-        assert_eq!(s.reports_sent - before, 1);
-        assert_eq!(s.reports_suppressed, 4);
-    }
-
-    #[test]
-    fn dr_election_picks_lowest() {
-        assert_eq!(Subnet::elect_dr(&[30, 10, 20]), Some(10));
-        assert_eq!(Subnet::elect_dr(&[]), None);
+        assert_eq!(s.newest_member(G), None);
+        s.host_join(HostId(3), G);
+        s.host_join(HostId(5), G);
+        s.host_join(HostId(4), G);
+        assert_eq!(s.newest_member(G), Some(HostId(5)));
+        s.host_leave(HostId(5), G);
+        assert_eq!(s.newest_member(G), Some(HostId(4)));
     }
 
     #[test]

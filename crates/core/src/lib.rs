@@ -9,8 +9,8 @@
 //! * [`tree_packet`] — the recursive self-routing TREE packet of §III-E,
 //!   including the word-level wire codec that reproduces the paper's
 //!   Fig. 6 example byte-for-byte, plus the BRANCH packet.
-//! * [`igmp`] — the host/subnet-facing IGMPv2-like model of §II-C
-//!   (queries, reports with suppression, leaves, DR election).
+//! * [`igmp`] — the subnet model of §II-C: per-group member hosts and
+//!   the first-join/last-leave edges the DR acts on.
 //! * [`router`] — the [`ScmpRouter`] state machine, a module tree split
 //!   by role: DR duties (§III-B/C/F) in `dr`, the m-router (§III-D:
 //!   centralized DCDM tree construction, membership database,

@@ -4,14 +4,13 @@
 //! m-router-only logic lives in the sibling `mrouter` module.
 
 use super::timer::{Attempts, Series, Timer};
-use super::{PendingTree, ScmpRouter};
+use super::{PendingTree, ScmpRouter, SoftState};
 use crate::igmp::{HostId, MembershipEdge};
 use crate::message::ScmpMsg;
 use crate::tree_packet::{BranchPacket, TreePacket};
 use scmp_net::NodeId;
-use scmp_sim::{Ctx, GroupId, Packet};
+use scmp_sim::{Ctx, GroupId, Packet, PacketClass};
 use scmp_telemetry::EventKind;
-use std::collections::BTreeMap;
 
 impl ScmpRouter {
     // ------------------------------------------------------------------
@@ -22,23 +21,24 @@ impl ScmpRouter {
         let host = HostId(self.next_host);
         self.next_host += 1;
         let edge = self.subnet.host_join(host, group);
-        self.joined_hosts.entry(group).or_default().push(host);
         if edge != MembershipEdge::FirstJoined(group) {
             return;
         }
         let txn = self.fresh_txn();
-        let series = self.joins.entry(group).or_default();
+        // Already on the tree: just open the interface; the JOIN is
+        // still sent "for possible accounting and billing purposes".
+        let entry = self.entry_mut(group);
+        let on_tree = entry.map(|e| e.local_interface = true).is_some();
+        let retry = self.domain.config.join_retry;
+        let soft = self.soft_mut(group);
+        // Joining again ends a LEAVE still awaiting its ack: resending
+        // it would make the m-router drop a member that is back.
+        soft.leave = None;
+        let series = soft.join.get_or_insert_default();
         series.txn = Some(txn);
-        if let Some(entry) = self.entries.get_mut(&group) {
-            // Already on the tree: just open the interface; the JOIN is
-            // still sent "for possible accounting and billing purposes".
-            entry.local_interface = true;
-        } else {
-            let retry = self.domain.config.join_retry;
-            if retry > 0 {
-                series.attempts = Attempts::default();
-                ctx.set_timer(retry, Timer::JoinRetry(group).token());
-            }
+        if !on_tree && retry > 0 {
+            series.attempts = Attempts::default();
+            ctx.set_timer(retry, Timer::JoinRetry(group).token());
         }
         let m = self.m_router_for(group);
         let me = self.me;
@@ -52,12 +52,9 @@ impl ScmpRouter {
     /// arrived (the JOIN or its TREE/BRANCH answer was lost), resend.
     pub(super) fn retry_join_if_unanswered(&mut self, group: GroupId, ctx: &mut Ctx<'_, ScmpMsg>) {
         let wants = self.subnet.has_members(group);
-        let answered = self
-            .entries
-            .get(&group)
-            .is_some_and(|e| e.local_interface || !wants);
+        let answered = self.entry(group).is_some_and(|e| e.local_interface);
         if !wants || answered || self.is_m_router() {
-            self.joins.remove(&group);
+            self.clear_soft(group, |s| s.join = None);
         } else {
             self.resend_series(group, false, ctx);
         }
@@ -66,7 +63,7 @@ impl ScmpRouter {
     /// LEAVE retry: the m-router never acked, so either the LEAVE or the
     /// LEAVE-ACK was lost; resend until acked or exhausted.
     pub(super) fn retry_leave_if_unacked(&mut self, group: GroupId, ctx: &mut Ctx<'_, ScmpMsg>) {
-        if self.leaves.contains_key(&group) {
+        if self.soft(group).is_some_and(|s| s.leave.is_some()) {
             self.resend_series(group, true, ctx);
         }
     }
@@ -77,83 +74,74 @@ impl ScmpRouter {
     /// instead. A series whose trace key a takeover cleared mints a
     /// fresh one here.
     fn resend_series(&mut self, group: GroupId, leave: bool, ctx: &mut Ctx<'_, ScmpMsg>) {
-        let cfg = &self.domain.config;
-        let base = if leave {
-            cfg.leave_retry
+        let (me, cfg) = (self.me, &self.domain.config);
+        let (base, body, timer) = if leave {
+            let body = ScmpMsg::Leave { requester: me };
+            (cfg.leave_retry, body, Timer::LeaveRetry(group))
         } else {
-            cfg.join_retry
+            let body = ScmpMsg::Join { requester: me };
+            (cfg.join_retry, body, Timer::JoinRetry(group))
         };
-        let mut series = self.series(leave).remove(&group).unwrap_or_default();
+        let mut series = None;
+        self.clear_soft(group, |s| series = Self::series(s, leave).take());
+        let mut series = series.unwrap_or_default();
         let Some(delay) = series.attempts.next(base) else {
             return;
         };
         let txn = *series.txn.get_or_insert_with(|| self.fresh_txn());
-        self.series(leave).insert(group, series);
-        let me = self.me;
-        let (body, timer) = if leave {
-            (ScmpMsg::Leave { requester: me }, Timer::LeaveRetry(group))
-        } else {
-            (ScmpMsg::Join { requester: me }, Timer::JoinRetry(group))
-        };
+        *Self::series(self.soft_mut(group), leave) = Some(series);
         let m = self.m_router_for(group);
         ctx.unicast(m, Packet::control_keyed(group, txn, body));
         ctx.set_timer(delay, timer.token());
     }
 
     /// The LEAVE series with `leave`, else the JOIN series.
-    fn series(&mut self, leave: bool) -> &mut BTreeMap<GroupId, Series> {
+    fn series(soft: &mut SoftState, leave: bool) -> &mut Option<Series> {
         if leave {
-            &mut self.leaves
+            &mut soft.leave
         } else {
-            &mut self.joins
+            &mut soft.join
         }
     }
 
+    /// The subnet's newest member host leaves (ids only grow).
     pub(super) fn handle_host_leave(&mut self, group: GroupId, ctx: &mut Ctx<'_, ScmpMsg>) {
-        let Some(host) = self.joined_hosts.get_mut(&group).and_then(|v| v.pop()) else {
+        let Some(host) = self.subnet.newest_member(group) else {
             return; // no joined host to leave
         };
         let edge = self.subnet.host_leave(host, group);
         if edge != MembershipEdge::LastLeft(group) {
             return;
         }
+        // The subnet no longer wants the group: a JOIN retry would only
+        // drop the series.
+        self.clear_soft(group, |s| s.join = None);
         // One transaction covers the whole departure: the hop-by-hop
         // PRUNE and the LEAVE/LEAVE-ACK exchange share the key.
         let txn = self.fresh_txn();
-        let mut send_leave = false;
-        if let Some(entry) = self.entries.get_mut(&group) {
+        // A leaf PRUNEs upstream and forgets its entry; the LEAVE goes
+        // out in every case (for accounting only while still forwarding).
+        if let Some(entry) = self.entry_mut(group) {
             entry.local_interface = false;
             if entry.is_prunable() {
-                // Became a leaf: PRUNE upstream and forget the entry.
                 if let Some(up) = entry.upstream {
                     ctx.send(up, Packet::control_keyed(group, txn, ScmpMsg::Prune));
                 }
-                self.entries.remove(&group);
-                send_leave = true;
-            } else if !entry.downstream_routers.is_empty() {
-                // Still forwarding for children: LEAVE for accounting only.
-                send_leave = true;
+                self.reclaim(group, |s| s.entry = None);
             }
-        } else {
-            // Leave raced ahead of the BRANCH/TREE install.
-            send_leave = true;
         }
-        if send_leave {
-            let m = self.m_router_for(group);
-            let me = self.me;
-            ctx.unicast(
-                m,
-                Packet::control_keyed(group, txn, ScmpMsg::Leave { requester: me }),
-            );
-            let retry = self.domain.config.leave_retry;
-            if retry > 0 {
-                let series = Series {
-                    txn: Some(txn),
-                    ..Series::default()
-                };
-                self.leaves.insert(group, series);
-                ctx.set_timer(retry, Timer::LeaveRetry(group).token());
-            }
+        let (m, me) = (self.m_router_for(group), self.me);
+        ctx.unicast(
+            m,
+            Packet::control_keyed(group, txn, ScmpMsg::Leave { requester: me }),
+        );
+        let retry = self.domain.config.leave_retry;
+        if retry > 0 {
+            self.soft_mut(group).leave = Some(Series {
+                txn: Some(txn),
+                ..Series::default()
+            });
+            ctx.set_timer(retry, Timer::LeaveRetry(group).token());
         }
     }
 
@@ -171,14 +159,9 @@ impl ScmpRouter {
         // this node's (group, origin=me) stream and cache it for
         // repairs (0 = tier off, plain §III-F semantics).
         let seq = self.rel_stamp_send(group, tag, ctx);
-        if let Some(entry) = self.entries.get(&group) {
+        if self.entry(group).is_some() {
             let pkt = Packet::data(group, tag, ctx.now(), ScmpMsg::Data { seq });
-            if entry.local_interface {
-                ctx.deliver_local(&pkt);
-            }
-            for to in entry.forwarding_set() {
-                ctx.send(to, pkt.clone());
-            }
+            self.fan_out(&pkt, None, false, ctx);
         } else {
             // Off-tree source: encapsulate toward the m-router (§III-F).
             let m = self.m_router_for(group);
@@ -193,7 +176,7 @@ impl ScmpRouter {
         pkt: Packet<ScmpMsg>,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        let Some(entry) = self.entries.get(&pkt.group) else {
+        let Some(entry) = self.entry(pkt.group) else {
             ctx.drop_packet();
             return;
         };
@@ -232,12 +215,30 @@ impl ScmpRouter {
             ctx.drop_packet();
             return;
         }
-        let entry = self.entries.get(&pkt.group).expect("entry checked above");
-        if entry.local_interface {
-            ctx.deliver_local(&pkt);
+        self.fan_out(&pkt, Some(from), false, ctx);
+    }
+
+    /// The §III-F fan-out of `pkt` over its group's entry (none: an
+    /// empty group at the root): the local subnet for data when the
+    /// interface is on, then every router in F but `from` (with `down`
+    /// only the downstream ones: the root re-sending a decapsulation).
+    pub(super) fn fan_out(
+        &self,
+        pkt: &Packet<ScmpMsg>,
+        from: Option<NodeId>,
+        down: bool,
+        ctx: &mut Ctx<'_, ScmpMsg>,
+    ) {
+        let Some(entry) = self.entry(pkt.group) else {
+            return;
+        };
+        if entry.local_interface && pkt.class == PacketClass::Data {
+            ctx.deliver_local(pkt);
         }
-        for to in entry.forwarding_set() {
-            if to != from {
+        // F ends with the upstream: `take` drops it when `down`.
+        let n = entry.downstream_routers.len() + usize::from(!down);
+        for to in entry.forwarding_set().take(n) {
+            if Some(to) != from {
                 ctx.send(to, pkt.clone());
             }
         }
@@ -290,21 +291,11 @@ impl ScmpRouter {
             body: ScmpMsg::Data { seq },
             ..pkt
         };
-        if let Some(entry) = self.entries.get(&data.group) {
-            if entry.local_interface {
-                ctx.deliver_local(&data);
-            }
-            for &to in &entry.downstream_routers {
-                ctx.send(to, data.clone());
-            }
-        }
-        // No entry: empty group, payload evaporates at the root.
+        self.fan_out(&data, None, true, ctx);
         if seq > 0 {
             // Restart the downstream announce series so members learn
             // the stream extent even when the flood's tail is lost.
-            if self.domain.config.reliability.is_some() {
-                self.rel_kick_announce(data.group, data.origin, ctx);
-            }
+            self.rel_kick_announce(data.group, data.origin, ctx);
         }
     }
 
@@ -318,7 +309,7 @@ impl ScmpRouter {
         if self.flushed.get(&group).is_some_and(|&fg| gen <= fg) {
             return true;
         }
-        self.entries.get(&group).is_some_and(|e| gen <= e.gen)
+        self.entry(group).is_some_and(|e| gen <= e.gen)
     }
 
     pub(super) fn install_tree_packet(
@@ -335,24 +326,8 @@ impl ScmpRouter {
             ctx.drop_packet_keyed(group, txn);
             return;
         }
-        // The DR's subnet is the ground truth for the local interface:
-        // a concurrent restructure may have flushed an entry (losing the
-        // flag) while this router's own JOIN was still in flight.
-        self.joins.remove(&group);
-        let local = self.subnet.has_members(group);
-        let entry = self.entries.entry(group).or_default();
-        let old_upstream = entry.upstream;
-        entry.upstream = Some(from);
+        let entry = self.install_under(from, group, gen, txn, ctx);
         entry.downstream_routers = tp.downstream_routers().into_iter().collect();
-        entry.gen = gen;
-        entry.local_interface = local;
-        // Moving under a new parent: tell the old one to stop forwarding
-        // to us, or it would keep a stale child pointer forever.
-        if let Some(old) = old_upstream {
-            if old != from {
-                ctx.send(old, Packet::control_keyed(group, txn, ScmpMsg::Prune));
-            }
-        }
         for (child, sub) in tp.split() {
             let pkt = Packet::control_keyed(group, txn, ScmpMsg::Tree { gen, packet: sub });
             self.send_tree_tracked(group, child, gen, pkt, ctx);
@@ -377,18 +352,7 @@ impl ScmpRouter {
             return;
         }
         let (next, rest) = bp.advance(self.me);
-        self.joins.remove(&group);
-        let local = self.subnet.has_members(group);
-        let entry = self.entries.entry(group).or_default();
-        let old_upstream = entry.upstream;
-        entry.upstream = Some(from);
-        entry.gen = gen;
-        entry.local_interface = local;
-        if let Some(old) = old_upstream {
-            if old != from {
-                ctx.send(old, Packet::control_keyed(group, txn, ScmpMsg::Prune));
-            }
-        }
+        let entry = self.install_under(from, group, gen, txn, ctx);
         if let Some(next) = next {
             entry.downstream_routers.insert(next);
             let pkt = Packet::control_keyed(group, txn, ScmpMsg::Branch { gen, packet: rest });
@@ -396,6 +360,33 @@ impl ScmpRouter {
         } else {
             self.prune_if_orphaned(group, txn, ctx);
         }
+    }
+
+    /// The install common to TREE and BRANCH: the group's entry, now
+    /// under parent `from` at `gen`, answers the JOIN series.
+    fn install_under(
+        &mut self,
+        from: NodeId,
+        group: GroupId,
+        gen: u64,
+        txn: u64,
+        ctx: &mut Ctx<'_, ScmpMsg>,
+    ) -> &mut super::RoutingEntry {
+        self.clear_soft(group, |s| s.join = None);
+        // The DR's subnet is the ground truth for the local interface:
+        // a concurrent restructure may have flushed an entry (losing the
+        // flag) while this router's own JOIN was still in flight.
+        let local = self.subnet.has_members(group);
+        let entry = self.entry_or_default(group);
+        let old_upstream = entry.upstream.replace(from);
+        entry.gen = gen;
+        entry.local_interface = local;
+        // Moving under a new parent: tell the old one to stop forwarding
+        // to us, or it would keep a stale child pointer forever.
+        if let Some(old) = old_upstream.filter(|&old| old != from) {
+            ctx.send(old, Packet::control_keyed(group, txn, ScmpMsg::Prune));
+        }
+        entry
     }
 
     // ------------------------------------------------------------------
@@ -426,8 +417,8 @@ impl ScmpRouter {
         }
         ctx.send(child, pkt.clone());
         let deadline = ctx.now().saturating_add(retry);
-        self.pending_trees.insert(
-            (group, child),
+        self.soft_mut(group).pending_trees.insert(
+            child,
             PendingTree {
                 gen,
                 attempts: Attempts::default(),
@@ -448,14 +439,17 @@ impl ScmpRouter {
     ) {
         let retry = self.domain.config.tree_retry;
         let now = ctx.now();
-        let Some(p) = self.pending_trees.get_mut(&(group, child)) else {
+        let Some(p) = self
+            .soft_get_mut(group)
+            .and_then(|s| s.pending_trees.get_mut(&child))
+        else {
             return; // acked in the meantime
         };
         if now < p.deadline {
             return; // stale timer from a superseded arming
         }
         let Some(delay) = p.attempts.next(retry) else {
-            self.pending_trees.remove(&(group, child));
+            self.clear_soft(group, |s| _ = s.pending_trees.remove(&child));
             return;
         };
         let attempt = p.attempts.count();
@@ -476,11 +470,11 @@ impl ScmpRouter {
     /// unless the ack is for an older generation than the one in flight.
     pub(super) fn handle_tree_ack(&mut self, group: GroupId, from: NodeId, gen: u64) {
         if self
-            .pending_trees
-            .get(&(group, from))
+            .soft(group)
+            .and_then(|s| s.pending_trees.get(&from))
             .is_some_and(|p| gen >= p.gen)
         {
-            self.pending_trees.remove(&(group, from));
+            self.clear_soft(group, |s| _ = s.pending_trees.remove(&from));
         }
     }
 
@@ -512,12 +506,12 @@ impl ScmpRouter {
         if self.is_m_router() {
             return;
         }
-        if let Some(entry) = self.entries.get(&group) {
+        if let Some(entry) = self.entry(group) {
             if entry.is_prunable() {
                 if let Some(up) = entry.upstream {
                     ctx.send(up, Packet::control_keyed(group, txn, ScmpMsg::Prune));
                 }
-                self.entries.remove(&group);
+                self.reclaim(group, |s| s.entry = None);
             }
         }
     }
@@ -529,7 +523,7 @@ impl ScmpRouter {
         txn: u64,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        let Some(entry) = self.entries.get_mut(&group) else {
+        let Some(entry) = self.entry_mut(group) else {
             return;
         };
         entry.downstream_routers.remove(&from);

@@ -41,7 +41,7 @@ pub use reliability::nack_jitter;
 pub use standby::StandbyState;
 
 use crate::dedup::RecentSet;
-use crate::igmp::{HostId, Subnet};
+use crate::igmp::Subnet;
 use crate::message::ScmpMsg;
 use scmp_net::NodeId;
 use scmp_sim::{AppEvent, Ctx, GroupId, Packet, Router};
@@ -71,6 +71,31 @@ struct PendingTree {
     deadline: scmp_sim::SimTime,
 }
 
+/// One group's state at one router: the routing entry inline (most
+/// on-tree routers hold nothing else), the rest boxed.
+#[derive(Debug, Default)]
+struct GroupState {
+    /// The paper's *(gid, upstream, downstream)* triple; `None` off-tree.
+    entry: Option<RoutingEntry>,
+    /// `None` while every part of it is empty.
+    soft: Option<Box<SoftState>>,
+}
+
+/// The boxed part of a [`GroupState`].
+#[derive(Debug, Default)]
+struct SoftState {
+    /// The JOIN series, until a TREE/BRANCH answers it, it gives up or
+    /// the last host leaves.
+    join: Option<Series>,
+    /// The unacked LEAVE (`leave_retry > 0`), until it is acked, it
+    /// gives up or a host joins again.
+    leave: Option<Series>,
+    /// TREE/BRANCH packets sent to a direct child and not yet
+    /// TREE-ACKed: every relay hop runs the ARQ when `tree_retry > 0`.
+    pending_trees: BTreeMap<NodeId, PendingTree>,
+    rel: reliability::GroupRel,
+}
+
 /// Role of a node in the SCMP domain.
 #[derive(Debug)]
 pub enum Role {
@@ -90,27 +115,19 @@ pub struct ScmpRouter {
     /// Current believed m-router address (changes after a takeover).
     m_router: NodeId,
     role: Role,
-    /// Multicast routing table: one entry per group.
-    entries: BTreeMap<GroupId, RoutingEntry>,
+    /// One record per group: created by the first write (the
+    /// `*_or_default`/`soft_mut` accessors, never a read), dropped by
+    /// [`ScmpRouter::reclaim`] once it holds nothing.
+    groups: BTreeMap<GroupId, GroupState>,
     /// Flush tombstones: highest generation at which this router was
     /// told to discard a group's state; older TREE/BRANCH are ignored.
+    /// One `u64` per group ever flushed here until a NewMRouter; kept
+    /// outside the record, which it must outlive.
     flushed: BTreeMap<GroupId, u64>,
-    /// IGMP subnet model.
+    /// IGMP subnet model: the one record of which hosts are members.
     pub subnet: Subnet,
     /// Sequential host ids for app-injected join/leave events.
     next_host: u32,
-    /// Host stack per group so Leave events pop a real joined host.
-    joined_hosts: BTreeMap<GroupId, Vec<HostId>>,
-    /// The JOIN series per group, from the first JOIN until a TREE or
-    /// BRANCH answers it (or it gives up).
-    joins: BTreeMap<GroupId, Series>,
-    /// LEAVEs awaiting a LEAVE-ACK (kept only when `leave_retry > 0`).
-    leaves: BTreeMap<GroupId, Series>,
-    /// TREE/BRANCH packets this node sent to a direct child and not yet
-    /// TREE-ACKed, keyed by `(group, child)`. Lives on every router, not
-    /// just the m-router: tree distribution is relayed hop by hop, and
-    /// each relay hop runs its own ARQ when `tree_retry > 0`.
-    pending_trees: BTreeMap<(GroupId, NodeId), PendingTree>,
     /// Highest tree generation observed in any TREE/BRANCH/FLUSH packet.
     /// Seeds the generation epoch on a standby takeover (see
     /// [`GEN_EPOCH_SHIFT`]).
@@ -123,9 +140,8 @@ pub struct ScmpRouter {
     /// EncapData and its decapsulated Data twin (same group, origin and
     /// tag) from shadowing each other at the m-router.
     recent_data: RecentSet<(u32, u32, u64, bool)>,
-    /// Reliable-multicast tier state (streams, repair cache, pending
-    /// NACK interests); empty and untouched when
-    /// `config.reliability` is `None`.
+    /// Router-wide reliable-tier state (repair cache, pending NACK
+    /// interests; streams live in the group records).
     rel: reliability::ReliabilityState,
     /// Sequence counter behind [`ScmpRouter::fresh_txn`]: every control
     /// transaction this node originates gets a distinct causal trace key.
@@ -157,14 +173,10 @@ impl ScmpRouter {
             m_router: cfg.m_router,
             domain,
             role,
-            entries: BTreeMap::new(),
+            groups: BTreeMap::new(),
             flushed: BTreeMap::new(),
             subnet: Subnet::new(),
             next_host: 0,
-            joined_hosts: BTreeMap::new(),
-            joins: BTreeMap::new(),
-            leaves: BTreeMap::new(),
-            pending_trees: BTreeMap::new(),
             gen_high_water: 0,
             recent_data: RecentSet::new(RECENT_DATA_CAP),
             rel: reliability::ReliabilityState::default(),
@@ -185,7 +197,52 @@ impl ScmpRouter {
 
     /// The node's routing entry for `group` (None when off-tree).
     pub fn entry(&self, group: GroupId) -> Option<&RoutingEntry> {
-        self.entries.get(&group)
+        self.groups.get(&group)?.entry.as_ref()
+    }
+
+    fn entry_mut(&mut self, group: GroupId) -> Option<&mut RoutingEntry> {
+        self.groups.get_mut(&group)?.entry.as_mut()
+    }
+
+    fn entry_or_default(&mut self, group: GroupId) -> &mut RoutingEntry {
+        let state = self.groups.entry(group).or_default();
+        state.entry.get_or_insert_with(RoutingEntry::default)
+    }
+
+    fn soft(&self, group: GroupId) -> Option<&SoftState> {
+        self.groups.get(&group)?.soft.as_deref()
+    }
+
+    fn soft_get_mut(&mut self, group: GroupId) -> Option<&mut SoftState> {
+        self.groups.get_mut(&group)?.soft.as_deref_mut()
+    }
+
+    fn soft_mut(&mut self, group: GroupId) -> &mut SoftState {
+        let state = self.groups.entry(group).or_default();
+        state.soft.get_or_insert_default()
+    }
+
+    /// Clear part of the group's boxed state with `f`.
+    fn clear_soft(&mut self, group: GroupId, f: impl FnOnce(&mut SoftState)) {
+        self.reclaim(group, |s| s.soft.as_deref_mut().map_or((), f));
+    }
+
+    /// Clear part of the group's record with `f`, then drop the box, and
+    /// the record, once it holds nothing. Every path that clears group
+    /// state ends here; the data path clears nothing and never calls it.
+    fn reclaim(&mut self, group: GroupId, f: impl FnOnce(&mut GroupState)) {
+        let Some(state) = self.groups.get_mut(&group) else {
+            return;
+        };
+        f(state);
+        if state.soft.as_ref().is_some_and(|x| {
+            x.join.is_none() && x.leave.is_none() && x.pending_trees.is_empty() && x.rel.is_empty()
+        }) {
+            state.soft = None;
+        }
+        if state.entry.is_none() && state.soft.is_none() {
+            self.groups.remove(&group);
+        }
     }
 
     /// Current believed m-router address (of the primary; per-group
@@ -295,14 +352,12 @@ impl Router for ScmpRouter {
             ScmpMsg::Flush { gen } => {
                 self.gen_high_water = self.gen_high_water.max(gen);
                 let tomb = self.flushed.entry(group).or_insert(0);
-                if gen > *tomb {
-                    *tomb = gen;
-                }
+                *tomb = (*tomb).max(gen);
                 // Only state at or below the flushed generation dies; a
                 // newer BRANCH/TREE may have legitimately re-added us
                 // while the flush was in flight.
-                if self.entries.get(&group).is_some_and(|e| e.gen <= gen) {
-                    self.entries.remove(&group);
+                if self.entry(group).is_some_and(|e| e.gen <= gen) {
+                    self.reclaim(group, |s| s.entry = None);
                 }
             }
             ScmpMsg::Data { .. } => self.forward_on_tree(from, pkt, ctx),
@@ -358,9 +413,7 @@ impl Router for ScmpRouter {
                     s.membership.record(ctx.now(), group, member, joined);
                 }
             }
-            ScmpMsg::LeaveAck => {
-                self.leaves.remove(&group);
-            }
+            ScmpMsg::LeaveAck => self.clear_soft(group, |s| s.leave = None),
             ScmpMsg::NewMRouter { address } => self.handle_new_mrouter(address, ctx),
             ScmpMsg::TreeAck { gen } => self.handle_tree_ack(group, from, gen),
         }

@@ -239,7 +239,7 @@ impl ScmpRouter {
         let tree = dcdm.into_tree();
 
         // Refresh the m-router's own routing entry from the mirror.
-        let entry = self.entries.entry(group).or_default();
+        let entry = self.entry_or_default(group);
         entry.upstream = None;
         entry.downstream_routers = tree.children(me).iter().copied().collect();
         if requester == me {
@@ -337,7 +337,7 @@ impl ScmpRouter {
         // (§III-D: "the real prune operation is accomplished by the
         // leaving member sending the PRUNE message upstream hop by
         // hop") — the m-router only refreshes its mirror and entry.
-        let entry = self.entries.entry(group).or_default();
+        let entry = self.entry_or_default(group);
         entry.downstream_routers = tree.children(me).iter().copied().collect();
         if requester == me {
             entry.local_interface = false;
@@ -379,7 +379,7 @@ impl ScmpRouter {
         state.gens.remove(&group);
         state.sessions.expire_group(group);
         state.release_fabric_port(group);
-        self.entries.remove(&group);
+        self.reclaim(group, |s| s.entry = None);
     }
 
     // ------------------------------------------------------------------
@@ -547,10 +547,11 @@ impl ScmpRouter {
                 dcdm.join(m);
             }
             let tree = dcdm.into_tree();
-            let entry = self.entries.entry(group).or_default();
+            let local = self.subnet.has_members(group);
+            let entry = self.entry_or_default(group);
             entry.upstream = None;
             entry.downstream_routers = tree.children(me).iter().copied().collect();
-            entry.local_interface = self.subnet.has_members(group);
+            entry.local_interface = local;
             entry.gen = gen;
             for &child in tree.children(me) {
                 let tp = TreePacket::from_tree(&tree, child);

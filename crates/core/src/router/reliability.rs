@@ -244,27 +244,56 @@ struct PitEntry {
 /// Announce-series state for a stream this router sources (its own
 /// sends, or — at the m-router — a decapsulated encap stream).
 #[derive(Debug)]
-struct AnnounceState {
+pub(super) struct AnnounceState {
     rounds_left: u32,
     round: u32,
     deadline: u64,
 }
 
-/// All reliability-tier state of one router. Empty (a few empty maps)
-/// when the tier is disabled.
+/// The router-wide reliability-tier state: the repair cache and the
+/// pending-interest table, both bounded; empty with the tier off.
 #[derive(Debug, Default)]
 pub(super) struct ReliabilityState {
-    streams: BTreeMap<(GroupId, NodeId), StreamState>,
     cache: RepairCache,
     pit: BTreeMap<(u32, u32, u64), PitEntry>,
-    /// Next sequence to stamp per group this node sends into.
-    send_seq: BTreeMap<GroupId, u64>,
-    announces: BTreeMap<(GroupId, NodeId), AnnounceState>,
+}
+
+/// One group's tier state at one router, kept in the group's record.
+/// Stream history (`streams`, `send_seq`) is never reclaimed: a
+/// receiver that forgot a stream would NACK payloads it already had,
+/// and a sender would restart at 1, which receivers drop as duplicates.
+#[derive(Debug, Default)]
+pub(super) struct GroupRel {
+    /// Receive state per stream origin.
+    streams: BTreeMap<NodeId, StreamState>,
+    /// The last sequence this node stamped on a payload of its own.
+    send_seq: u64,
+    /// Announce series this node runs, per origin (ANNOUNCE_ROUNDS each).
+    pub(super) announces: BTreeMap<NodeId, AnnounceState>,
+}
+
+impl GroupRel {
+    pub(super) fn is_empty(&self) -> bool {
+        self.streams.is_empty() && self.send_seq == 0 && self.announces.is_empty()
+    }
 }
 
 impl ScmpRouter {
     fn rel_enabled(&self) -> bool {
         self.domain.config.reliability.is_some()
+    }
+
+    fn stream(&self, group: GroupId, origin: NodeId) -> Option<&StreamState> {
+        self.soft(group)?.rel.streams.get(&origin)
+    }
+
+    fn stream_mut(&mut self, group: GroupId, origin: NodeId) -> Option<&mut StreamState> {
+        self.soft_get_mut(group)?.rel.streams.get_mut(&origin)
+    }
+
+    /// The stream's receive state, created on first use.
+    fn stream_or_default(&mut self, group: GroupId, origin: NodeId) -> &mut StreamState {
+        self.soft_mut(group).rel.streams.entry(origin).or_default()
     }
 
     /// Stamp the next sequence number for a payload this node sends
@@ -279,9 +308,9 @@ impl ScmpRouter {
         if !self.rel_enabled() {
             return 0;
         }
-        let seq = self.rel.send_seq.entry(group).or_insert(0);
-        *seq += 1;
-        let seq = *seq;
+        let rel = &mut self.soft_mut(group).rel;
+        rel.send_seq += 1;
+        let seq = rel.send_seq;
         let evicted = self
             .rel
             .cache
@@ -312,7 +341,7 @@ impl ScmpRouter {
             return true;
         }
         let now = ctx.now();
-        let stream = self.rel.streams.entry((group, origin)).or_default();
+        let stream = self.stream_or_default(group, origin);
         stream.encap = stream.encap || encap;
         if let Some(f) = from {
             stream.from = Some(f);
@@ -348,15 +377,10 @@ impl ScmpRouter {
     /// it delivers to local members, or it is the m-router terminating
     /// the stream's unicast encapsulation leg.
     fn rel_responsible(&self, group: GroupId, origin: NodeId) -> bool {
-        if self.entries.get(&group).is_some_and(|e| e.local_interface) {
+        if self.entry(group).is_some_and(|e| e.local_interface) {
             return true;
         }
-        self.is_m_router()
-            && self
-                .rel
-                .streams
-                .get(&(group, origin))
-                .is_some_and(|s| s.encap)
+        self.is_m_router() && self.stream(group, origin).is_some_and(|s| s.encap)
     }
 
     /// Arm the stream's NACK suppression timer when it has open gaps,
@@ -371,7 +395,7 @@ impl ScmpRouter {
             return;
         }
         let me = self.me;
-        let Some(stream) = self.rel.streams.get_mut(&(group, origin)) else {
+        let Some(stream) = self.stream_mut(group, origin) else {
             return;
         };
         if stream.missing.is_empty() || stream.nack_armed {
@@ -391,14 +415,11 @@ impl ScmpRouter {
         origin: NodeId,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        if !self.rel_enabled() {
-            return;
-        }
         let now = ctx.now();
         let responsible = self.rel_responsible(group, origin);
         let me = self.me;
         let m_router = self.m_router_for(group);
-        let Some(stream) = self.rel.streams.get_mut(&(group, origin)) else {
+        let Some(stream) = self.stream_mut(group, origin) else {
             return;
         };
         if now < stream.nack_deadline {
@@ -442,9 +463,7 @@ impl ScmpRouter {
         }
         let delay = backoff(NACK_DELAY, attempt) + jitter_in(me, group, origin, attempt);
         let stream = self
-            .rel
-            .streams
-            .get_mut(&(group, origin))
+            .stream_mut(group, origin)
             .expect("stream checked above");
         stream.nack_deadline = now.saturating_add(delay);
         ctx.set_timer(delay, Timer::Nack(group, origin).token());
@@ -543,7 +562,7 @@ impl ScmpRouter {
         // Forward a *fresh* NACK so each hop's requester is the
         // previous hop (repairs then cascade cache-to-cache back down).
         let fwd = Packet::control_keyed(group, pkt.tag, ScmpMsg::Nack { origin, seq });
-        let stream = self.rel.streams.get(&(group, origin));
+        let stream = self.stream(group, origin);
         if stream.is_some_and(|s| s.encap) {
             ctx.unicast(origin, fwd);
         } else if let Some(up) = stream.and_then(|s| s.from) {
@@ -593,28 +612,17 @@ impl ScmpRouter {
             origin,
             body: ScmpMsg::Data { seq },
         };
-        let encap = self
-            .rel
-            .streams
-            .get(&(group, origin))
-            .is_some_and(|s| s.encap);
+        let encap = self.stream(group, origin).is_some_and(|s| s.encap);
         if self.is_m_router() && encap {
             // The recovered payload never made it off the encapsulation
             // leg: push it down the whole tree like a fresh
             // decapsulation. Stream dedup downstream suppresses copies
             // members already have.
             self.rel.pit.remove(&(group.0, origin.0, seq));
-            if let Some(entry) = self.entries.get(&group) {
-                if entry.local_interface {
-                    ctx.deliver_local(&data);
-                }
-                for &to in &entry.downstream_routers {
-                    ctx.send(to, data.clone());
-                }
-            }
+            self.fan_out(&data, None, true, ctx);
             return;
         }
-        if self.entries.get(&group).is_some_and(|e| e.local_interface) {
+        if self.entry(group).is_some_and(|e| e.local_interface) {
             ctx.deliver_local(&data);
         }
         if let Some(pit) = self.rel.pit.remove(&(group.0, origin.0, seq)) {
@@ -655,7 +663,7 @@ impl ScmpRouter {
         }
         let now = ctx.now();
         let is_m = self.is_m_router();
-        let stream = self.rel.streams.entry((group, origin)).or_default();
+        let stream = self.stream_or_default(group, origin);
         // The encapsulation leg is unicast: an announce landing at the
         // m-router from an origin it has no tree-neighbor state for is
         // the origin's own beacon.
@@ -681,18 +689,9 @@ impl ScmpRouter {
             return;
         }
         if relay {
-            if let Some(entry) = self.entries.get(&group) {
-                let fwd = Packet::control_keyed(
-                    group,
-                    pkt.tag,
-                    ScmpMsg::SeqAnnounce { origin, seq, round },
-                );
-                for to in entry.forwarding_set() {
-                    if to != from {
-                        ctx.send(to, fwd.clone());
-                    }
-                }
-            }
+            let fwd = ScmpMsg::SeqAnnounce { origin, seq, round };
+            let fwd = Packet::control_keyed(group, pkt.tag, fwd);
+            self.fan_out(&fwd, Some(from), false, ctx);
         }
     }
 
@@ -705,9 +704,10 @@ impl ScmpRouter {
     ) {
         let deadline = ctx.now().saturating_add(ANNOUNCE_INTERVAL);
         let state = self
+            .soft_mut(group)
             .rel
             .announces
-            .entry((group, origin))
+            .entry(origin)
             .or_insert(AnnounceState {
                 rounds_left: 0,
                 round: 0,
@@ -725,18 +725,18 @@ impl ScmpRouter {
         origin: NodeId,
         ctx: &mut Ctx<'_, ScmpMsg>,
     ) {
-        if !self.rel_enabled() {
-            return;
-        }
         let now = ctx.now();
-        let Some(state) = self.rel.announces.get_mut(&(group, origin)) else {
+        let Some(state) = self
+            .soft_get_mut(group)
+            .and_then(|s| s.rel.announces.get_mut(&origin))
+        else {
             return;
         };
         if now < state.deadline {
             return; // superseded by a newer series restart
         }
         if state.rounds_left == 0 {
-            self.rel.announces.remove(&(group, origin));
+            self.clear_soft(group, |s| _ = s.rel.announces.remove(&origin));
             return;
         }
         state.rounds_left -= 1;
@@ -747,16 +747,12 @@ impl ScmpRouter {
             state.deadline = now.saturating_add(ANNOUNCE_INTERVAL);
             ctx.set_timer(ANNOUNCE_INTERVAL, Timer::Announce(group, origin).token());
         } else {
-            self.rel.announces.remove(&(group, origin));
+            self.clear_soft(group, |s| _ = s.rel.announces.remove(&origin));
         }
         let hi = if origin == self.me {
-            self.rel.send_seq.get(&group).copied().unwrap_or(0)
+            self.soft(group).map_or(0, |s| s.rel.send_seq)
         } else {
-            self.rel
-                .streams
-                .get(&(group, origin))
-                .map(|s| s.hi)
-                .unwrap_or(0)
+            self.stream(group, origin).map_or(0, |s| s.hi)
         };
         if hi == 0 {
             return;
@@ -771,18 +767,10 @@ impl ScmpRouter {
                 round,
             },
         );
-        if let Some(entry) = self.entries.get(&group) {
-            if origin == self.me {
-                // On-tree source: flood over every tree interface.
-                for to in entry.forwarding_set() {
-                    ctx.send(to, announce.clone());
-                }
-            } else {
-                // m-router re-announcing a decapsulated stream.
-                for &to in &entry.downstream_routers {
-                    ctx.send(to, announce.clone());
-                }
-            }
+        if self.entry(group).is_some() {
+            // An on-tree source floods every tree interface; the
+            // m-router re-announces a decapsulated stream downstream.
+            self.fan_out(&announce, None, origin != self.me, ctx);
         } else if origin == self.me {
             // Off-tree source: beacon the extent to the stream's root.
             let m = self.m_router_for(group);

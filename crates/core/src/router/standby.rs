@@ -162,13 +162,21 @@ impl ScmpRouter {
         // encapsulation. The rebuilt tree re-opens the local interface
         // of every group the subnet still wants.
         self.m_router = address;
-        self.entries.clear();
         self.flushed.clear();
         // The old transaction keys died with the old primary; the next
         // retransmission of each series mints a fresh one. A pending
         // LEAVE keeps its retry count.
-        for series in self.joins.values_mut().chain(self.leaves.values_mut()) {
-            series.txn = None;
+        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
+        for g in groups {
+            self.reclaim(g, |s| {
+                s.entry = None;
+                for x in s.soft.iter_mut() {
+                    x.join
+                        .iter_mut()
+                        .chain(&mut x.leave)
+                        .for_each(|series| series.txn = None);
+                }
+            });
         }
         // Restart the JOIN retry series of every group the subnet still
         // wants, toward the new address: the rebuilt TREE push may miss
@@ -176,7 +184,7 @@ impl ScmpRouter {
         let retry = self.domain.config.join_retry;
         if retry > 0 {
             for g in self.subnet.active_groups() {
-                self.joins.entry(g).or_default().attempts = Attempts::default();
+                self.soft_mut(g).join.get_or_insert_default().attempts = Attempts::default();
                 ctx.set_timer(retry, Timer::JoinRetry(g).token());
             }
         }

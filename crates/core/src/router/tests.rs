@@ -417,15 +417,12 @@ fn staleness_rules() {
     // installed entry and the flush tombstone.
     let domain = ScmpDomain::new(fig5(), ScmpConfig::new(NodeId(0)));
     let mut r = ScmpRouter::new(NodeId(1), domain);
-    r.entries.insert(
-        G,
-        RoutingEntry {
-            upstream: Some(NodeId(0)),
-            downstream_routers: [NodeId(4)].into(),
-            local_interface: false,
-            gen: 5,
-        },
-    );
+    *r.entry_or_default(G) = RoutingEntry {
+        upstream: Some(NodeId(0)),
+        downstream_routers: [NodeId(4)].into(),
+        local_interface: false,
+        gen: 5,
+    };
     assert!(r.is_stale(G, 5), "equal generation is stale");
     assert!(r.is_stale(G, 3), "older generation is stale");
     assert!(!r.is_stale(G, 6), "newer generation applies");
@@ -755,6 +752,128 @@ fn leave_retries_through_transient_failure() {
         m.sessions.members_from_log(G).is_empty(),
         "retried LEAVE deregistered the member"
     );
+}
+
+#[test]
+fn a_rejoin_ends_the_pending_leave() {
+    // Node 4's LEAVE is acked only after its host is back: the retry
+    // armed at 5 000 fires at 5 010, before the ack of the first LEAVE
+    // lands. Resending it then would make the m-router log node 4 as
+    // gone and drop it from the tree, while node 4 keeps its entry with
+    // the local interface on and never hears another payload.
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.leave_retry = 10;
+    let mut e = build(fig5(), cfg);
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    e.schedule_app(0, NodeId(3), AppEvent::Join(G));
+    e.schedule_app(5_000, NodeId(4), AppEvent::Leave(G));
+    e.schedule_app(5_005, NodeId(4), AppEvent::Join(G));
+    e.schedule_app(20_000, NodeId(3), AppEvent::Send { group: G, tag: 1 });
+    e.run_to_quiescence();
+    let entry = e.router(NodeId(4)).entry(G).expect("node 4 on the tree");
+    assert!(entry.local_interface);
+    let m = e.router(NodeId(0)).m_state().unwrap();
+    assert!(
+        m.sessions.members_from_log(G).contains(&NodeId(4)),
+        "the m-router still counts node 4"
+    );
+    assert_eq!(e.stats().delivery_count(G, 1, NodeId(4)), 1);
+}
+
+mod group_records {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The LEAVE and TREE retry bases a case runs with (0: no retries).
+    const RETRIES: [u64; 3] = [0, 50, 500];
+
+    /// One host event: `(time, node, op, group)` with op 0 join,
+    /// 1 leave, 2 send.
+    fn schedules() -> impl Strategy<Value = Vec<(u64, u32, u8, u32)>> {
+        prop::collection::vec((0u64..40_000, 0u32..6, 0u8..3, 1u32..3), 1..40)
+    }
+
+    /// Run `events` on fig5, then make every host leave and let every
+    /// timer (the session expiry included) run out.
+    fn run(events: &[(u64, u32, u8, u32)], reliable: bool, retries: u64) -> Engine<ScmpRouter> {
+        let mut cfg = ScmpConfig::new(NodeId(0));
+        cfg.session_expiry = 10_000;
+        cfg.repair_interval = 0;
+        cfg.leave_retry = retries;
+        cfg.tree_retry = retries;
+        if reliable {
+            cfg.reliability = Some(ReliabilityConfig::default());
+        }
+        let mut e = build(fig5(), cfg);
+        let mut joins = BTreeMap::<(u32, u32), usize>::new();
+        for (tag, &(t, node, op, g)) in events.iter().enumerate() {
+            let group = GroupId(g);
+            let ev = match op {
+                0 => {
+                    *joins.entry((node, g)).or_default() += 1;
+                    AppEvent::Join(group)
+                }
+                1 => AppEvent::Leave(group),
+                _ => AppEvent::Send {
+                    group,
+                    tag: tag as u64 + 1,
+                },
+            };
+            e.schedule_app(t, NodeId(node), ev);
+        }
+        for (&(node, g), &n) in &joins {
+            for _ in 0..n {
+                e.schedule_app(50_000, NodeId(node), AppEvent::Leave(GroupId(g)));
+            }
+        }
+        e.run_to_quiescence();
+        e
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Once every member has left and the sessions have expired, no
+        /// router keeps a record of any group: entries, JOIN and LEAVE
+        /// series and pending TREE retransmissions are all reclaimed.
+        #[test]
+        fn no_group_state_outlives_its_members(
+            events in schedules(),
+            retries in 0usize..3,
+        ) {
+            let e = run(&events, false, RETRIES[retries]);
+            for v in 0..6 {
+                let r = e.router(NodeId(v));
+                prop_assert!(
+                    r.groups.is_empty(),
+                    "node {} keeps {:?}", v, r.groups
+                );
+            }
+        }
+
+        /// With the reliable tier on, the only state that survives is
+        /// stream history, which is kept on purpose (see `GroupRel`).
+        #[test]
+        fn only_stream_history_outlives_its_members(
+            events in schedules(),
+            retries in 0usize..3,
+        ) {
+            let e = run(&events, true, RETRIES[retries]);
+            for v in 0..6 {
+                for (g, s) in &e.router(NodeId(v)).groups {
+                    let soft = s.soft.as_deref();
+                    let history_only = s.entry.is_none()
+                        && soft.is_some_and(|x| {
+                            x.join.is_none()
+                                && x.leave.is_none()
+                                && x.pending_trees.is_empty()
+                                && x.rel.announces.is_empty()
+                        });
+                    prop_assert!(history_only, "node {} group {:?} keeps {:?}", v, g, s);
+                }
+            }
+        }
+    }
 }
 
 mod fabric_assignment {

@@ -126,4 +126,5 @@ golden-update:
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test lossy_control_plane
     UPDATE_GOLDEN=1 cargo test -p scmp-integration --test journey_golden
     reports=$(cargo run -q --release -p scmp-bench --bin scenario -- examples/scenarios/*.json tests/scenarios/*.json --jobs 1) && printf '%s\n' "$reports" > tests/golden/scenario_reports.txt
-    digests=$(scripts/bench-quick-digests.sh) && printf '%s\n' "$digests" > tests/golden/bench_quick_digests.txt
+    digests=$(scripts/bench-digests.sh quick) && printf '%s\n' "$digests" > tests/golden/bench_quick_digests.txt
+    digests=$(scripts/bench-digests.sh full) && printf '%s\n' "$digests" > tests/golden/bench_full_digests.txt

@@ -89,23 +89,27 @@ esac
 # workload at CI size (output checks, digests and the traced pass
 # included) and its unit tests, so a library change that breaks it
 # fails here instead of in the acceptance pipeline. Each workload's
-# model digest is pinned in tests/golden/bench_quick_digests.txt: a
-# change that moves what any workload computes fails here, naming the
-# workload (`just golden-update` rewrites the list after an intentional
-# change).
-pinned=tests/golden/bench_quick_digests.txt
-digests=$(scripts/bench-quick-digests.sh)
-printf '%s\n' "$digests" | while read -r workload digest; do
-    want=$(awk -v w="$workload" '$1 == w { print $2 }' "$pinned")
-    [ "$digest" = "$want" ] || {
-        echo "benchmark workload $workload: model_digest $digest, $pinned pins ${want:-nothing}" >&2
+# model digest is pinned at CI size in
+# tests/golden/bench_quick_digests.txt and at full size (seed 1, one
+# untraced iteration, about 15 s) in tests/golden/bench_full_digests.txt:
+# a change that moves what any workload computes fails here, naming the
+# workload (`just golden-update` rewrites both lists after an
+# intentional change).
+for size in quick full; do
+    pinned=tests/golden/bench_${size}_digests.txt
+    digests=$(scripts/bench-digests.sh "$size")
+    printf '%s\n' "$digests" | while read -r workload digest; do
+        want=$(awk -v w="$workload" '$1 == w { print $2 }' "$pinned")
+        [ "$digest" = "$want" ] || {
+            echo "benchmark workload $workload ($size size): model_digest $digest, $pinned pins ${want:-nothing}" >&2
+            exit 1
+        }
+    done
+    [ "$digests" = "$(cat "$pinned")" ] || {
+        echo "benchmark workloads differ from those pinned in $pinned" >&2
         exit 1
     }
 done
-[ "$digests" = "$(cat "$pinned")" ] || {
-    echo "benchmark workloads differ from those pinned in $pinned" >&2
-    exit 1
-}
 # Every benchmark unit test runs; one is an expected failure.
 # `layers::tests::replay_counts_every_membership_op` asserts that the DCDM
 # replay hits the path cache more often than it misses. DCDM joins fetch

@@ -19,14 +19,14 @@
 //!   `domain`/`config`.
 //! * [`placement`] — the three §IV-A heuristics for locating the
 //!   m-router.
-//! * [`session`] — multicast session and group-address management
-//!   (§II-C), including the accounting/billing event log.
+//! * [`session`] — the accounting/billing event log of §II-C and the
+//!   rule by which a group's members follow it.
 //! * [`dedup`] — receiver-side duplicate suppression: the bounded
 //!   recent-set routers use to keep channel-duplicated data packets
 //!   away from member hosts.
 //!
 //! The m-router's switching fabric lives in [`scmp_fabric`]; the
-//! [`router::MRouterState`] assigns an output port per active group, an
+//! [`router::MRouterState`] assigns an output port per open session, an
 //! assignment a [`scmp_fabric::SandwichFabric`] of the state's size can
 //! always be configured for.
 

@@ -408,9 +408,14 @@ impl Router for ScmpRouter {
                 }
             }
             ScmpMsg::StandbySync { member, joined } => {
+                // The members-only view: a group leaves it with its
+                // last member.
                 if let Role::Standby(s) = &mut self.role {
-                    s.membership.register_group(group);
-                    s.membership.record(ctx.now(), group, member, joined);
+                    let members = s.members.entry(group).or_default();
+                    s.log.record(ctx.now(), group, member, joined, members);
+                    if members.is_empty() {
+                        s.members.remove(&group);
+                    }
                 }
             }
             ScmpMsg::LeaveAck => self.clear_soft(group, |s| s.leave = None),
@@ -424,7 +429,7 @@ impl Router for ScmpRouter {
             Some(Timer::Heartbeat) => self.heartbeat_tick(ctx),
             Some(Timer::Repair) => self.m_repair_scan(ctx),
             Some(Timer::Watchdog(gen)) => self.watchdog_expired(gen, ctx),
-            Some(Timer::Expiry(group)) => self.expire_session_if_empty(group),
+            Some(Timer::Expiry(group)) => self.expire_session_if_empty(group, ctx.now()),
             Some(Timer::JoinRetry(group)) => self.retry_join_if_unanswered(group, ctx),
             Some(Timer::LeaveRetry(group)) => self.retry_leave_if_unacked(group, ctx),
             Some(Timer::TreeRetry(group, child)) => self.retry_tree_if_unacked(group, child, ctx),

@@ -1,11 +1,12 @@
 //! The m-router side of the state machine: centralized DCDM tree
-//! construction on JOIN/LEAVE (§III-D), the session/accounting database,
-//! the switching-fabric port assignment (§II-B) and the periodic tree
-//! repair scan (robustness extension).
+//! construction on JOIN/LEAVE (§III-D), one session record per group
+//! with the accounting log (§II-C), the switching-fabric port
+//! assignment (§II-B) and the periodic tree repair scan (robustness
+//! extension).
 
 use super::{Role, ScmpRouter, Timer};
 use crate::message::ScmpMsg;
-use crate::session::SessionDb;
+use crate::session::AccountingLog;
 use crate::tree_packet::{BranchPacket, TreePacket};
 use scmp_net::{Metric, NodeId, PathProvider, Topology};
 use scmp_sim::{Ctx, GroupId, Packet, SimTime};
@@ -41,22 +42,37 @@ pub(super) fn record_tree_health(
     });
 }
 
+/// One open session at the m-router: everything it keeps per group.
+/// The session is open exactly while the record exists.
+#[derive(Debug)]
+pub(super) struct Session {
+    /// The mirrored multicast tree (§III-D: "the multicast tree is
+    /// constructed in the m-router before it is physically formed in
+    /// the domain").
+    pub(super) tree: MulticastTree,
+    /// The logged members in first-join order: what the accounting log
+    /// says, whether or not the tree reaches them right now (the repair
+    /// scan drops members it cannot reach and readopts them later).
+    pub(super) members: Vec<NodeId>,
+    /// Output port of the group in the switching fabric.
+    port: usize,
+}
+
 /// m-router-only state.
 #[derive(Debug)]
 pub struct MRouterState {
-    /// One mirrored multicast tree per group (§III-D: "the multicast
-    /// tree is constructed in the m-router before it is physically
-    /// formed in the domain").
-    pub(super) trees: BTreeMap<GroupId, MulticastTree>,
-    /// Group/session database with the accounting log.
-    pub sessions: SessionDb,
-    /// Output-port assignment per group in the switching fabric.
-    fabric_ports: BTreeMap<GroupId, usize>,
+    /// One record per open session.
+    pub(super) groups: BTreeMap<GroupId, Session>,
+    /// The accounting log: every JOIN and LEAVE that reached us.
+    pub log: AccountingLog,
     /// Fabric port count (power of two ≥ 2 × expected groups): the size
-    /// a `SandwichFabric` realising `fabric_ports` is configured at.
-    fabric_size: usize,
-    /// Per-group tree generation, bumped on every membership change.
-    gens: BTreeMap<GroupId, u64>,
+    /// a `SandwichFabric` realising the sessions' ports is configured at.
+    pub(super) fabric_size: usize,
+    /// The last tree generation issued, over all groups: numbered per
+    /// m-router rather than per group, a generation is never issued
+    /// twice, even to a session that expired and reopened (routers keep
+    /// flush tombstones across sessions).
+    last_gen: u64,
     /// Added to every generation this m-router issues. Zero on the
     /// configured primary; a promoted standby starts at the epoch above
     /// everything it has seen, so its generations outrank the deposed
@@ -93,11 +109,10 @@ pub struct MRouterState {
 impl MRouterState {
     pub(super) fn new() -> Self {
         MRouterState {
-            trees: BTreeMap::new(),
-            sessions: SessionDb::new(),
-            fabric_ports: BTreeMap::new(),
+            groups: BTreeMap::new(),
+            log: AccountingLog::default(),
             fabric_size: 64,
-            gens: BTreeMap::new(),
+            last_gen: 0,
             gen_epoch: 0,
             heartbeat_seq: 0,
             peer_alive: false,
@@ -108,53 +123,55 @@ impl MRouterState {
         }
     }
 
-    /// Bump and return the tree generation for `group` (offset into this
-    /// m-router's takeover epoch).
-    pub(super) fn next_gen(&mut self, group: GroupId) -> u64 {
-        let g = self.gens.entry(group).or_insert(0);
-        *g += 1;
-        self.gen_epoch + *g
+    /// Issue the next tree generation (offset into this m-router's
+    /// takeover epoch).
+    pub(super) fn next_gen(&mut self) -> u64 {
+        self.last_gen += 1;
+        self.gen_epoch + self.last_gen
     }
 
-    /// The mirrored tree for `group`, if the group has been seen.
-    pub fn tree(&self, group: GroupId) -> Option<&MulticastTree> {
-        self.trees.get(&group)
-    }
-
-    /// The fabric output port assigned to `group`.
-    pub fn fabric_port(&self, group: GroupId) -> Option<usize> {
-        self.fabric_ports.get(&group).copied()
-    }
-
-    /// The fabric port count the assignments index into.
-    #[cfg(test)]
-    pub(super) fn fabric_size(&self) -> usize {
-        self.fabric_size
-    }
-
-    pub(super) fn assign_fabric_port(&mut self, group: GroupId) {
-        if self.fabric_ports.contains_key(&group) {
-            return;
+    /// Take `group`'s record out for an update; the caller puts it back.
+    /// A group without one gets its session opened here, the one place
+    /// records are made: an empty tree rooted at `root` over `n` nodes
+    /// and the highest free fabric port.
+    pub(super) fn checkout(&mut self, group: GroupId, n: usize, root: NodeId) -> Session {
+        if let Some(session) = self.groups.remove(&group) {
+            return session;
         }
         // Grow the fabric when the group count approaches the port count
         // (half the ports serve as source lines, half as group outputs —
         // a bigger switching fabric is exactly the §II-B scaling story).
-        while self.fabric_ports.len() + 1 > self.fabric_size / 2 {
+        while self.groups.len() + 1 > self.fabric_size / 2 {
             self.fabric_size *= 2;
         }
         // Deterministic first-free assignment from the top of the port
         // range (low ports serve as source lines).
-        let used: BTreeSet<usize> = self.fabric_ports.values().copied().collect();
+        let used: BTreeSet<usize> = self.groups.values().map(|s| s.port).collect();
         let port = (0..self.fabric_size)
             .rev()
             .find(|p| !used.contains(p))
             .expect("fabric has free ports");
-        self.fabric_ports.insert(group, port);
+        Session {
+            tree: MulticastTree::new(n, root),
+            members: Vec::new(),
+            port,
+        }
     }
 
-    /// Free the fabric port of an expired group.
-    pub(super) fn release_fabric_port(&mut self, group: GroupId) {
-        self.fabric_ports.remove(&group);
+    /// The mirrored tree for `group`, if its session is open.
+    pub fn tree(&self, group: GroupId) -> Option<&MulticastTree> {
+        Some(&self.groups.get(&group)?.tree)
+    }
+
+    /// The members of `group` according to the accounting log, in
+    /// first-join order (empty when its session is not open).
+    pub fn members(&self, group: GroupId) -> &[NodeId] {
+        self.groups.get(&group).map_or(&[], |s| &s.members)
+    }
+
+    /// The fabric output port assigned to `group`.
+    pub fn fabric_port(&self, group: GroupId) -> Option<usize> {
+        Some(self.groups.get(&group)?.port)
     }
 }
 
@@ -207,9 +224,10 @@ impl ScmpRouter {
         let Role::MRouter(state) = &mut self.role else {
             return; // JOIN addressed to a node that is not the m-router
         };
-        state.sessions.register_group(group);
-        state.sessions.record(ctx.now(), group, requester, true);
-        state.assign_fabric_port(group);
+        let mut session = state.checkout(group, domain.topo.node_count(), me);
+        state
+            .log
+            .record(ctx.now(), group, requester, true, &mut session.members);
         // Plan over what is alive: a join during a fault grafts around
         // the dead links instead of across them.
         let paths = ctx.routes();
@@ -220,23 +238,16 @@ impl ScmpRouter {
         if paths.distance(me, requester, Metric::Delay).is_none() {
             // Cut off from us right now (its JOIN was already in
             // flight): it is on the books, and the repair scan readopts
-            // it once the liveness epoch that reconnects it arrives —
-            // the scan walks the mirrored trees, so the group needs one.
-            state
-                .trees
-                .entry(group)
-                .or_insert_with(|| MulticastTree::new(domain.topo.node_count(), me));
+            // it once the liveness epoch that reconnects it arrives.
+            state.groups.insert(group, session);
             self.mirror_membership(group, txn, requester, true, ctx);
             return;
         }
-        let gen = state.next_gen(group);
-        let tree = state
-            .trees
-            .remove(&group)
-            .unwrap_or_else(|| MulticastTree::new(domain.topo.node_count(), me));
-        let mut dcdm = Dcdm::with_tree(&domain.topo, paths, tree, domain.config.bound);
+        let gen = state.next_gen();
+        let mut dcdm = Dcdm::with_tree(&domain.topo, paths, session.tree, domain.config.bound);
         let outcome = dcdm.join(requester);
-        let tree = dcdm.into_tree();
+        session.tree = dcdm.into_tree();
+        let tree = &session.tree;
 
         // Refresh the m-router's own routing entry from the mirror.
         let entry = self.entry_or_default(group);
@@ -273,7 +284,7 @@ impl ScmpRouter {
                 // Restructured (or ablation): full TREE refresh, plus
                 // explicit flushes for routers pruned off the tree.
                 for &child in tree.children(me) {
-                    let tp = TreePacket::from_tree(&tree, child);
+                    let tp = TreePacket::from_tree(tree, child);
                     let pkt = Packet::control_keyed(group, txn, ScmpMsg::Tree { gen, packet: tp });
                     self.send_tree_tracked(group, child, gen, pkt, ctx);
                 }
@@ -291,13 +302,13 @@ impl ScmpRouter {
             HealthTrigger::Join,
             &domain.topo,
             ctx.routes().healthy(),
-            &tree,
+            tree,
             ctx,
         );
         let Role::MRouter(state) = &mut self.role else {
             unreachable!()
         };
-        state.trees.insert(group, tree);
+        state.groups.insert(group, session);
         self.mirror_membership(group, txn, requester, true, ctx);
     }
 
@@ -322,63 +333,81 @@ impl ScmpRouter {
             requester,
             Packet::control_keyed(group, txn, ScmpMsg::LeaveAck),
         );
-        if !state.sessions.members_from_log(group).contains(&requester) {
+        if !state.members(group).contains(&requester) {
             return; // duplicate of an already-processed LEAVE
         }
-        state.sessions.record(ctx.now(), group, requester, false);
-        state.next_gen(group);
-        let Some(tree) = state.trees.remove(&group) else {
-            return;
-        };
-        let mut dcdm = Dcdm::with_tree(&domain.topo, ctx.routes(), tree, domain.config.bound);
+        let mut session = state
+            .groups
+            .remove(&group)
+            .expect("a member's session is open");
+        state
+            .log
+            .record(ctx.now(), group, requester, false, &mut session.members);
+        state.next_gen();
+        let mut dcdm = Dcdm::with_tree(
+            &domain.topo,
+            ctx.routes(),
+            session.tree,
+            domain.config.bound,
+        );
         dcdm.leave(requester);
-        let tree = dcdm.into_tree();
+        session.tree = dcdm.into_tree();
         // The physical prune travels hop-by-hop from the leaving DR
         // (§III-D: "the real prune operation is accomplished by the
         // leaving member sending the PRUNE message upstream hop by
         // hop") — the m-router only refreshes its mirror and entry.
         let entry = self.entry_or_default(group);
-        entry.downstream_routers = tree.children(me).iter().copied().collect();
+        entry.downstream_routers = session.tree.children(me).iter().copied().collect();
         if requester == me {
             entry.local_interface = false;
         }
-        let emptied = tree.member_count() == 0;
+        // Emptiness is read from the log, not the tree: a member the
+        // repair scan took off the tree while it was cut off is still
+        // on the books, and the session must outlive its partition.
+        let emptied = session.members.is_empty();
         record_tree_health(
             group,
             HealthTrigger::Leave,
             &domain.topo,
             ctx.routes().healthy(),
-            &tree,
+            &session.tree,
             ctx,
         );
         let Role::MRouter(state) = &mut self.role else {
             unreachable!()
         };
-        state.trees.insert(group, tree);
+        state.groups.insert(group, session);
         if emptied && domain.config.session_expiry > 0 {
             ctx.set_timer(domain.config.session_expiry, Timer::Expiry(group).token());
         }
         self.mirror_membership(group, txn, requester, false, ctx);
     }
 
-    /// Expiry timer fired for a group: if it is still memberless, tear
-    /// down the session — revoke the address, free the fabric port and
-    /// drop the tree state.
-    pub(super) fn expire_session_if_empty(&mut self, group: GroupId) {
+    /// Expiry timer fired for a group: if the log has held no member of
+    /// it for `session_expiry` ticks, close the session — revoke the
+    /// address and drop its record, fabric port and mirrored tree
+    /// included. The one place a record is dropped.
+    pub(super) fn expire_session_if_empty(&mut self, group: GroupId, now: SimTime) {
+        let expiry = self.domain.config.session_expiry;
         let Role::MRouter(state) = &mut self.role else {
             return;
         };
-        let still_empty = state
-            .trees
-            .get(&group)
-            .is_none_or(|t| t.member_count() == 0);
-        if !still_empty {
+        // A timer armed by an earlier LEAVE fires too soon when the group
+        // was joined and left again since. The group's last record is
+        // the LEAVE that emptied it, and the timer that LEAVE armed
+        // closes the session.
+        let idle = state.members(group).is_empty()
+            && state
+                .log
+                .records()
+                .iter()
+                .rev()
+                .find(|r| r.group == group)
+                .is_none_or(|r| now >= r.time.saturating_add(expiry));
+        if !idle {
             return;
         }
-        state.trees.remove(&group);
-        state.gens.remove(&group);
-        state.sessions.expire_group(group);
-        state.release_fabric_port(group);
+        state.groups.remove(&group);
         self.reclaim(group, |s| s.entry = None);
     }
 
@@ -450,9 +479,9 @@ impl ScmpRouter {
                     // How many logged members sit on the far side — the
                     // ones degraded mode cannot serve until the heal.
                     let stranded_members = state
-                        .trees
-                        .keys()
-                        .flat_map(|&g| state.sessions.members_from_log(g))
+                        .groups
+                        .values()
+                        .flat_map(|s| &s.members)
                         .filter(|m| unreachable_now.contains(m))
                         .collect::<BTreeSet<_>>()
                         .len();
@@ -491,14 +520,14 @@ impl ScmpRouter {
         }
         // Phase 1 (read-only): which groups need surgery?
         let damaged: Vec<GroupId> = state
-            .trees
+            .groups
             .iter()
-            .filter(|&(&group, tree)| {
+            .filter(|(_, s)| {
+                let tree = &s.tree;
                 let damage =
                     scmp_tree::repair::assess(tree, |v| ctx.node_up(v), |a, b| ctx.link_up(a, b));
-                let readopt = state
-                    .sessions
-                    .members_from_log(group)
+                let readopt = s
+                    .members
                     .iter()
                     .any(|&m| !tree.is_member(m) && reachable(m));
                 !damage.is_intact() || readopt
@@ -518,27 +547,19 @@ impl ScmpRouter {
             };
             // Members partitioned away stay off the tree until a later
             // scan sees them reachable again (the readopt check above).
-            let members: Vec<NodeId> = state
-                .sessions
-                .members_from_log(group)
+            let gen = state.next_gen();
+            let old = &state.groups[&group];
+            let members: Vec<NodeId> = old
+                .members
                 .iter()
                 .copied()
                 .filter(|&m| reachable(m))
                 .collect();
-            let old_nodes = state
-                .trees
-                .get(&group)
-                .map(|t| t.on_tree_nodes())
-                .unwrap_or_default();
+            let old_nodes = old.tree.on_tree_nodes();
             // Members coming back onto the tree in this rebuild (on the
             // books, reachable, but off the old mirror): the post-heal
             // readoption the reconcile telemetry accounts.
-            let readopted = state
-                .trees
-                .get(&group)
-                .map(|t| members.iter().filter(|&&m| !t.is_member(m)).count())
-                .unwrap_or(members.len());
-            let gen = state.next_gen(group);
+            let readopted = members.iter().filter(|&&m| !old.tree.is_member(m)).count();
             // Only the trees rooted at the reachable members and the
             // m-router are computed, not all 2n — repair touches a
             // handful of sources even in big domains.
@@ -584,7 +605,7 @@ impl ScmpRouter {
             let Role::MRouter(state) = &mut self.role else {
                 unreachable!()
             };
-            state.trees.insert(group, tree);
+            state.groups.get_mut(&group).expect("scanned above").tree = tree;
         }
         ctx.record_repair();
     }

@@ -1,23 +1,28 @@
 //! Hot-standby failover (§V item 4): the standby mirrors membership via
 //! StandbySync, watches the primary's heartbeats, and on watchdog expiry
-//! promotes itself — announcing the new m-router address, seeding an
-//! empty mirror per active group and arming the repair scan, which
-//! readopts every reachable logged member over the live path view.
+//! promotes itself — announcing the new m-router address, opening a
+//! session with an empty mirror per group that has members and arming
+//! the repair scan, which readopts every reachable logged member over
+//! the live path view.
 
 use super::{Attempts, MRouterState, Role, ScmpRouter, Timer};
 use crate::message::ScmpMsg;
-use crate::session::SessionDb;
+use crate::session::AccountingLog;
 use scmp_net::NodeId;
 use scmp_sim::{Ctx, GroupId, Packet, SimTime};
 use scmp_telemetry::EventKind;
-use scmp_tree::MulticastTree;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Standby-only state: the mirrored membership plus the deadman
 /// generation counter.
 #[derive(Debug)]
 pub struct StandbyState {
-    pub(super) membership: SessionDb,
+    /// The members-only view of the m-router's session records: a group
+    /// is here exactly while it has a logged member.
+    pub(super) members: BTreeMap<GroupId, Vec<NodeId>>,
+    /// The mirrored accounting log.
+    pub(super) log: AccountingLog,
     /// Bumped on every heartbeat; stale watchdog timers are ignored.
     pub(super) watchdog_gen: u64,
     /// Earliest time a watchdog expiry may promote this standby. Every
@@ -32,7 +37,8 @@ impl StandbyState {
     /// Fresh standby state with nothing mirrored and no deadline.
     pub(super) fn new() -> Self {
         StandbyState {
-            membership: SessionDb::new(),
+            members: BTreeMap::new(),
+            log: AccountingLog::default(),
             watchdog_gen: 0,
             deadline: 0,
         }
@@ -92,7 +98,7 @@ impl ScmpRouter {
             return;
         };
         let mut state = Box::new(MRouterState::new());
-        state.sessions = standby.membership;
+        state.log = standby.log;
         // Outrank every generation the domain has seen: the old primary
         // may still be alive (spurious promotion) and pushing trees of
         // its own, and ours must win the staleness race everywhere.
@@ -102,9 +108,10 @@ impl ScmpRouter {
         // repair scan readopts each one it can reach, planning over the
         // live view like every other tree this m-router builds.
         let n = domain.topo.node_count();
-        for group in state.sessions.active_groups() {
-            state.trees.insert(group, MulticastTree::new(n, me));
-            state.assign_fabric_port(group);
+        for (group, members) in standby.members {
+            let mut session = state.checkout(group, n, me);
+            session.members = members;
+            state.groups.insert(group, session);
         }
         let delay = domain.config.takeover_rebuild_delay;
         state.next_scan = ctx.now().saturating_add(delay);
@@ -145,7 +152,13 @@ impl ScmpRouter {
                 unreachable!()
             };
             let mut standby = StandbyState::new();
-            standby.membership = state.sessions;
+            standby.log = state.log;
+            standby.members = state
+                .groups
+                .into_iter()
+                .filter(|(_, s)| !s.members.is_empty())
+                .map(|(g, s)| (g, s.members))
+                .collect();
             if cfg.heartbeat_interval > 0 {
                 let horizon = cfg
                     .heartbeat_interval

@@ -199,11 +199,11 @@ fn accounting_log_records_all_membership_traffic() {
     e.schedule_app(2_000, NodeId(4), AppEvent::Leave(G));
     e.run_to_quiescence();
     let m = e.router(NodeId(0)).m_state().unwrap();
-    let log = m.sessions.log();
+    let log = m.log.records();
     assert_eq!(log.len(), 3);
     assert!(log[0].joined && log[0].node == NodeId(4));
     assert!(!log[2].joined && log[2].node == NodeId(4));
-    assert_eq!(m.sessions.members_from_log(G), vec![NodeId(3)]);
+    assert_eq!(m.members(G), vec![NodeId(3)]);
 }
 
 #[test]
@@ -460,7 +460,6 @@ fn join_retries_through_transient_failure() {
 
 #[test]
 fn session_expires_after_memberless_period() {
-    use crate::session::SessionState;
     let mut cfg = ScmpConfig::new(NodeId(0));
     cfg.session_expiry = 100_000;
     let mut e = build(fig5(), cfg);
@@ -470,7 +469,7 @@ fn session_expires_after_memberless_period() {
     let m = e.router(NodeId(0)).m_state().unwrap();
     assert!(m.tree(G).is_none(), "tree state torn down");
     assert!(m.fabric_port(G).is_none(), "fabric port revoked");
-    assert_eq!(m.sessions.state(G), Some(SessionState::Expired));
+    assert!(m.groups.is_empty(), "session closed");
 }
 
 #[test]
@@ -637,7 +636,7 @@ fn join_in_flight_when_its_requester_is_cut_off_is_readopted() {
     e.schedule_fault(5, FaultEvent::LinkDown { a, b });
     e.run_until(1_000);
     let m = e.router(NodeId(0)).m_state().unwrap();
-    assert_eq!(m.sessions.members_from_log(G), [NodeId(4)], "on the books");
+    assert_eq!(m.members(G), [NodeId(4)], "on the books");
     assert!(m.tree(G).is_none_or(|t| !t.contains(NodeId(4))));
     // The heal moves the epoch; the next scan grafts it back.
     e.schedule_fault(3_000, FaultEvent::LinkUp { a, b });
@@ -720,8 +719,8 @@ fn leave_is_acked_and_recorded_once() {
     e.run_to_quiescence();
     let m = e.router(NodeId(0)).m_state().unwrap();
     // Ack landed before the first retry: exactly one leave record.
-    assert_eq!(m.sessions.log().len(), 2);
-    assert!(m.sessions.members_from_log(G).is_empty());
+    assert_eq!(m.log.records().len(), 2);
+    assert!(m.members(G).is_empty());
 }
 
 #[test]
@@ -738,18 +737,14 @@ fn leave_retries_through_transient_failure() {
     e.run_until(400_000);
     {
         let m = e.router(NodeId(0)).m_state().unwrap();
-        assert_eq!(
-            m.sessions.members_from_log(G),
-            vec![NodeId(3)],
-            "LEAVE lost while cut off"
-        );
+        assert_eq!(m.members(G), vec![NodeId(3)], "LEAVE lost while cut off");
     }
     e.set_link_down(NodeId(0), NodeId(3), false);
     e.set_link_down(NodeId(2), NodeId(3), false);
     e.run_to_quiescence();
     let m = e.router(NodeId(0)).m_state().unwrap();
     assert!(
-        m.sessions.members_from_log(G).is_empty(),
+        m.members(G).is_empty(),
         "retried LEAVE deregistered the member"
     );
 }
@@ -774,10 +769,122 @@ fn a_rejoin_ends_the_pending_leave() {
     assert!(entry.local_interface);
     let m = e.router(NodeId(0)).m_state().unwrap();
     assert!(
-        m.sessions.members_from_log(G).contains(&NodeId(4)),
+        m.members(G).contains(&NodeId(4)),
         "the m-router still counts node 4"
     );
     assert_eq!(e.stats().delivery_count(G, 1, NodeId(4)), 1);
+}
+
+#[test]
+fn expiry_keeps_a_member_still_on_the_books() {
+    use scmp_sim::FaultEvent;
+    // The repair scan takes the cut-off node 5 off the tree, so node 4's
+    // LEAVE empties the tree while the log still lists node 5. The
+    // session must stay open for the heal to readopt it.
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.session_expiry = 10_000;
+    cfg.repair_interval = 1_000;
+    let mut e = build(fig5(), cfg);
+    e.schedule_app(0, NodeId(5), AppEvent::Join(G));
+    e.schedule_app(1_000, NodeId(4), AppEvent::Join(G));
+    let (a, b) = (NodeId(2), NodeId(5));
+    e.schedule_fault(3_000, FaultEvent::LinkDown { a, b });
+    e.schedule_app(5_000, NodeId(4), AppEvent::Leave(G));
+    e.schedule_fault(30_000, FaultEvent::LinkUp { a, b });
+    e.schedule_app(50_000, NodeId(3), AppEvent::Send { group: G, tag: 9 });
+    e.run_until(200_000);
+    assert_eq!(e.stats().delivery_count(G, 9, NodeId(5)), 1);
+}
+
+#[test]
+fn expiry_counts_from_the_last_leave() {
+    // The first LEAVE's timer fires at about 11 000, when the group has
+    // been empty only since the second LEAVE at 8 000.
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.session_expiry = 10_000;
+    let mut e = build(fig5(), cfg);
+    for (t, join) in [(0, true), (1_000, false), (5_000, true), (8_000, false)] {
+        let ev = if join {
+            AppEvent::Join(G)
+        } else {
+            AppEvent::Leave(G)
+        };
+        e.schedule_app(t, NodeId(4), ev);
+    }
+    e.run_until(15_000);
+    let m = e.router(NodeId(0)).m_state().unwrap();
+    assert!(
+        m.tree(G).is_some(),
+        "closed 7 000 ticks after its last leave"
+    );
+    e.run_until(20_000);
+    let m = e.router(NodeId(0)).m_state().unwrap();
+    assert!(
+        m.tree(G).is_none(),
+        "open 12 000 ticks after its last leave"
+    );
+}
+
+#[test]
+fn a_reopened_session_outranks_old_flushes() {
+    use rand::Rng;
+    // Routers keep flush tombstones across sessions, so a session that
+    // expired and reopened must not number its trees from 1 again: its
+    // TREE/BRANCH packets would be dropped as stale.
+    let mut rng = scmp_net::rng::rng_for("probe", 16);
+    let topo = scmp_net::topology::arpanet(&mut rng);
+    let n = topo.node_count() as u32;
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.session_expiry = 100_000;
+    cfg.join_retry = 0;
+    let mut e = build(topo, cfg);
+    let mut members = Vec::new();
+    while members.len() < 10 {
+        let m = NodeId(rng.gen_range(1..n));
+        if !members.contains(&m) {
+            members.push(m);
+        }
+    }
+    for (i, &m) in members.iter().enumerate() {
+        e.schedule_app(2_000 * i as u64, m, AppEvent::Join(G));
+    }
+    for &m in &members {
+        e.schedule_app(50_000, m, AppEvent::Leave(G));
+    }
+    e.run_to_quiescence();
+    assert!(
+        e.router(NodeId(0)).m_state().unwrap().tree(G).is_none(),
+        "expired"
+    );
+    let back: Vec<NodeId> = members.iter().rev().take(8).copied().collect();
+    let start = e.now() + 10_000;
+    for (i, &m) in back.iter().enumerate() {
+        e.schedule_app(start + 2_000 * i as u64, m, AppEvent::Join(G));
+    }
+    let send = start + 2_000 * back.len() as u64 + 10_000;
+    e.schedule_app(send, back[0], AppEvent::Send { group: G, tag: 1 });
+    e.run_to_quiescence();
+    for &m in &back {
+        assert_eq!(e.stats().delivery_count(G, 1, m), 1, "member {m:?}");
+    }
+}
+
+#[test]
+fn a_promoted_standby_does_not_reopen_an_expired_session() {
+    let mut cfg = ScmpConfig::new(NodeId(0));
+    cfg.standby = Some(NodeId(2));
+    cfg.heartbeat_interval = 500;
+    cfg.session_expiry = 10_000;
+    let mut e = build(fig5(), cfg);
+    e.schedule_app(0, NodeId(4), AppEvent::Join(G));
+    e.schedule_app(2_000, NodeId(4), AppEvent::Leave(G));
+    e.run_until(20_000);
+    assert!(e.router(NodeId(0)).m_state().unwrap().tree(G).is_none());
+    e.set_node_down(NodeId(0), true);
+    e.run_until(60_000);
+    let m = e.router(NodeId(2)).m_state().expect("standby promoted");
+    assert!(m.tree(G).is_none(), "no mirror for a closed session");
+    assert!(m.fabric_port(G).is_none(), "no port for a closed session");
 }
 
 mod group_records {
@@ -835,13 +942,16 @@ mod group_records {
 
         /// Once every member has left and the sessions have expired, no
         /// router keeps a record of any group: entries, JOIN and LEAVE
-        /// series and pending TREE retransmissions are all reclaimed.
+        /// series and pending TREE retransmissions are all reclaimed, and
+        /// the m-router holds no session.
         #[test]
         fn no_group_state_outlives_its_members(
             events in schedules(),
             retries in 0usize..3,
         ) {
             let e = run(&events, false, RETRIES[retries]);
+            let m = e.router(NodeId(0)).m_state().unwrap();
+            prop_assert!(m.groups.is_empty(), "the m-router keeps {:?}", m.groups);
             for v in 0..6 {
                 let r = e.router(NodeId(v));
                 prop_assert!(
@@ -852,13 +962,16 @@ mod group_records {
         }
 
         /// With the reliable tier on, the only state that survives is
-        /// stream history, which is kept on purpose (see `GroupRel`).
+        /// stream history, which is kept on purpose (see `GroupRel`);
+        /// the m-router holds no session.
         #[test]
         fn only_stream_history_outlives_its_members(
             events in schedules(),
             retries in 0usize..3,
         ) {
             let e = run(&events, true, RETRIES[retries]);
+            let m = e.router(NodeId(0)).m_state().unwrap();
+            prop_assert!(m.groups.is_empty(), "the m-router keeps {:?}", m.groups);
             for v in 0..6 {
                 for (g, s) in &e.router(NodeId(v)).groups {
                     let soft = s.soft.as_deref();
@@ -880,6 +993,7 @@ mod fabric_assignment {
     use super::super::MRouterState;
     use proptest::prelude::*;
     use scmp_fabric::{GroupRequest, SandwichFabric};
+    use scmp_net::NodeId;
     use scmp_sim::GroupId;
     use std::collections::BTreeSet;
 
@@ -887,9 +1001,9 @@ mod fabric_assignment {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The m-router keeps a port assignment, not a configured fabric.
-        /// After every step of any assign/expire sequence, a
+        /// After every step of any open/close sequence of sessions, a
         /// `SandwichFabric` of the state's size must accept it: one
-        /// source line per active group (in group order) merging onto
+        /// source line per open session (in group order) merging onto
         /// the group's assigned output port.
         #[test]
         fn every_assignment_configures_a_sandwich_fabric(
@@ -898,11 +1012,13 @@ mod fabric_assignment {
             let mut state = MRouterState::new();
             let mut active = BTreeSet::new();
             for (expire, g) in ops {
+                let group = GroupId(g);
                 if expire {
-                    state.release_fabric_port(GroupId(g));
+                    state.groups.remove(&group);
                     active.remove(&g);
                 } else {
-                    state.assign_fabric_port(GroupId(g));
+                    let session = state.checkout(group, 1, NodeId(0));
+                    state.groups.insert(group, session);
                     active.insert(g);
                 }
                 let mut requests = Vec::with_capacity(active.len());
@@ -914,7 +1030,7 @@ mod fabric_assignment {
                         output: port.unwrap(),
                     });
                 }
-                let fabric = SandwichFabric::configure(state.fabric_size(), &requests);
+                let fabric = SandwichFabric::configure(state.fabric_size, &requests);
                 prop_assert!(fabric.is_ok(), "{:?} over {:?}", fabric.err(), requests);
             }
         }

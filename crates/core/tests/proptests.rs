@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use scmp_core::igmp::{HostId, MembershipEdge, Subnet};
-use scmp_core::session::SessionDb;
+use scmp_core::session::AccountingLog;
 use scmp_core::TreePacket;
 use scmp_net::NodeId;
 use scmp_sim::GroupId;
@@ -101,12 +101,13 @@ proptest! {
     /// Session-log replay equals a straightforward set interpretation.
     #[test]
     fn session_log_replay(events in prop::collection::vec((0u32..8, any::<bool>()), 0..60)) {
-        let mut db = SessionDb::new();
+        let mut log = AccountingLog::default();
         let g = GroupId(3);
+        let mut members = Vec::new();
         let mut model: Vec<NodeId> = Vec::new();
         for (t, (node, join)) in events.iter().enumerate() {
             let node = NodeId(*node);
-            db.record(t as u64, g, node, *join);
+            log.record(t as u64, g, node, *join, &mut members);
             if *join {
                 if !model.contains(&node) {
                     model.push(node);
@@ -115,6 +116,7 @@ proptest! {
                 model.retain(|&m| m != node);
             }
         }
-        prop_assert_eq!(db.members_from_log(g), model);
+        prop_assert_eq!(members, model);
+        prop_assert_eq!(log.records().len(), events.len());
     }
 }

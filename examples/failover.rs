@@ -93,8 +93,8 @@ fn main() {
         .router(standby)
         .m_state()
         .unwrap()
-        .sessions
-        .log()
+        .log
+        .records()
         .len();
     println!("\nnew m-router's mirrored accounting log: {log} membership records");
     println!("service restored without any member re-joining.");

@@ -81,7 +81,7 @@ fn main() {
              {} members, accounting log {} records",
             tree.on_tree_count(),
             tree.member_count(),
-            state.sessions.log().len()
+            state.log.records().len()
         );
         assert_eq!(tree.root(), m_router);
         for &m in members {

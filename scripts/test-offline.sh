@@ -148,6 +148,24 @@ for golden in failstorm_events lossy_events; do
     cargo run -q --release -p scmp-bench --bin scmp-inspect -- \
         "tests/golden/$golden.jsonl" --audit
 done
+# The failstorm example rewrites bench_results/failstorm_trace.jsonl,
+# and the committed copy pins it byte for byte: faults, repair scans,
+# timer tokens and trace keys all land in it. On a difference, put the
+# committed copy back and name the first line that moved.
+trace=bench_results/failstorm_trace.jsonl
+pinned_trace=$(mktemp)
+cp "$trace" "$pinned_trace"
+cargo run -q --release --example failstorm >/dev/null
+if ! cmp -s "$pinned_trace" "$trace"; then
+    line=$(cmp "$pinned_trace" "$trace" 2>&1 | sed -n 's/.*line \([0-9]*\).*/\1/p')
+    echo "failstorm example: $trace differs from the committed copy at line $line:" >&2
+    echo "  committed: $(sed -n "${line}p" "$pinned_trace")" >&2
+    echo "  now:       $(sed -n "${line}p" "$trace")" >&2
+    cp "$pinned_trace" "$trace"
+    rm -f "$pinned_trace"
+    exit 1
+fi
+rm -f "$pinned_trace"
 # Regression gate in smoke mode: replays the pinned scenario corpus
 # serially and on 2 workers (byte-identity guard); carries the artefact
 # check (every committed paper figure's JSON and SVG regenerated at 10

@@ -65,6 +65,8 @@ fn m_router_serves_one_hundred_groups() {
     ports.dedup();
     assert_eq!(ports.len(), 100, "no port collisions");
     // Accounting saw every join.
-    assert_eq!(m.sessions.log().len(), 200);
-    assert_eq!(m.sessions.active_groups().len(), 100);
+    assert_eq!(m.log.records().len(), 200);
+    let logged: std::collections::BTreeSet<GroupId> =
+        m.log.records().iter().map(|r| r.group).collect();
+    assert_eq!(logged.len(), 100);
 }

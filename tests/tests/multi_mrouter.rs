@@ -44,8 +44,8 @@ fn groups_are_partitioned_across_m_routers() {
     assert!(m1.tree(g_odd).is_some(), "odd group served by m-router 1");
     assert!(m1.tree(g_even).is_none());
     // Accounting is likewise partitioned.
-    assert_eq!(m0.sessions.log().len(), 1);
-    assert_eq!(m1.sessions.log().len(), 1);
+    assert_eq!(m0.log.records().len(), 1);
+    assert_eq!(m1.log.records().len(), 1);
 }
 
 #[test]

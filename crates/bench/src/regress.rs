@@ -81,9 +81,9 @@ pub fn load_chaos_baseline(path: &Path) -> Result<ChaosReport, String> {
 }
 
 /// Re-run the chaos sweep and hold the reliability tier to its band:
-/// absolute worst-seed delivery floors (0.95 up to 10% loss, 0.85
-/// above — the tier's acceptance numbers) and a 2x ceiling on
-/// worst-case gap-recovery latency relative to the committed curve.
+/// absolute worst-seed delivery floors ([`chaos::reliable_floor`], the
+/// tier's acceptance numbers) and a 2x ceiling on worst-case
+/// gap-recovery latency relative to the committed curve.
 ///
 /// `seeds` may be smaller than the baseline's (smoke re-runs one seed):
 /// the checks stay sound because the engine is deterministic, so fresh
@@ -111,7 +111,7 @@ pub fn chaos_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check> {
             continue;
         }
         let pct = format!("{:.0}%", b.loss * 100.0);
-        let floor = if b.loss <= 0.10 { 0.95 } else { 0.85 };
+        let floor = chaos::reliable_floor(b.loss);
         checks.push(Check {
             metric: format!("reliable_min_delivery[{pct}]"),
             baseline: floor,
@@ -133,7 +133,7 @@ pub fn chaos_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check> {
 /// Partition-and-heal band: the fresh series must reconverge within
 /// 2x the committed worst lag (never past the absolute
 /// [`chaos::RECONVERGE_WINDOW`] bound the sweep itself enforces) and
-/// hold its post-heal delivery to the 0.99 acceptance floor. A
+/// hold its post-heal delivery to [`chaos::POST_HEAL_FLOOR`]. A
 /// baseline from before the partition series existed produces no
 /// checks — the band arms itself on the first committed run.
 pub fn partition_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check> {
@@ -151,10 +151,10 @@ pub fn partition_band(baseline: &ChaosReport, fresh: &ChaosReport) -> Vec<Check>
         },
         Check {
             metric: "partition_post_heal_delivery".to_string(),
-            baseline: 0.99,
+            baseline: chaos::POST_HEAL_FLOOR,
             measured: f.min_post_heal_delivery,
-            band: ">= 0.99 absolute".to_string(),
-            pass: f.min_post_heal_delivery >= 0.99,
+            band: format!(">= {:.2} absolute", chaos::POST_HEAL_FLOOR),
+            pass: f.min_post_heal_delivery >= chaos::POST_HEAL_FLOOR,
         },
     ]
 }

@@ -284,14 +284,6 @@ pub struct RobustnessSpec {
     pub tree_packets_only: Option<bool>,
 }
 
-/// The reliable-multicast tier switch: the section's *presence* turns
-/// the tier on, and it takes no keys because the tier has one
-/// configuration. Without a `reliability` section the run is
-/// byte-identical to one on a build without the tier at all.
-#[derive(Clone, Debug, Default, Deserialize, Serialize)]
-#[serde(deny_unknown_fields)]
-pub struct ReliabilitySpec {}
-
 /// A generated membership wave: a compact description of many
 /// join/leave events the runner (and the delivery oracle) expand into
 /// the ordinary timeline.
@@ -414,10 +406,12 @@ pub struct ScenarioFile {
     /// Robustness configuration (repair scan, retries, hot standby).
     #[serde(default)]
     pub robustness: Option<RobustnessSpec>,
-    /// Reliable-multicast data tier (NACK recovery with repair caches).
-    /// Present ⇒ on; absent ⇒ byte-identical to a tier-free build.
+    /// Reliable-multicast data tier (NACK recovery with repair caches),
+    /// handed to [`ScmpConfig::reliability`] as is. Present ⇒ on; it
+    /// takes no keys because the tier has one configuration. Absent ⇒
+    /// byte-identical to a tier-free build.
     #[serde(default)]
-    pub reliability: Option<ReliabilitySpec>,
+    pub reliability: Option<ReliabilityConfig>,
     /// Seeded per-link channel impairments (drop / duplicate / corrupt
     /// probabilities, reorder jitter), validated against the topology.
     /// Absent — or present with all-zero probabilities — the run is
@@ -716,9 +710,7 @@ fn run_scenario_inner(
             rob.apply(&mut config, &topo)?;
             perpetual_timers = config.repair_interval > 0 || config.heartbeat_interval > 0;
         }
-        if spec.reliability.is_some() {
-            config.reliability = Some(ReliabilityConfig::default());
-        }
+        config.reliability = spec.reliability.clone();
         scmp.insert(build_scmp_engine(topo.clone(), config))
     } else {
         let scmp_only = [

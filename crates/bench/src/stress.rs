@@ -11,13 +11,14 @@
 //!    timer/ARQ settings × topology; [`synthesize`] maps a point to a
 //!    concrete [`ScenarioFile`] deterministically (no RNG — the point
 //!    *is* the scenario).
-//! 2. **Oracle** — [`evaluate`] runs the scenario and checks the
-//!    invariant suite: *hard* violations (duplicate delivery,
-//!    unaccounted loss, split-brain m-router roles, an imperfect run
-//!    with nothing to blame) are protocol bugs anywhere in the space;
-//!    *boundary* predicates (incomplete delivery, a stranded member, a
-//!    false or missed takeover, repair latency past its bound) mark the
-//!    edge of the operating envelope.
+//! 2. **Oracle** — [`judge`] checks a traced run, for the search, the
+//!    corpus, the chaos series and the committed scenarios alike: *hard*
+//!    violations (duplicate delivery, unaccounted loss, split-brain
+//!    m-router roles, an imperfect run with nothing to blame) are
+//!    protocol bugs anywhere in the space; *boundary* predicates
+//!    (incomplete delivery, a stranded member, a false or missed
+//!    takeover, repair latency past its bound) mark the edge of the
+//!    operating envelope.
 //! 3. **Search** — [`search`] sweeps random points (warm-up), then runs
 //!    coordinate descent on each distinct failure signature: per axis,
 //!    binary-search the smallest hostility index that still fails, i.e.
@@ -395,7 +396,8 @@ pub fn synthesize(p: &StressPoint) -> ScenarioFile {
 pub struct Evaluation {
     /// Hard invariant violations (sorted): protocol bugs no matter the
     /// scenario. `duplicate_delivery`, `unaccounted_loss`,
-    /// `split_brain` (clean runs only), `clean_run_imperfect`.
+    /// `split_brain` (clean runs only), `clean_run_imperfect`. A run is
+    /// clean when it has no active channel, no fault and no queue drop.
     pub hard: Vec<String>,
     /// Boundary predicates (sorted): acceptable only past the operating
     /// envelope. `delivery_incomplete`, `dual_mrouter_at_end`,
@@ -427,17 +429,17 @@ impl Evaluation {
     }
 }
 
-/// Run one scenario and apply the invariant suite. The scenario runs
-/// with its trace captured in memory, the trace is audited (PR 3), and
-/// the predicates combine audit, summary and the timeline's own
-/// delivery expectations.
+/// Run one scenario with its trace captured and [`judge`] the run.
 pub fn evaluate(spec: &ScenarioFile) -> Result<Evaluation, String> {
-    let Run {
-        result,
-        trace: trace_text,
-        ..
-    } = run_one(spec, true)?;
-    let trace = Trace::parse(&trace_text).map_err(|e| format!("trace: {e}"))?;
+    judge(spec, &run_one(spec, true)?)
+}
+
+/// The one function that turns a finished, traced run of `spec` into
+/// verdicts: it audits the trace and combines the audit, the summary
+/// and the timeline's own delivery expectations.
+pub fn judge(spec: &ScenarioFile, run: &Run) -> Result<Evaluation, String> {
+    let result = run.result.clone();
+    let trace = Trace::parse(&run.trace).map_err(|e| format!("trace: {e}"))?;
     let audit = trace.audit();
 
     // Per-member expectations: which tags was each member owed?
@@ -493,7 +495,9 @@ pub fn evaluate(spec: &ScenarioFile) -> Result<Evaluation, String> {
         .max()
         .unwrap_or(0);
 
-    let clean_run = !channel_active && spec.faults.is_empty();
+    // Clean: nothing in the scenario may drop a packet — no channel, no
+    // fault, and no overflowing queue under a capacity model.
+    let clean_run = !channel_active && spec.faults.is_empty() && result.queue_drops == 0;
     let mut hard = Vec::new();
     if !audit.duplicates.is_empty() {
         hard.push("duplicate_delivery".to_string());
@@ -1394,5 +1398,80 @@ mod tests {
         let err = entry.replay().unwrap_err();
         assert!(err.contains("boundary predicates"), "{err}");
         assert!(err.contains("takeovers"), "{err}");
+    }
+
+    fn committed_scenario(json: &str) -> ScenarioFile {
+        serde_json::from_str(json).expect("committed scenario parses")
+    }
+
+    /// A capacity model's overflowing queue is a recorded loss, not a
+    /// bug: the run is not clean, so its imperfect delivery is only the
+    /// envelope's edge.
+    #[test]
+    fn queue_drops_make_a_run_unclean() {
+        let spec = committed_scenario(include_str!(
+            "../../../examples/scenarios/congested_core.json"
+        ));
+        let ev = evaluate(&spec).unwrap();
+        assert!(ev.result.queue_drops > 0 && ev.result.delivery_ratio < 1.0);
+        assert!(ev.hard.is_empty(), "hard: {:?}", ev.hard);
+        assert_eq!(ev.boundary, vec!["delivery_incomplete"]);
+    }
+
+    /// Every hard class fires on its own: a clean, perfect run of the
+    /// Fig. 5 walkthrough, doctored one way per class, is judged guilty
+    /// of exactly that class.
+    #[test]
+    fn each_doctored_run_fires_exactly_its_hard_class() {
+        let spec = committed_scenario(include_str!(
+            "../../../examples/scenarios/fig5_walkthrough.json"
+        ));
+        let traced = || run_one(&spec, true).unwrap();
+        let clean = judge(&spec, &traced()).unwrap();
+        assert!(clean.hard.is_empty() && clean.boundary.is_empty());
+
+        // Rewrite the trace's first `deliver_local` line with `edit`.
+        let doctor_trace = |edit: fn(&str) -> String| {
+            let mut run = traced();
+            let line = run
+                .trace
+                .lines()
+                .find(|l| l.contains("\"deliver_local\""))
+                .expect("the walkthrough delivers")
+                .to_string();
+            run.trace = run.trace.replacen(&format!("{line}\n"), &edit(&line), 1);
+            run
+        };
+        let cases = [
+            (
+                doctor_trace(|l| format!("{l}\n{l}\n")),
+                "duplicate_delivery",
+                vec![],
+            ),
+            (doctor_trace(|_| String::new()), "unaccounted_loss", vec![]),
+            (
+                {
+                    let mut run = traced();
+                    run.result.m_routers_at_end = vec![0, 1];
+                    run
+                },
+                "split_brain",
+                vec!["dual_mrouter_at_end"],
+            ),
+            (
+                {
+                    let mut run = traced();
+                    run.result.delivery_ratio = 0.5;
+                    run
+                },
+                "clean_run_imperfect",
+                vec!["delivery_incomplete"],
+            ),
+        ];
+        for (run, class, boundary) in cases {
+            let ev = judge(&spec, &run).unwrap();
+            assert_eq!(ev.hard, vec![class]);
+            assert_eq!(ev.boundary, boundary, "{class}");
+        }
     }
 }

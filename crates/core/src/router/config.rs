@@ -3,8 +3,19 @@
 
 use scmp_net::NodeId;
 use scmp_tree::DelayBound;
+use serde::{Deserialize, Serialize};
 
 /// Domain-wide SCMP configuration, shared by every router.
+///
+/// Part of it is frozen benchmark API: the benchmark package
+/// (`benchmark/src/workloads/`) builds its configurations with
+/// [`ScmpConfig::new`] and then sets `standby`, `heartbeat_interval`,
+/// `heartbeat_loss_tolerance`, `repair_interval`,
+/// `takeover_rebuild_delay`, `join_retry`, `leave_retry`, `tree_retry`
+/// and `reliability` (`fault_storm.rs`, `lossy_reliable.rs`, and
+/// `quiet_config` in `mod.rs`). Renaming or deleting any of these
+/// breaks the benchmark's build, so such a change lands together with
+/// the matching benchmark edit.
 #[derive(Clone, Debug)]
 pub struct ScmpConfig {
     /// The (primary) m-router's address, provisioned in every router's
@@ -84,8 +95,10 @@ pub struct ScmpConfig {
 /// in-network repair caches). It has one configuration: its timers,
 /// retry budget, cache size and jitter seed are constants of the
 /// router's reliability module, so presence in
-/// [`ScmpConfig::reliability`] is the whole switch.
-#[derive(Clone, Debug, Default)]
+/// [`ScmpConfig::reliability`] is the whole switch. It is also the
+/// scenario files' `"reliability"` section, so it rejects every key.
+#[derive(Clone, Debug, Default, Deserialize, Serialize)]
+#[serde(deny_unknown_fields)]
 pub struct ReliabilityConfig {}
 
 impl ScmpConfig {

@@ -98,11 +98,13 @@ inspect +args:
     cargo run -q -p scmp-bench --bin scmp-inspect -- {{args}}
 
 # Regression gate: replay the scenario corpus (serial vs parallel byte
-# identity), re-run the chaos sweep, and hold it to the reliability and
-# partition bands of bench_results/chaos.json; writes
-# bench_results/regress.json (deterministic: a rerun leaves it
-# git-clean). `just regress --smoke` for the CI variant (1 seed, no
-# JSON write).
+# identity), regenerate every committed paper artefact and re-run the
+# full STRESS search, each byte for byte against bench_results/, then
+# re-run the chaos sweep and hold it to the reliability and partition
+# bands of bench_results/chaos.json; writes bench_results/regress.json
+# (deterministic: a rerun leaves it git-clean). `just regress --smoke`
+# for the CI variant (1 chaos seed, no JSON write; the artefact check
+# and the full STRESS record check still run).
 regress *args:
     cargo run --release -p scmp-bench --bin regress -- {{args}}
 

@@ -169,9 +169,11 @@ rm -f "$pinned_trace"
 # Regression gate in smoke mode: replays the pinned scenario corpus
 # serially and on 2 workers (byte-identity guard); carries the artefact
 # check (every committed paper figure's JSON and SVG regenerated at 10
-# seeds on 2 workers must match bench_results/ byte for byte); then
-# re-runs one chaos seed against the reliability and partition bands of
-# the committed bench_results/chaos.json. Every check is deterministic,
+# seeds on 2 workers must match bench_results/ byte for byte); re-runs
+# the full STRESS search and requires it to match the committed
+# bench_results/stress.json byte for byte (smoke mode does not shrink
+# it); then re-runs one chaos seed against the reliability and
+# partition bands of the committed bench_results/chaos.json. Every check is deterministic,
 # so the verdict does not depend on host speed; timing is banded by
 # benchmark/run.sh compare.
 cargo run -q --release -p scmp-bench --bin regress -- --smoke --jobs 2

@@ -76,3 +76,49 @@ pub fn drive_joins_then_sends(
     }
     e.run_to_quiescence();
 }
+
+/// The m-router's centrally computed tree for [`G`] must agree, router
+/// by router, with the routing entries the TREE/BRANCH packets actually
+/// installed: a router holds an entry iff it is on the mirrored tree,
+/// with the mirror's upstream, children and local interface, and the
+/// root's entry lists the mirror's root children. `Err` names the first
+/// router that disagrees.
+pub fn mirror_matches_entries(e: &Engine<ScmpRouter>, m_router: NodeId) -> Result<(), String> {
+    let tree = e
+        .router(m_router)
+        .m_state()
+        .ok_or(format!("{m_router:?} is not an m-router"))?
+        .tree(G)
+        .ok_or("the m-router holds no tree for the group")?;
+    for v in e.topo().nodes() {
+        let entry = e.router(v).entry(G);
+        if v == m_router {
+            let entry = entry.ok_or("no entry at the root")?;
+            if !entry.downstream_routers.iter().eq(tree.children(v)) {
+                return Err(format!("root {v:?} children differ"));
+            }
+            continue;
+        }
+        match (tree.contains(v), entry) {
+            (true, Some(entry)) => {
+                if entry.upstream != tree.parent(v) {
+                    return Err(format!("{v:?} upstream differs"));
+                }
+                if !entry.downstream_routers.iter().eq(tree.children(v)) {
+                    return Err(format!("{v:?} children differ"));
+                }
+                if entry.local_interface != tree.is_member(v) {
+                    return Err(format!("{v:?} local interface differs"));
+                }
+            }
+            (false, None) => {}
+            (on, entry) => {
+                return Err(format!(
+                    "{v:?} on the mirror: {on}, holds an entry: {}",
+                    entry.is_some()
+                ))
+            }
+        }
+    }
+    Ok(())
+}

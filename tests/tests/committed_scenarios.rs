@@ -1,11 +1,13 @@
 //! Every committed scenario file — `examples/scenarios/*.json` and
-//! `tests/scenarios/*.json` — parses against the current schema and
-//! runs, so a schema edit cannot strand one. The pinned STRESS corpus
-//! (`tests/scenarios/corpus/`) replays in `corpus_replay.rs`.
+//! `tests/scenarios/*.json` — parses against the current schema, runs,
+//! and draws no hard verdict from the STRESS oracle, so a schema edit
+//! cannot strand one and a protocol bug cannot hide in one. The pinned
+//! STRESS corpus (`tests/scenarios/corpus/`) replays in
+//! `corpus_replay.rs`.
 
 use scmp_bench::scenario_file::{run_one, Run, ScenarioFile};
+use scmp_bench::stress::{judge, Evaluation};
 use scmp_sim::{ChannelPlan, ChannelSpec};
-use scmp_telemetry::Trace;
 use std::path::{Path, PathBuf};
 
 /// The `*.json` files directly inside `dir` (relative to the repo
@@ -28,9 +30,12 @@ fn load(path: &Path) -> ScenarioFile {
     serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// Run `spec` with its trace captured, panicking with `name` on error.
-fn run(name: &str, spec: &ScenarioFile) -> Run {
-    run_one(spec, true).unwrap_or_else(|e| panic!("{name}: {e}"))
+/// Run `spec` with its trace captured and judge the run, panicking
+/// with `name` on error.
+fn run(name: &str, spec: &ScenarioFile) -> (Run, Evaluation) {
+    let run = run_one(spec, true).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let ev = judge(spec, &run).unwrap_or_else(|e| panic!("{name}: {e}"));
+    (run, ev)
 }
 
 #[test]
@@ -43,7 +48,9 @@ fn every_committed_scenario_file_runs() {
     );
     for path in examples.iter().chain(&tests) {
         let name = path.display().to_string();
-        let result = run(&name, &load(path)).result;
+        let (_, ev) = run(&name, &load(path));
+        assert!(ev.hard.is_empty(), "{name}: hard verdict {:?}", ev.hard);
+        let result = ev.result;
         assert!(
             result.expected_deliveries > 0,
             "{name}: the timeline expects deliveries"
@@ -77,7 +84,7 @@ fn duplicated_packets_change_no_delivery() {
             }),
             ..ChannelPlan::default()
         });
-        let (clean, dup) = (run(&name, &clean_spec), run(&name, &dup_spec));
+        let ((clean, _), (dup, verdict)) = (run(&name, &clean_spec), run(&name, &dup_spec));
         let (c, d) = (&clean.result, &dup.result);
         assert!(d.channel_duplicated > 0, "{name}: the channel duplicated");
         assert_eq!(d.delivery_ratio, c.delivery_ratio, "{name}");
@@ -88,7 +95,6 @@ fn duplicated_packets_change_no_delivery() {
         assert_eq!(per_payload(&dup), per_payload(&clean), "{name}");
         assert_eq!(d.data_overhead, c.data_overhead, "{name}");
         assert_eq!(d.max_end_to_end_delay, c.max_end_to_end_delay, "{name}");
-        let audit = Trace::parse(&dup.trace).expect("trace parses").audit();
-        assert!(audit.duplicates.is_empty(), "{name}: {}", audit.report());
+        assert_eq!(verdict.duplicate_deliveries, 0, "{name}");
     }
 }

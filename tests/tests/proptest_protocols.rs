@@ -2,7 +2,7 @@
 //! topologies, groups and churn schedules.
 
 use proptest::prelude::*;
-use scmp_integration::{scenario, scmp_engine, G};
+use scmp_integration::{mirror_matches_entries, scenario, scmp_engine, G};
 use scmp_net::metrics::reachable_set;
 use scmp_net::{AllPairsPaths, NodeId};
 use scmp_sim::AppEvent;
@@ -101,16 +101,7 @@ proptest! {
             .unwrap()
             .clone();
         prop_assert_eq!(tree.validate(Some(&sc.topo)), Ok(()));
-        for v in sc.topo.nodes() {
-            if v == NodeId(0) {
-                continue;
-            }
-            let entry = e.router(v).entry(G);
-            prop_assert_eq!(tree.contains(v), entry.is_some(), "node {:?}", v);
-            if let Some(entry) = entry {
-                prop_assert_eq!(entry.upstream, tree.parent(v));
-            }
-        }
+        prop_assert_eq!(mirror_matches_entries(&e, NodeId(0)), Ok(()));
     }
 
     /// Tree repair never partitions connected receivers: for any random

@@ -1,7 +1,7 @@
 //! End-to-end SCMP scenarios across random topologies and the ARPANET.
 
 use scmp_core::router::ScmpConfig;
-use scmp_integration::{drive_joins_then_sends, scenario, scmp_engine, G};
+use scmp_integration::{drive_joins_then_sends, mirror_matches_entries, scenario, scmp_engine, G};
 use scmp_net::rng::rng_for;
 use scmp_net::topology::arpanet;
 use scmp_net::NodeId;
@@ -86,41 +86,7 @@ fn m_router_mirror_matches_physical_entries() {
             t += 1_000;
         }
         e.run_to_quiescence();
-        let tree = e
-            .router(NodeId(0))
-            .m_state()
-            .expect("node 0 is the m-router")
-            .tree(G)
-            .expect("group exists")
-            .clone();
-        for v in sc.topo.nodes() {
-            let entry = e.router(v).entry(G);
-            if v == NodeId(0) {
-                let entry = entry.expect("root entry");
-                let kids: Vec<NodeId> = entry.downstream_routers.iter().copied().collect();
-                assert_eq!(kids, tree.children(v), "seed {seed} root children");
-                continue;
-            }
-            match (tree.contains(v), entry) {
-                (true, Some(entry)) => {
-                    assert_eq!(entry.upstream, tree.parent(v), "seed {seed} {v:?} upstream");
-                    let kids: Vec<NodeId> = entry.downstream_routers.iter().copied().collect();
-                    assert_eq!(kids, tree.children(v), "seed {seed} {v:?} children");
-                    assert_eq!(
-                        entry.local_interface,
-                        tree.is_member(v),
-                        "seed {seed} {v:?} interface"
-                    );
-                }
-                (false, None) => {}
-                (on, entry) => {
-                    panic!(
-                        "seed {seed}: {v:?} mirror={on} physical={}",
-                        entry.is_some()
-                    )
-                }
-            }
-        }
+        assert_eq!(mirror_matches_entries(&e, NodeId(0)), Ok(()), "seed {seed}");
     }
 }
 

@@ -6,7 +6,9 @@
 //! running parallel, the sweep is re-run serially and byte-compared as
 //! a determinism guard. `--partition-only` runs just the
 //! partition-and-heal series (per-cell invariants still asserted) and
-//! leaves the committed baseline untouched. Any other argument exits 2.
+//! leaves the committed baseline untouched. A cell under its delivery
+//! floor is printed on stderr and exits 1 without writing anything. Any
+//! other argument exits 2.
 
 use scmp_bench::sweep::{parse, reject_leftovers, resolve_jobs, take_flag, take_jobs_arg};
 use scmp_bench::{chaos, report};
@@ -33,6 +35,7 @@ fn main() {
             println!("(determinism guard: --jobs {jobs} output byte-identical to serial)");
         }
         print_partition(&cells, &Some(summary));
+        exit_on_breaches(&chaos::partition_floor_breaches(&cells));
         println!("\nall partition invariants held: zero split-brain, zero duplicate delivery, bounded reconvergence");
         return;
     }
@@ -104,6 +107,7 @@ fn main() {
         &rel_rows,
     );
     print_partition(&rep.partition_cells, &rep.partition);
+    exit_on_breaches(&rep.floor_breaches());
     println!(
         "\nall invariants held: no duplicate delivery, every member grafted, no spurious takeover, single root after heal"
     );
@@ -111,6 +115,17 @@ fn main() {
         eprintln!("chaos: {e}");
         std::process::exit(1);
     }
+}
+
+/// Name every cell under its delivery floor and exit 1, if any is.
+fn exit_on_breaches(breaches: &[String]) {
+    if breaches.is_empty() {
+        return;
+    }
+    for b in breaches {
+        eprintln!("chaos: {b}");
+    }
+    std::process::exit(1);
 }
 
 fn print_partition(

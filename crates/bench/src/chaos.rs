@@ -19,8 +19,15 @@
 //! So no cell takes over (nobody crashes, and the standby tolerates 12
 //! lost heartbeats on a one-hop path), and below 20% loss every member
 //! hears a payload. The sweep also checks what has no verdict class:
-//! drops and retries on the lossless channel stay 0, the tier-off
-//! series never NACKs, the reliable one holds [`reliable_floor`].
+//! drops and retries on the lossless channel stay 0 and the tier-off
+//! series never NACKs.
+//!
+//! **Floors are reported, not asserted.** The reliable series' delivery
+//! floors ([`reliable_floor`]) and the partition series' post-heal floor
+//! ([`POST_HEAL_FLOOR`]) are acceptance numbers, not invariants: a cell
+//! under one is listed by [`ChaosReport::floor_breaches`], the `chaos`
+//! binary exits non-zero on any, and the `regress` gate shows each as a
+//! failing row of its bands.
 //!
 //! Cells run on [`run_batch`], so the whole sweep is byte-identical
 //! across `--jobs 1` and `--jobs N` (the `chaos` binary re-checks this
@@ -31,9 +38,10 @@
 //! of uniform loss: a seeded graph cut strands part of the domain
 //! mid-session and heals later. Each cell is judged the same way, with
 //! `delivery_incomplete` its only allowance, must **reconverge within**
-//! [`RECONVERGE_WINDOW`] ticks of the heal, deliver [`POST_HEAL_FLOOR`]
-//! of the post-heal payloads, and end with **exactly one** live
-//! m-router (generation epochs resolve dual roots deterministically).
+//! [`RECONVERGE_WINDOW`] ticks of the heal and end with **exactly one**
+//! live m-router (generation epochs resolve dual roots
+//! deterministically); it should deliver [`POST_HEAL_FLOOR`] of the
+//! post-heal payloads.
 
 use crate::report::mean_by;
 use crate::scenario_file::{
@@ -324,6 +332,41 @@ pub fn reliable_floor(loss: f64) -> f64 {
     }
 }
 
+impl ChaosReport {
+    /// Every cell under its delivery floor, one line each: reliable
+    /// cells under [`reliable_floor`], partition cells under
+    /// [`POST_HEAL_FLOOR`]. Empty when the sweep met its acceptance
+    /// numbers.
+    pub fn floor_breaches(&self) -> Vec<String> {
+        let reliable = self.cells.iter().filter(|c| c.reliable).filter_map(|c| {
+            let floor = reliable_floor(c.loss);
+            (c.delivery_ratio < floor).then(|| {
+                format!(
+                    "(loss={}, seed={}, reliable=true): reliable delivery {} under the {floor} floor",
+                    c.loss, c.seed, c.delivery_ratio
+                )
+            })
+        });
+        reliable
+            .chain(partition_floor_breaches(&self.partition_cells))
+            .collect()
+    }
+}
+
+/// The partition cells under [`POST_HEAL_FLOOR`], one line each.
+pub fn partition_floor_breaches(cells: &[ChaosPartitionCell]) -> Vec<String> {
+    cells
+        .iter()
+        .filter(|c| c.post_heal_delivery < POST_HEAL_FLOOR)
+        .map(|c| {
+            format!(
+                "(partition seed={}): post-heal delivery {} under the {POST_HEAL_FLOOR} floor",
+                c.seed, c.post_heal_delivery
+            )
+        })
+        .collect()
+}
+
 /// Judge one cell's run: no hard verdict, no boundary class outside
 /// `allowed`.
 fn judged<'a>(
@@ -348,8 +391,8 @@ fn judged<'a>(
 /// (reliability off, then on), on `jobs` workers.
 ///
 /// # Panics
-/// When a cell's verdict or any check listed in the module docs fails,
-/// including the reliable series' delivery floors ([`reliable_floor`]).
+/// When a cell's verdict or any check listed in the module docs fails.
+/// Delivery floors do not panic: see [`ChaosReport::floor_breaches`].
 pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
     let grid: Vec<(f64, u64, bool)> = [false, true]
         .iter()
@@ -409,14 +452,6 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
                     "{tag}: lossy run never recovered a gap"
                 );
             }
-            // The tier's acceptance floors: NACK recovery must hold
-            // delivery high where the best-effort tier visibly degrades.
-            let floor = reliable_floor(loss);
-            assert!(
-                cell.delivery_ratio >= floor,
-                "{tag}: reliable delivery {} under the {floor} floor",
-                cell.delivery_ratio
-            );
         } else {
             assert_eq!(cell.nacks_sent, 0, "{tag}: tier-off run NACKed");
             assert_eq!(cell.recoveries, 0, "{tag}: tier-off run recovered");
@@ -489,10 +524,11 @@ pub fn run(seeds: u64, jobs: usize) -> ChaosReport {
 }
 
 /// The partition-and-heal series alone: one cell per seed, every
-/// per-cell check (the verdict, single root, bounded reconvergence,
-/// post-heal delivery floor) asserted. `run` embeds
-/// this in the full report; the `chaos --partition-only` mode and
-/// `just partition-chaos` call it directly.
+/// per-cell check (the verdict, single root, bounded reconvergence)
+/// asserted; the post-heal floor is left to
+/// [`partition_floor_breaches`]. `run` embeds this in the full report;
+/// the `chaos --partition-only` mode and `just partition-chaos` call it
+/// directly.
 pub fn partition_series(
     seeds: u64,
     jobs: usize,
@@ -553,11 +589,6 @@ pub fn partition_series(
             cell.reconverge_ticks <= RECONVERGE_WINDOW,
             "{tag}: reconciliation {} ticks after the heal exceeds the {RECONVERGE_WINDOW}-tick bound",
             cell.reconverge_ticks
-        );
-        assert!(
-            cell.post_heal_delivery >= POST_HEAL_FLOOR,
-            "{tag}: post-heal delivery {} under the {POST_HEAL_FLOOR} floor",
-            cell.post_heal_delivery
         );
         if cell.members_stranded > 0 {
             assert!(
@@ -631,13 +662,43 @@ mod tests {
             "tier-off curve must show zero NACKs"
         );
         // Partition series: `run` itself asserts the per-cell bounds
-        // (the verdict, reconvergence window, post-heal floor, single
-        // root); here we check the series exists and aggregated.
+        // (the verdict, reconvergence window, single root); here we
+        // check the series exists and aggregated, and that no cell of
+        // either series missed its delivery floor.
+        assert_eq!(serial.floor_breaches(), Vec::<String>::new());
         assert_eq!(serial.partition_cells.len(), 1);
         let p = serial.partition.as_ref().expect("partition summary");
         assert_eq!(p.cells, 1);
         assert_eq!(p.window, RECONVERGE_WINDOW);
         assert!(p.min_post_heal_delivery >= POST_HEAL_FLOOR);
         assert!(p.max_reconverge_ticks <= RECONVERGE_WINDOW);
+    }
+
+    /// A cell under its floor is a listed breach, not a panic: the
+    /// committed report with one reliable cell and one partition cell
+    /// pushed under their floors names exactly those two.
+    #[test]
+    fn floor_breaches_name_the_cells_under_their_floors() {
+        let text = include_str!("../../../bench_results/chaos.json");
+        let mut rep: ChaosReport = serde_json::from_str(text).unwrap();
+        assert_eq!(rep.floor_breaches(), Vec::<String>::new());
+        let cell = rep
+            .cells
+            .iter_mut()
+            .find(|c| c.reliable && c.loss == 0.10)
+            .unwrap();
+        cell.delivery_ratio = 0.94;
+        let seed = cell.seed;
+        rep.partition_cells[0].post_heal_delivery = 0.98;
+        assert_eq!(
+            rep.floor_breaches(),
+            vec![
+                format!("(loss=0.1, seed={seed}, reliable=true): reliable delivery 0.94 under the 0.95 floor"),
+                format!(
+                    "(partition seed={}): post-heal delivery 0.98 under the 0.99 floor",
+                    rep.partition_cells[0].seed
+                ),
+            ]
+        );
     }
 }

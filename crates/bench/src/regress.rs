@@ -91,6 +91,11 @@ pub fn load_chaos_baseline(path: &Path) -> Result<ChaosReport, String> {
 /// only blow the latency ceiling if the code's recovery behaviour
 /// actually drifted.
 ///
+/// A fresh cell under its delivery floor fails the matching
+/// `reliable_min_delivery` or `partition_post_heal_delivery` row: the
+/// sweep reports floors rather than asserting them
+/// ([`ChaosReport::floor_breaches`]).
+///
 /// # Panics
 /// When the sweep itself violates a protocol invariant (see
 /// [`chaos::run`]) — that is a correctness bug, not a perf regression.
@@ -307,6 +312,36 @@ mod tests {
                     "ok"
                 ],
             ]
+        );
+    }
+
+    /// The floor rows can fail: a fresh report doctored from the
+    /// committed one — worst reliable delivery at 5% loss and worst
+    /// post-heal delivery just under their floors — fails exactly those
+    /// two rows, which the gate prints as `FAIL`.
+    #[test]
+    fn floor_rows_fail_under_a_doctored_fresh_report() {
+        let baseline = load_chaos_baseline(Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench_results/chaos.json"
+        )))
+        .unwrap();
+        let mut fresh = baseline.clone();
+        fresh.reliable_points[1].min_delivery_ratio = chaos::LIGHT_LOSS_FLOOR - 0.01;
+        fresh.partition.as_mut().unwrap().min_post_heal_delivery = chaos::POST_HEAL_FLOOR - 0.01;
+        let mut checks = chaos_band(&baseline, &fresh);
+        checks.extend(partition_band(&baseline, &fresh));
+        let report = RegressReport::new(checks);
+        assert!(!report.passed);
+        let failed: Vec<String> = report
+            .rows()
+            .into_iter()
+            .filter(|row| row[4] == "FAIL")
+            .map(|row| row[0].clone())
+            .collect();
+        assert_eq!(
+            failed,
+            vec!["reliable_min_delivery[5%]", "partition_post_heal_delivery"]
         );
     }
 

@@ -29,6 +29,18 @@
 //! sub-graph too. When it does not fit (weights near 2³²) the same loop
 //! runs on `u128` keys: one generic body, instantiated per key width and
 //! per metric.
+//!
+//! # Stopped runs
+//!
+//! The loop takes a stop predicate, called on each node as it is
+//! settled. A node's distance and predecessor are final once it is
+//! settled, and so is its whole predecessor chain, so the predicate can
+//! price the path to it ([`Settled`]). When the predicate answers `true`
+//! the run ends there and every node it did not settle reads as
+//! unreachable: a stopped tree agrees with the full one on every node it
+//! holds and claims nothing about the rest. The path providers use this
+//! for [`crate::PathProvider::tree_until`]; a full run passes a predicate
+//! that never stops, which compiles away.
 
 use crate::graph::{LinkWeight, NodeId, Topology};
 
@@ -54,6 +66,30 @@ impl Metric {
 
 /// `pred` entry of the source and of unreachable nodes.
 const NO_PRED: u32 = u32::MAX;
+
+/// What a stop predicate sees of a run in progress (see the
+/// [module docs](self)): the settled nodes' final distances and
+/// predecessors. Read it only for the node just settled and its
+/// predecessor chain; every other entry may still move.
+#[derive(Clone, Copy, Debug)]
+pub struct Settled<'a> {
+    dist: &'a [u64],
+    pred: &'a [u32],
+}
+
+impl Settled<'_> {
+    /// Final distance of the settled node `v`.
+    pub fn distance(&self, v: NodeId) -> u64 {
+        self.dist[v.index()]
+    }
+
+    /// Predecessor of the settled node `v` on its shortest path (`None`
+    /// for the source).
+    pub fn predecessor(&self, v: NodeId) -> Option<NodeId> {
+        let p = self.pred[v.index()];
+        (p != NO_PRED).then_some(NodeId(p))
+    }
+}
 
 /// Result of a Dijkstra run: distances and predecessor pointers from one
 /// source to every reachable node.
@@ -124,6 +160,9 @@ impl ShortestPathTree {
 /// returned [`ShortestPathTree`], so the scratch keeps a recycle pool fed
 /// by [`DijkstraScratch::recycle`] (the on-demand path provider returns
 /// evicted trees here). With a warm scratch a run allocates nothing.
+///
+/// The scratch also counts the nodes settled by every run over it,
+/// stopped or full — the work a path store did, whatever it cached.
 #[derive(Clone, Debug, Default)]
 pub struct DijkstraScratch {
     narrow: MinHeap<u64>,
@@ -131,6 +170,7 @@ pub struct DijkstraScratch {
     done: Vec<bool>,
     dist_pool: Vec<Vec<u64>>,
     pred_pool: Vec<Vec<u32>>,
+    settled: u64,
 }
 
 impl DijkstraScratch {
@@ -144,6 +184,11 @@ impl DijkstraScratch {
     pub fn recycle(&mut self, tree: ShortestPathTree) {
         self.dist_pool.push(tree.dist);
         self.pred_pool.push(tree.pred);
+    }
+
+    /// Nodes settled by every run over this scratch so far.
+    pub(crate) fn settled(&self) -> u64 {
+        self.settled
     }
 
     /// Take (or allocate) an output buffer pair sized and reset for `n`
@@ -265,7 +310,7 @@ pub fn dijkstra_with(
     metric: Metric,
     scratch: &mut DijkstraScratch,
 ) -> ShortestPathTree {
-    dijkstra_masked(topo, source, metric, scratch, |_, _| true)
+    dijkstra_masked(topo, source, metric, scratch, |_, _| true, |_, _| false)
 }
 
 /// [`dijkstra_with`] over the sub-graph whose half-edges satisfy
@@ -275,12 +320,16 @@ pub fn dijkstra_with(
 /// so the result equals a run over a topology rebuilt without the
 /// masked links — what lets [`crate::LivePaths`] answer for a degraded
 /// domain without copying it.
+///
+/// `stop` is called on each node as it is settled; a `true` ends the run
+/// there (see [Stopped runs](self#stopped-runs)).
 pub(crate) fn dijkstra_masked(
     topo: &Topology,
     source: NodeId,
     metric: Metric,
     scratch: &mut DijkstraScratch,
     usable: impl Fn(usize, NodeId) -> bool,
+    stop: impl FnMut(NodeId, &Settled<'_>) -> bool,
 ) -> ShortestPathTree {
     let n = topo.node_count();
     let (mut dist, mut pred) = scratch.take_bufs(n);
@@ -290,11 +339,13 @@ pub(crate) fn dijkstra_masked(
         done: &mut scratch.done,
         dist: &mut dist,
         pred: &mut pred,
+        settled: &mut scratch.settled,
     };
+    let rules = Rules { usable, stop };
     if narrow_keys(topo, metric) {
-        run(topo, source, metric, &mut scratch.narrow, out, usable);
+        run(topo, source, metric, &mut scratch.narrow, out, rules);
     } else {
-        run(topo, source, metric, &mut scratch.wide, out, usable);
+        run(topo, source, metric, &mut scratch.wide, out, rules);
     }
     ShortestPathTree {
         source,
@@ -309,11 +360,19 @@ fn narrow_keys(topo: &Topology, metric: Metric) -> bool {
     metric.of(topo.path_bound()) <= u64::from(u32::MAX)
 }
 
-/// The per-node arrays one run writes.
+/// The per-node arrays one run writes, and the settled-node tally it
+/// adds to.
 struct Out<'a> {
     done: &'a mut [bool],
     dist: &'a mut [u64],
     pred: &'a mut [u32],
+    settled: &'a mut u64,
+}
+
+/// Which half-edges a run may use, and where it stops.
+struct Rules<U, S> {
+    usable: U,
+    stop: S,
 }
 
 fn run<K: Key>(
@@ -322,11 +381,11 @@ fn run<K: Key>(
     metric: Metric,
     heap: &mut MinHeap<K>,
     out: Out<'_>,
-    usable: impl Fn(usize, NodeId) -> bool,
+    rules: Rules<impl Fn(usize, NodeId) -> bool, impl FnMut(NodeId, &Settled<'_>) -> bool>,
 ) {
     match metric {
-        Metric::Delay => relax(topo, source, heap, out, |w| w.delay, usable),
-        Metric::Cost => relax(topo, source, heap, out, |w| w.cost, usable),
+        Metric::Delay => relax(topo, source, heap, out, |w| w.delay, rules),
+        Metric::Cost => relax(topo, source, heap, out, |w| w.cost, rules),
     }
 }
 
@@ -337,9 +396,15 @@ fn relax<K: Key>(
     heap: &mut MinHeap<K>,
     out: Out<'_>,
     weight: impl Fn(&LinkWeight) -> u64,
-    usable: impl Fn(usize, NodeId) -> bool,
+    rules: Rules<impl Fn(usize, NodeId) -> bool, impl FnMut(NodeId, &Settled<'_>) -> bool>,
 ) {
-    let Out { done, dist, pred } = out;
+    let Out {
+        done,
+        dist,
+        pred,
+        settled,
+    } = out;
+    let Rules { usable, mut stop } = rules;
     heap.0.clear();
     dist[source.index()] = 0;
     heap.push(K::pack(0, source));
@@ -349,8 +414,21 @@ fn relax<K: Key>(
             continue;
         }
         done[v] = true;
+        *settled += 1;
         let d = key.dist();
         let node = NodeId(v as u32);
+        if stop(node, &Settled { dist, pred }) {
+            // Every node reached but not settled is still in the heap:
+            // forget its tentative label.
+            for key in &heap.0 {
+                let u = key.node();
+                if !done[u] {
+                    dist[u] = u64::MAX;
+                    pred[u] = NO_PRED;
+                }
+            }
+            return;
+        }
         let base = topo.half_edge_base(node);
         for (i, e) in topo.neighbors(node).iter().enumerate() {
             if !usable(base + i, e.to) {
@@ -381,6 +459,7 @@ mod tests {
     use proptest::prelude::*;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    use std::sync::Arc;
 
     use crate::topology::examples::fig5;
 
@@ -435,6 +514,53 @@ mod tests {
         Ok(())
     }
 
+    /// A search stopped on its `k`-th settled node against the oracle's
+    /// full run over `topo`: the stop rule sees each settled node with
+    /// the oracle's distance and predecessor, in distance order; the
+    /// stopped tree holds exactly those nodes, with the same labels, and
+    /// reads every other node as unreachable. `search` runs the stopped
+    /// search from `src` with the rule it is given — or, as a provider
+    /// may, answers with the full tree without calling the rule.
+    fn assert_stopped_run_matches_oracle(
+        topo: &Topology,
+        src: NodeId,
+        metric: Metric,
+        k: usize,
+        search: impl FnOnce(&mut dyn FnMut(NodeId, &Settled<'_>) -> bool) -> Arc<ShortestPathTree>,
+    ) -> Result<(), TestCaseError> {
+        let (dist, pred) = oracle(topo, src, metric);
+        let mut seen = Vec::new();
+        let tree = search(&mut |v, run| {
+            seen.push((v, run.distance(v), run.predecessor(v)));
+            seen.len() == k
+        });
+        if seen.is_empty() {
+            return assert_matches_oracle(&tree, topo);
+        }
+        let reachable = dist.iter().filter(|&&d| d != u64::MAX).count();
+        prop_assert_eq!(seen.len(), k.min(reachable));
+        prop_assert!(seen.windows(2).all(|w| w[0].1 <= w[1].1));
+        let mut settled = vec![false; topo.node_count()];
+        for &(v, d, p) in &seen {
+            prop_assert_eq!((d, p), (dist[v.index()], pred[v.index()]), "seen {:?}", v);
+            settled[v.index()] = true;
+        }
+        for v in topo.nodes() {
+            let want = if settled[v.index()] {
+                (Some(dist[v.index()]), pred[v.index()])
+            } else {
+                (None, None)
+            };
+            prop_assert_eq!(
+                (tree.distance(v), tree.predecessor(v)),
+                want,
+                "node {:?}",
+                v
+            );
+        }
+        Ok(())
+    }
+
     /// Every source, both metrics, one shared scratch (so recycled
     /// buffers and a warm heap are exercised too).
     fn assert_kernel_matches_oracle(topo: &Topology) -> Result<(), TestCaseError> {
@@ -471,6 +597,42 @@ mod tests {
             assert_kernel_matches_oracle(&gt_itm_flat(&cfg, &mut rng_for("kernel-gtitm", seed)))?;
         }
 
+        /// Stopped runs over the plain kernel, on `u64` keys or — with
+        /// every weight scaled by 2³² — on `u128` keys, one shared
+        /// scratch for every source.
+        #[test]
+        fn stopped_kernel_matches_oracle(
+            seed in 0u64..10_000,
+            n in 2usize..30,
+            k in 1usize..32,
+            wide in any::<bool>(),
+        ) {
+            let cfg = WaxmanConfig { n, grid: 50, min_delay_one: false, ..WaxmanConfig::default() };
+            let mut topo = waxman(&cfg, &mut rng_for("kernel-stop", seed));
+            if wide {
+                let mut b = TopologyBuilder::new(n);
+                for &(a, z, w) in topo.edges() {
+                    b.add_link(a, z, LinkWeight::new(w.delay << 32, w.cost << 32));
+                }
+                topo = b.build();
+                prop_assert!(!narrow_keys(&topo, Metric::Cost));
+            }
+            let mut scratch = DijkstraScratch::new();
+            for src in topo.nodes() {
+                for metric in [Metric::Delay, Metric::Cost] {
+                    let mut last = None;
+                    assert_stopped_run_matches_oracle(&topo, src, metric, k, |stop| {
+                        let tree = Arc::new(dijkstra_masked(&topo, src, metric, &mut scratch, |_, _| true, stop));
+                        last = Some(Arc::clone(&tree));
+                        tree
+                    })?;
+                    if let Ok(tree) = Arc::try_unwrap(last.expect("searched")) {
+                        scratch.recycle(tree);
+                    }
+                }
+            }
+        }
+
         /// The masked kernel behind `LivePaths::tree` against the oracle
         /// over the topology rebuilt without the masked links and nodes.
         #[test]
@@ -500,6 +662,12 @@ mod tests {
             );
             for src in topo.nodes() {
                 for metric in [Metric::Delay, Metric::Cost] {
+                    // Stopped first: once `tree` has cached the full tree,
+                    // `tree_until` answers with it.
+                    let k = 1 + (seed as usize + src.index()) % n;
+                    assert_stopped_run_matches_oracle(&surviving, src, metric, k, |stop| {
+                        view.tree_until(src, metric, stop)
+                    })?;
                     assert_matches_oracle(&view.tree(src, metric), &surviving)?;
                 }
             }
@@ -538,6 +706,11 @@ mod tests {
             done: &mut done,
             dist: &mut dist,
             pred: &mut pred,
+            settled: &mut 0,
+        };
+        let rules = Rules {
+            usable: |_, _| true,
+            stop: |_, _: &Settled<'_>| false,
         };
         run(
             &topo,
@@ -545,7 +718,7 @@ mod tests {
             Metric::Delay,
             &mut scratch.narrow,
             out,
-            |_, _| true,
+            rules,
         );
         let (want, _) = oracle(&topo, NodeId(0), Metric::Delay);
         assert_ne!(dist, want, "narrow keys must not be used here");

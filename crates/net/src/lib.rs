@@ -40,7 +40,7 @@ pub mod rng;
 pub mod routing;
 pub mod topology;
 
-pub use dijkstra::{dijkstra, dijkstra_with, DijkstraScratch, Metric, ShortestPathTree};
+pub use dijkstra::{dijkstra, dijkstra_with, DijkstraScratch, Metric, Settled, ShortestPathTree};
 pub use graph::{EdgeRef, LinkWeight, NodeId, Topology, TopologyBuilder};
 pub use live::LivePaths;
 pub use paths::AllPairsPaths;

@@ -25,13 +25,15 @@
 //!   A query runs one Dijkstra over the masked CSR graph (no topology
 //!   copy) and memoizes the tree in a bounded LRU until the next epoch;
 //!   the moment the last fault heals, the healthy store answers again.
+//!   A stopped search ([`PathProvider::tree_until`]) runs over the same
+//!   masked graph and is never memoized.
 //! * **Routes are destination-rooted.** `src → dst` follows the
 //!   shortest-delay tree rooted at **`dst`** — loop-free hop by hop
 //!   under equal-cost ties — in both states, so a route equals what
 //!   [`crate::RoutingTables::compute_dense`] over the surviving topology
 //!   would hold, bit for bit.
 
-use crate::dijkstra::{dijkstra_masked, Metric, ShortestPathTree};
+use crate::dijkstra::{dijkstra_masked, DijkstraScratch, Metric, Settled, ShortestPathTree};
 use crate::graph::{NodeId, Topology};
 use crate::provider::{provider_over, PathProvider, TreeCache, DEFAULT_TREE_CAPACITY};
 use std::fmt;
@@ -102,10 +104,17 @@ impl LivePaths {
         &*self.healthy
     }
 
-    /// Shortest-path trees computed over a non-empty mask so far (the
-    /// healthy store's trees are not counted).
+    /// Shortest-path trees computed over a non-empty mask so far, full
+    /// or stopped (the healthy store's trees are not counted).
     pub fn spf_runs(&self) -> u64 {
         self.trees.lock().expect("live view lock").stats().misses
+    }
+
+    /// Nodes those runs settled. The healthy store counts its own: an
+    /// [`crate::OnDemandPaths`] in [`crate::CacheStats::settled`], and
+    /// the eager tables settle everything once, when built.
+    pub fn settled(&self) -> u64 {
+        self.trees.lock().expect("live view lock").stats().settled
     }
 
     /// True while any node or link is out of service.
@@ -204,6 +213,20 @@ impl LivePaths {
         route.reverse();
         Some(route)
     }
+
+    /// One run over the live sub-graph (see [`PathProvider::tree`]).
+    fn masked(
+        &self,
+        root: NodeId,
+        metric: Metric,
+        scratch: &mut DijkstraScratch,
+        stop: impl FnMut(NodeId, &Settled<'_>) -> bool,
+    ) -> ShortestPathTree {
+        let root_up = self.node_up(root);
+        let usable =
+            |edge: usize, to: NodeId| root_up && !self.cut[edge] && !self.node_down[to.index()];
+        dijkstra_masked(&self.topo, root, metric, scratch, usable, stop)
+    }
 }
 
 impl PathProvider for LivePaths {
@@ -217,14 +240,29 @@ impl PathProvider for LivePaths {
         if !self.degraded() {
             return self.healthy.tree(root, metric);
         }
-        let root_up = self.node_up(root);
         self.trees
             .lock()
             .expect("live view lock")
             .get_or_run(root, metric, |scratch| {
-                dijkstra_masked(&self.topo, root, metric, scratch, |edge, to| {
-                    root_up && !self.cut[edge] && !self.node_down[to.index()]
-                })
+                self.masked(root, metric, scratch, |_, _| false)
+            })
+    }
+
+    /// [`PathProvider::tree`]'s sub-graph, searched only until `stop`.
+    fn tree_until(
+        &self,
+        root: NodeId,
+        metric: Metric,
+        stop: &mut dyn FnMut(NodeId, &Settled<'_>) -> bool,
+    ) -> Arc<ShortestPathTree> {
+        if !self.degraded() {
+            return self.healthy.tree_until(root, metric, stop);
+        }
+        self.trees
+            .lock()
+            .expect("live view lock")
+            .get_or_search(root, metric, |scratch| {
+                self.masked(root, metric, scratch, stop)
             })
     }
 
@@ -329,6 +367,34 @@ mod tests {
         let per_tree = v.healthy().tree(A, Metric::Delay).resident_bytes();
         assert!(v.resident_path_bytes() <= DEFAULT_TREE_CAPACITY * per_tree);
         assert_eq!(v.spf_runs(), 0);
+    }
+
+    /// Stopped searches honour the mask in a degraded view and reach the
+    /// healthy on-demand store in a healthy one; neither is cached, and
+    /// the view counts only the masked one.
+    #[test]
+    fn stopped_searches_are_masked_and_never_cached() {
+        let n = 1_100;
+        let mut v = LivePaths::new(crate::topology::ring(n, LinkWeight::new(1, 1)));
+        let far = NodeId(5);
+        let mut upto_far = |x: NodeId, _: &Settled<'_>| x == far;
+        let near = v.tree_until(A, Metric::Delay, &mut upto_far);
+        assert_eq!(near.distance(far), Some(5));
+        assert_eq!(near.distance(NodeId(500)), None, "stopped, not settled");
+        assert_eq!(
+            (v.spf_runs(), v.settled(), v.resident_path_bytes()),
+            (0, 0, 0)
+        );
+
+        v.set_link_down(NodeId(2), NodeId(3), true);
+        let near = v.tree_until(A, Metric::Delay, &mut upto_far);
+        // The ring's short side is cut: 0 reaches 5 the long way round.
+        assert_eq!(near.distance(far), Some(n as u64 - 5));
+        assert_eq!(near.predecessor(far), Some(NodeId(6)));
+        assert_eq!(near.distance(NodeId(3)), None, "past the stop");
+        assert_eq!(v.spf_runs(), 1);
+        assert_eq!(v.settled(), n as u64 - 2, "every node but 3 and 4");
+        assert_eq!(v.resident_path_bytes(), 0);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! §III-D of the paper: *"For each router on the tree, there are two
 //! paths, `P_lc` and `P_sl`, connecting `s` to the router which were
 //! computed in advance."* The m-router computes these once per topology
-//! (it has the full link-state database). A DCDM join then fetches the
-//! joiner's two trees and scores every candidate graft by lookup in them:
-//! `O(on-tree + union of candidate paths)` per join after the two
-//! fetches (plus a memset of an `n`-slot memo), with only the winning
-//! path materialised.
+//! (it has the full link-state database), so a DCDM join reads the
+//! joiner's two trees from the tables as they are: the stop rule it
+//! passes to [`PathProvider::tree_until`] only spares work in the lazy
+//! stores, and the eager tables answer with their full trees.
 
 use crate::dijkstra::{dijkstra_with, DijkstraScratch, Metric, ShortestPathTree};
 use crate::graph::{NodeId, Topology};

@@ -10,14 +10,18 @@
 //! so swapping implementations never perturbs a golden trace.
 //!
 //! Every algorithm takes `&dyn PathProvider`; the workloads those
-//! algorithms generate touch only a handful of sources (the m-router
-//! plus the joining members), which is exactly what makes the lazy
-//! provider `O(n·cached)` instead of `O(n²)`. Inside an engine the one
+//! algorithms generate ask for the full trees of only a handful of
+//! sources (the m-router and the unicast destinations), which is exactly
+//! what makes the lazy provider `O(n·cached)` instead of `O(n²)`. A
+//! joining member's trees are searched only as far as DCDM's stop rule
+//! needs ([`PathProvider::tree_until`]) and never cached. Inside an engine the one
 //! provider is [`crate::LivePaths`], whose healthy store is picked by
 //! [`ALL_PAIRS_MAX_NODES`] like [`provider_for`]; the free-standing
 //! providers serve analyses and experiments outside an engine.
 
-use crate::dijkstra::{dijkstra_with, DijkstraScratch, Metric, ShortestPathTree};
+use crate::dijkstra::{
+    dijkstra_masked, dijkstra_with, DijkstraScratch, Metric, Settled, ShortestPathTree,
+};
 use crate::graph::{NodeId, Topology};
 use std::collections::HashMap;
 use std::fmt;
@@ -31,12 +35,40 @@ use std::sync::{Arc, Mutex};
 /// router of an engine, which all read one [`crate::LivePaths`]), and a
 /// caller doing many queries against one source should hold the `Arc`
 /// rather than re-asking per query.
+///
+/// A caller that needs only the near part of a tree asks
+/// [`PathProvider::tree_until`]: the lazy stores then settle only what
+/// the caller's stop rule asks for and cache nothing, while the eager
+/// tables (and every cached tree) answer with the full tree.
 pub trait PathProvider: fmt::Debug + Send + Sync {
     /// Number of nodes paths are provided for.
     fn node_count(&self) -> usize;
 
     /// The Dijkstra tree rooted at `src` for `metric`.
     fn tree(&self, src: NodeId, metric: Metric) -> Arc<ShortestPathTree>;
+
+    /// The tree rooted at `src` for `metric`, settled at least up to the
+    /// first node on which `stop` answers `true`.
+    ///
+    /// A provider may run a search that calls `stop` on each node as it
+    /// is settled, with the run's [`Settled`] view (that node's final
+    /// distance and predecessor chain), and ends at the first `true`:
+    /// every node it did not settle then reads as unreachable. Or it may
+    /// answer with the full [`PathProvider::tree`] without calling `stop`
+    /// at all — the default does, and so does a store that has the tree
+    /// cached. Either way the nodes the answer holds carry their full
+    /// tree's distance and predecessor, so a caller whose rule is sound
+    /// reads the same answer from both. `stop` must not query the
+    /// provider.
+    fn tree_until(
+        &self,
+        src: NodeId,
+        metric: Metric,
+        stop: &mut dyn FnMut(NodeId, &Settled<'_>) -> bool,
+    ) -> Arc<ShortestPathTree> {
+        let _ = stop;
+        self.tree(src, metric)
+    }
 
     /// Bytes of resident path state (cached or precomputed trees) —
     /// the quantity the `scale` bench tracks to prove the
@@ -71,6 +103,15 @@ impl<P: PathProvider + ?Sized> PathProvider for Box<P> {
         (**self).tree(src, metric)
     }
 
+    fn tree_until(
+        &self,
+        src: NodeId,
+        metric: Metric,
+        stop: &mut dyn FnMut(NodeId, &Settled<'_>) -> bool,
+    ) -> Arc<ShortestPathTree> {
+        (**self).tree_until(src, metric, stop)
+    }
+
     fn resident_path_bytes(&self) -> usize {
         (**self).resident_path_bytes()
     }
@@ -81,8 +122,10 @@ impl<P: PathProvider + ?Sized> PathProvider for Box<P> {
 pub struct CacheStats {
     /// Tree queries answered from the LRU.
     pub hits: u64,
-    /// Tree queries that ran Dijkstra.
+    /// Tree queries that ran Dijkstra, full or stopped.
     pub misses: u64,
+    /// Nodes settled by those runs.
+    pub settled: u64,
     /// Trees evicted to respect the capacity bound.
     pub evictions: u64,
     /// Trees currently resident.
@@ -101,11 +144,14 @@ struct Slot {
 /// At most `capacity` trees are resident; the least-recently-used entry
 /// is evicted (ties broken toward the smaller key so eviction order is
 /// deterministic). Evicted or cleared trees that nothing else still
-/// references donate their buffers back to the scratch pool.
+/// references donate their buffers back to the scratch pool, and so do
+/// the stopped trees it lent out, once their callers drop them.
 pub(crate) struct TreeCache {
     capacity: usize,
     slots: HashMap<(u32, Metric), Slot>,
     scratch: DijkstraScratch,
+    /// Stopped trees handed out and never interned.
+    lent: Vec<Arc<ShortestPathTree>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -119,11 +165,22 @@ impl TreeCache {
             capacity,
             slots: HashMap::new(),
             scratch: DijkstraScratch::new(),
+            lent: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
+    }
+
+    /// The interned tree for `(root, metric)`, if any, counted as a hit
+    /// and marked most recently used.
+    fn hit(&mut self, root: NodeId, metric: Metric) -> Option<Arc<ShortestPathTree>> {
+        self.tick += 1;
+        let slot = self.slots.get_mut(&(root.0, metric))?;
+        slot.last_used = self.tick;
+        self.hits += 1;
+        Some(Arc::clone(&slot.tree))
     }
 
     /// The tree for `(root, metric)`: a hash lookup on a hit; on a miss
@@ -134,12 +191,8 @@ impl TreeCache {
         metric: Metric,
         run: impl FnOnce(&mut DijkstraScratch) -> ShortestPathTree,
     ) -> Arc<ShortestPathTree> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(slot) = self.slots.get_mut(&(root.0, metric)) {
-            slot.last_used = tick;
-            self.hits += 1;
-            return Arc::clone(&slot.tree);
+        if let Some(tree) = self.hit(root, metric) {
+            return tree;
         }
         self.misses += 1;
         if self.slots.len() >= self.capacity {
@@ -163,9 +216,34 @@ impl TreeCache {
             (root.0, metric),
             Slot {
                 tree: Arc::clone(&tree),
-                last_used: tick,
+                last_used: self.tick,
             },
         );
+        tree
+    }
+
+    /// The interned tree for `(root, metric)` on a hit; on a miss `run`
+    /// searches with the cache's scratch and the (possibly stopped) tree
+    /// is lent out, not interned. What it lent earlier and got back
+    /// donates its buffers first.
+    pub(crate) fn get_or_search(
+        &mut self,
+        root: NodeId,
+        metric: Metric,
+        run: impl FnOnce(&mut DijkstraScratch) -> ShortestPathTree,
+    ) -> Arc<ShortestPathTree> {
+        if let Some(tree) = self.hit(root, metric) {
+            return tree;
+        }
+        self.misses += 1;
+        for tree in std::mem::take(&mut self.lent) {
+            match Arc::try_unwrap(tree) {
+                Ok(tree) => self.scratch.recycle(tree),
+                Err(tree) => self.lent.push(tree),
+            }
+        }
+        let tree = Arc::new(run(&mut self.scratch));
+        self.lent.push(Arc::clone(&tree));
         tree
     }
 
@@ -182,6 +260,7 @@ impl TreeCache {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
+            settled: self.scratch.settled(),
             evictions: self.evictions,
             resident: self.slots.len(),
         }
@@ -197,6 +276,9 @@ impl TreeCache {
 ///
 /// * A `tree(src, metric)` miss runs one Dijkstra (reusing scratch
 ///   buffers across runs) and caches the result; a hit is a hash lookup.
+/// * A [`PathProvider::tree_until`] miss runs a search that stops where
+///   the caller's rule says and caches nothing; a hit answers with the
+///   cached full tree.
 /// * The cache holds at most `capacity` trees; the least-recently-used
 ///   entry is evicted (ties broken toward the smaller key so eviction
 ///   order is deterministic). Evicted trees that nothing else still
@@ -267,6 +349,20 @@ impl PathProvider for OnDemandPaths {
             })
     }
 
+    fn tree_until(
+        &self,
+        src: NodeId,
+        metric: Metric,
+        stop: &mut dyn FnMut(NodeId, &Settled<'_>) -> bool,
+    ) -> Arc<ShortestPathTree> {
+        self.state
+            .lock()
+            .expect("provider lock")
+            .get_or_search(src, metric, |scratch| {
+                dijkstra_masked(&self.topo, src, metric, scratch, |_, _| true, stop)
+            })
+    }
+
     fn resident_path_bytes(&self) -> usize {
         self.state.lock().expect("provider lock").resident_bytes()
     }
@@ -333,6 +429,38 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "hit must return the interned tree");
         let st = od.stats();
         assert_eq!((st.hits, st.misses), (1, 1));
+    }
+
+    /// A stopped search is a miss that settles only what its rule asks
+    /// for and caches nothing; once the full tree is cached it answers
+    /// without calling the rule.
+    #[test]
+    fn stopped_searches_are_counted_and_never_cached() {
+        let topo = fig5();
+        let od = on_demand(&topo, 8);
+        let mut calls = 0;
+        let mut stop_at_3 = |v: NodeId, _: &Settled<'_>| {
+            calls += 1;
+            v == NodeId(3)
+        };
+        let near = od.tree_until(NodeId(0), Metric::Delay, &mut stop_at_3);
+        // Delay order from node 0 on Fig. 5: 0 (0), 3 (2).
+        assert_eq!(calls, 2);
+        assert_eq!(near.distance(NodeId(3)), Some(2));
+        assert_eq!(near.distance(NodeId(1)), None);
+        let st = od.stats();
+        assert_eq!((st.hits, st.misses, st.settled, st.resident), (0, 1, 2, 0));
+        assert_eq!(od.resident_path_bytes(), 0);
+
+        drop(near);
+        let full = od.tree(NodeId(0), Metric::Delay);
+        let mut never = |_: NodeId, _: &Settled<'_>| -> bool { panic!("a hit runs no search") };
+        assert!(Arc::ptr_eq(
+            &od.tree_until(NodeId(0), Metric::Delay, &mut never),
+            &full
+        ));
+        let st = od.stats();
+        assert_eq!((st.hits, st.misses, st.settled, st.resident), (1, 2, 8, 1));
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //!   (`P_lc` and `P_sl` from `s` to each of the `m` on-tree routers);
 //!   among those whose resulting *multicast delay* `ml(s)` stays within
 //!   the delay bound, graft the one with the least cost. The paths are
-//!   scored by lookup in `s`'s two shortest-path trees — one fetch per
-//!   family — so a join costs `O(on-tree + union of candidate paths)`
-//!   after the fetches (plus one `n`-slot memo fill per family), and only
-//!   the winning path is materialised.
+//!   scored by lookup in `s`'s two shortest-path trees, and only the
+//!   winning path is materialised. Those trees are asked for with
+//!   [`PathProvider::tree_until`] and a stop rule that ends each search
+//!   once the winner and every tie are fixed, so a lazy path store
+//!   settles only the part of the graph that can still win; the eager
+//!   tables hand out full trees, and the scan reads the same answer from
+//!   them.
 //! * Under the **dynamic** bound (the paper's formulation), the bound is
 //!   the current tree delay; a joiner whose unicast delay exceeds it is
 //!   connected by its shortest-delay path to the m-router and raises the
@@ -164,10 +167,14 @@ impl<'a> Dcdm<'a> {
             };
         }
         let root = self.tree.root();
-        // `s`'s shortest-delay tree answers `ul(s)` and, if the dynamic
-        // bound forces it, the shortest-delay path.
-        let by_delay = self.paths.tree(s, Metric::Delay);
-        let ul = by_delay.distance(root).expect("topology is connected");
+        // `ul(s)` from the root's own delay tree, which every join reads:
+        // links and liveness masks are symmetric, so it answers as `s`'s
+        // would.
+        let ul = self
+            .paths
+            .tree(root, Metric::Delay)
+            .distance(s)
+            .expect("topology is connected");
         let on_tree = self.tree.root_distances(self.topo);
         let (limit, force_shortest) = match self.bound {
             DelayBound::Dynamic => {
@@ -182,24 +189,9 @@ impl<'a> Dcdm<'a> {
         };
 
         let (path_to_graft, violated) = if force_shortest {
-            (by_delay.path_to(root).expect("connected"), false)
+            (self.shortest_to_root(s, None), false)
         } else {
-            match self.best_candidate(s, limit, &on_tree) {
-                Some(p) => (p, false),
-                None => (
-                    // No feasible graft under a fixed bound tighter than
-                    // ul(s): fall back to the best achievable delay. The
-                    // delay tree is fetched again rather than reused, so
-                    // it ends as a caching provider's most recent entry
-                    // whatever the family order, as the exhaustive scan
-                    // left it.
-                    self.paths
-                        .tree(s, Metric::Delay)
-                        .path_to(root)
-                        .expect("connected"),
-                    true,
-                ),
-            }
+            self.best_candidate(s, ul, limit, &on_tree)
         };
 
         // path_to_graft runs s -> … -> graft; attach walking graft -> s.
@@ -224,46 +216,142 @@ impl<'a> Dcdm<'a> {
         pruned
     }
 
+    /// `s`'s shortest-delay path `s -> … -> root`: read from `by_delay`
+    /// when that tree holds the root, else from a delay search that stops
+    /// once the root is settled.
+    fn shortest_to_root(&self, s: NodeId, by_delay: Option<&ShortestPathTree>) -> Vec<NodeId> {
+        let root = self.tree.root();
+        if let Some(path) = by_delay.and_then(|t| t.path_to(root)) {
+            return path;
+        }
+        self.paths
+            .tree_until(s, Metric::Delay, &mut |v, _| v == root)
+            .path_to(root)
+            .expect("connected")
+    }
+
     /// Evaluate the `2m` candidate paths and return the cheapest feasible
-    /// one (as a path `s -> … -> graft`), or `None` if none satisfies
-    /// `ml(s) ≤ limit`. `on_tree` is the tree's
-    /// [`MulticastTree::root_distances`] walk.
+    /// one as a path `s -> … -> graft`, or — when none satisfies
+    /// `ml(s) ≤ limit`, which a fixed bound below `ul` forces — the
+    /// shortest-delay path to the root, flagged `true`. `on_tree` is the
+    /// tree's [`MulticastTree::root_distances`] walk.
     ///
-    /// Each family's tree from `s` is fetched once. A candidate's own
-    /// metric is its SPT distance (exact: topologies have no parallel
-    /// links); its other weight is summed up the SPT's predecessor chain,
-    /// memoised in a dense `n`-slot array (allocated once per join, reset
-    /// per family) so every SPT node is priced once per family. The cost
-    /// is `O(on-tree + union of candidate paths)` plus the memo's resets,
-    /// and only the winner is materialised.
+    /// Each family's tree from `s` is asked for once, with a stop rule
+    /// that ends its search once nothing left unsettled can win or tie:
+    ///
+    /// * **Cost family first.** Nodes settle in cost order, and each
+    ///   on-tree one is tested for feasibility; the first feasible one
+    ///   fixes the least feasible cost C*, and the search goes on until
+    ///   the settled cost exceeds C*, so every tie is seen. Once every
+    ///   on-tree router has settled there is nothing more to find.
+    /// * **Delay family.** A graft at `v` costs at least `c(s, v)`, so
+    ///   only the on-tree routers the cost search settled at a cost
+    ///   ≤ C* (all it settled, without a C*; every on-tree router,
+    ///   without a cost family) can still win or tie. The search stops
+    ///   once all of those have settled, or once the settled delay
+    ///   exceeds `limit`. When `ul > limit` it runs to the root instead,
+    ///   whose path is then the fallback.
+    ///
+    /// A store may answer with the full tree instead (see
+    /// [`PathProvider::tree_until`]). The scoring loop reads either the
+    /// same way: a router a stopped search never settled reads as
+    /// unreachable, and could not have won.
+    ///
+    /// A candidate's own metric is its SPT distance (exact: topologies
+    /// have no parallel links); its other weight is summed up the SPT's
+    /// predecessor chain, memoised in a dense `n`-slot array (allocated
+    /// once per join, reset per family) so every node is priced once per
+    /// family. Only the winner is materialised.
     ///
     /// Ties are broken by (cost, resulting delay, graft id), then by
     /// family order, so the result is deterministic.
     fn best_candidate(
         &self,
         s: NodeId,
+        ul: u64,
         limit: u64,
         on_tree: &[RootDistance],
-    ) -> Option<Vec<NodeId>> {
-        let spts: Vec<Arc<ShortestPathTree>> = self
-            .candidate_metrics
-            .iter()
-            .map(|&metric| self.paths.tree(s, metric))
-            .collect();
+    ) -> (Vec<NodeId>, bool) {
+        let root = self.tree.root();
+        let families = &self.candidate_metrics;
+        let ml = |v: NodeId| {
+            let at = on_tree.binary_search_by_key(&v, |d| d.node);
+            at.ok().map(|i| on_tree[i].delay)
+        };
+        let mut by_cost: Option<Arc<ShortestPathTree>> = None;
+        let mut by_delay: Option<Arc<ShortestPathTree>> = None;
         let mut best: Option<(u64, u64, NodeId, usize)> = None;
         let mut chain = Vec::new();
         let mut priced = vec![UNPRICED; self.topo.node_count()];
-        for (family, spt) in spts.iter().enumerate() {
+        // The cost family is searched first, since its C* bounds the
+        // delay family's search; each keeps its own index for the
+        // tie-break.
+        for metric in [Metric::Cost, Metric::Delay] {
+            let Some(family) = families.iter().position(|&m| m == metric) else {
+                continue;
+            };
             priced.fill(UNPRICED);
             priced[s.index()] = 0;
+            let spt = match metric {
+                Metric::Cost => {
+                    let mut unsettled = on_tree.len();
+                    let mut c_star = None;
+                    self.paths.tree_until(s, Metric::Cost, &mut |v, run| {
+                        let cost = run.distance(v);
+                        if c_star.is_some_and(|c| cost > c) {
+                            return true;
+                        }
+                        let Some(ml_v) = ml(v) else {
+                            return false;
+                        };
+                        unsettled -= 1;
+                        if c_star.is_none() {
+                            let pred = |u| run.predecessor(u);
+                            let delay =
+                                self.other_weight(Metric::Cost, pred, v, &mut priced, &mut chain);
+                            if ml_v + delay <= limit {
+                                c_star = Some(cost);
+                            }
+                        }
+                        unsettled == 0
+                    })
+                }
+                Metric::Delay => {
+                    let c_star = best.map(|b| b.0);
+                    let can_win = |v: NodeId| {
+                        by_cost.as_ref().is_none_or(|t| {
+                            t.distance(v)
+                                .is_some_and(|c| c_star.is_none_or(|cs| c <= cs))
+                        })
+                    };
+                    let mut unsettled = None;
+                    self.paths.tree_until(s, Metric::Delay, &mut |v, run| {
+                        if ul > limit {
+                            return v == root;
+                        }
+                        if run.distance(v) > limit {
+                            return true;
+                        }
+                        let left = unsettled.get_or_insert_with(|| {
+                            on_tree.iter().filter(|d| can_win(d.node)).count()
+                        });
+                        if ml(v).is_some() && can_win(v) {
+                            *left -= 1;
+                        }
+                        *left == 0
+                    })
+                }
+            };
             for d in on_tree {
-                // An on-tree router `s` cannot reach is no graft point
-                // (a mirror tree not yet mended after a partition).
+                // An on-tree router `s` cannot reach (a mirror tree not
+                // yet mended after a partition), or one a stopped search
+                // never settled, is no graft point.
                 let Some(own) = spt.distance(d.node) else {
                     continue;
                 };
-                let other = self.other_weight(spt, d.node, &mut priced, &mut chain);
-                let (cost, delay) = match spt.metric() {
+                let pred = |u| spt.predecessor(u);
+                let other = self.other_weight(metric, pred, d.node, &mut priced, &mut chain);
+                let (cost, delay) = match metric {
                     Metric::Cost => (own, other),
                     Metric::Delay => (other, own),
                 };
@@ -276,30 +364,48 @@ impl<'a> Dcdm<'a> {
                     best = Some(key);
                 }
             }
+            match metric {
+                Metric::Cost => by_cost = Some(spt),
+                Metric::Delay => by_delay = Some(spt),
+            }
         }
-        best.map(|(_, _, graft, family)| spts[family].path_to(graft).expect("reachable graft"))
+        match best {
+            Some((_, _, graft, family)) => {
+                let spt = match families[family] {
+                    Metric::Cost => by_cost,
+                    Metric::Delay => by_delay,
+                };
+                let path = spt
+                    .expect("the winner's family was searched")
+                    .path_to(graft);
+                (path.expect("reachable graft"), false)
+            }
+            // No feasible graft under a fixed bound tighter than ul(s):
+            // fall back to the best achievable delay.
+            None => (self.shortest_to_root(s, by_delay.as_deref()), true),
+        }
     }
 
-    /// The weight of the `spt` path to `v` under the metric `spt` does
-    /// not minimise: summed down from the nearest ancestor already in
-    /// `priced`, pricing every node on the way (`chain` is scratch).
+    /// The weight of an SPT's path to `v` under the metric the SPT (built
+    /// for `metric`, its predecessors read by `pred`) does not minimise:
+    /// summed down from the nearest ancestor already in `priced`, pricing
+    /// every node on the way (`chain` is scratch).
     fn other_weight(
         &self,
-        spt: &ShortestPathTree,
+        metric: Metric,
+        pred: impl Fn(NodeId) -> Option<NodeId>,
         v: NodeId,
         priced: &mut [u64],
         chain: &mut Vec<NodeId>,
     ) -> u64 {
-        let other = match spt.metric() {
+        let other = match metric {
             Metric::Cost => Metric::Delay,
             Metric::Delay => Metric::Cost,
         };
         let mut top = v;
         while priced[top.index()] == UNPRICED {
             chain.push(top);
-            top = spt
-                .predecessor(top)
-                .expect("a reachable node's chain ends at the source");
+            top = pred(top).expect("a reachable node's chain ends at the source");
         }
         let mut acc = priced[top.index()];
         while let Some(u) = chain.pop() {
@@ -395,10 +501,11 @@ mod tests {
         }
     }
 
-    /// A join fetches the joiner's tree once per candidate family plus
-    /// once for `ul` (and once more for a fallback path when the bound is
-    /// violated), however many on-tree routers it scores — under the
-    /// dynamic bound, a loose fixed one, and one every join violates.
+    /// A join fetches the root's delay tree once for `ul` and the
+    /// joiner's tree once per candidate family (a violated bound's
+    /// fallback reads the delay family's), however many on-tree routers
+    /// it scores — under the dynamic bound, a loose fixed one, and one
+    /// every join violates.
     #[test]
     fn a_join_fetches_each_source_tree_once() {
         let cfg = WaxmanConfig {
@@ -420,10 +527,10 @@ mod tests {
             for s in topo.nodes() {
                 let before = paths.trees.load(Ordering::Relaxed);
                 let on_tree = d.tree().on_tree_count();
-                let violated = d.join(s).violated_bound;
+                d.join(s);
                 let fetched = paths.trees.load(Ordering::Relaxed) - before;
                 assert!(
-                    fetched <= 3 + usize::from(violated),
+                    fetched <= 3,
                     "{bound:?}: join of {s:?} into {on_tree} on-tree routers fetched {fetched} trees"
                 );
             }
@@ -537,18 +644,37 @@ mod tests {
         &[Metric::Delay, Metric::Cost],
     ];
 
+    /// How the differential run reads a production provider's search
+    /// count, and what it must show.
+    enum Searches<'a> {
+        /// Every search from a joiner runs (none hits a cached tree) and
+        /// `count` reads them: the on-demand cache, or a degraded live
+        /// view's per-epoch trees.
+        Counted(&'a dyn Fn() -> u64),
+        /// Nothing the joins do may move `count`: a healthy live view's
+        /// trees come from its healthy store, which runs no SPF.
+        Unmoved(&'a dyn Fn() -> u64),
+        /// Eager tables: nothing is searched.
+        None,
+    }
+
     /// Drive `ops` random join/leave steps through a builder over `paths`,
     /// checking each join's graft path and bound flag against the
     /// exhaustive join asked of `oracle` (a second provider of the same
-    /// kind), the tree delay after every step, and that `misses` —
-    /// (production, oracle) cache misses — stay equal. Joiners the view
-    /// cannot route to the root are skipped, as the m-router skips them.
+    /// kind), the tree delay after every step, and the exact count of
+    /// searches the builder ran. Past the root's delay tree (fetched
+    /// first, as every join reads it) an off-tree join runs one stopped
+    /// search per candidate family, one delay search when the dynamic
+    /// bound forces the shortest path, and one more when a cost-only
+    /// ablation falls back to it — no full tree from a joiner, and no
+    /// other fetch. Joiners the view cannot route to the root are
+    /// skipped, as the m-router skips them.
     #[allow(clippy::too_many_arguments)]
     fn lockstep(
         topo: &Topology,
         paths: &dyn PathProvider,
         oracle: &dyn PathProvider,
-        misses: impl Fn() -> (u64, u64),
+        searches: Searches<'_>,
         tree: MulticastTree,
         bound: DelayBound,
         families: &[Metric],
@@ -558,30 +684,45 @@ mod tests {
         let mut d = Dcdm::with_tree(topo, paths, tree, bound);
         d.set_candidate_metrics(families);
         let root = d.tree.root();
+        let root_tree = paths.tree(root, Metric::Delay);
+        let count = match searches {
+            Searches::Counted(count) | Searches::Unmoved(count) => count,
+            Searches::None => &|| 0,
+        };
+        let mut expected = count();
         for _ in 0..ops {
             let members: Vec<NodeId> = d.tree.members().collect();
             if !members.is_empty() && rng.gen_bool(0.3) {
                 d.leave(members[rng.gen_range(0..members.len())]);
             } else {
                 let s = NodeId(rng.gen_range(0..topo.node_count() as u32));
-                let reachable = paths.unicast_delay(s, root).is_some();
-                prop_assert_eq!(reachable, oracle.unicast_delay(s, root).is_some());
-                if !reachable {
+                let ul = root_tree.distance(s);
+                prop_assert_eq!(ul, oracle.unicast_delay(s, root));
+                let Some(ul) = ul else {
                     continue;
-                }
+                };
                 // An on-tree joiner is only marked, by shared code.
-                let expected = (!d.tree.contains(s)).then(|| exhaustive_graft(&d, oracle, s));
+                let exhaustive = (!d.tree.contains(s)).then(|| exhaustive_graft(&d, oracle, s));
+                let forced =
+                    d.bound == DelayBound::Dynamic && ul > exhaustive_tree_delay(&d.tree, topo);
                 let o = d.join(s);
-                if let Some(expected) = expected {
-                    prop_assert_eq!((o.path, o.violated_bound), expected, "join {:?}", s);
+                if let Some(exhaustive) = exhaustive {
+                    prop_assert_eq!((o.path, o.violated_bound), exhaustive, "join {:?}", s);
+                    if let Searches::Counted(_) = searches {
+                        let fallback = o.violated_bound && !families.contains(&Metric::Delay);
+                        expected += if forced {
+                            1
+                        } else {
+                            families.len() as u64 + u64::from(fallback)
+                        };
+                    }
                 }
             }
             prop_assert_eq!(
                 d.tree.tree_delay(topo),
                 exhaustive_tree_delay(&d.tree, topo)
             );
-            let (fast, slow) = misses();
-            prop_assert_eq!(fast, slow, "cache misses");
+            prop_assert_eq!(count(), expected, "searches");
         }
         Ok(d.into_tree())
     }
@@ -589,30 +730,40 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The lookup-scored scan grafts what the exhaustive one grafted —
+        /// The bound-pruned scan grafts what the exhaustive one grafted —
         /// the same path and bound flag on every join of a random
         /// join/leave sequence (attaching it is shared code, so the
-        /// outcome and tree follow), the same tree delay after every step,
-        /// and the same cache misses — on Waxman and transit–stub graphs,
-        /// under the dynamic bound and fixed bounds down to 0 (every join
-        /// falls back), for every candidate family, over the eager tables,
-        /// a two-tree LRU that evicts on every join, and a live view
-        /// degraded mid-run so that on-tree routers are unreachable from
-        /// the joiner.
+        /// outcome and tree follow) and the same tree delay after every
+        /// step, with the exact search count of [`lockstep`] — on Waxman
+        /// and transit–stub graphs (ties everywhere on the 6-grid), under
+        /// the dynamic bound and fixed bounds down to 0 (every join falls
+        /// back), for every candidate family, over the eager tables
+        /// (full trees), a two-tree LRU (stopped searches), and a live
+        /// view healthy first, then degraded mid-run so that on-tree
+        /// routers are unreachable from the joiner (stopped masked
+        /// searches). The live view's healthy store is the eager tables
+        /// on the small graphs and, on a 273-node transit–stub above
+        /// `ALL_PAIRS_MAX_NODES`, an on-demand cache (stopped searches).
         #[test]
         fn lookup_scan_matches_exhaustive_oracle(
             seed in 0u64..1_000_000,
             transit in any::<bool>(),
             regime in 0u64..6,
             family in 0usize..FAMILIES.len(),
-            view in 0usize..3,
+            view in 0usize..4,
         ) {
             let mut rng = rng_for("dcdm-oracle", seed);
             // On a small grid, equal-cost, equal-delay candidates at
             // different grafts are common, so the graft-id tie-break
-            // decides joins.
-            let grid = if rng.gen_bool(0.5) { 6 } else { 1000 };
-            let topo = if transit {
+            // decides joins; on the 2-grid, runs of equal-cost nodes are
+            // long enough that a search stopped at the first tie would
+            // miss a winner.
+            let grid = [2, 6, 1000][rng.gen_range(0..3usize)];
+            let topo = if view == 3 {
+                let big = transit_stub(3, 9, 10, grid, &mut rng);
+                prop_assert!(big.node_count() > scmp_net::provider::ALL_PAIRS_MAX_NODES);
+                big
+            } else if transit {
                 transit_stub(3, 2, rng.gen_range(2..5), grid, &mut rng)
             } else {
                 let cfg = WaxmanConfig {
@@ -635,19 +786,24 @@ mod tests {
             let fresh = MulticastTree::new(topo.node_count(), root);
             match view {
                 0 => {
-                    lockstep(&topo, &ap, &ap, || (0, 0), fresh, bound, families, 80, &mut rng)?;
+                    lockstep(&topo, &ap, &ap, Searches::None, fresh, bound, families, 80, &mut rng)?;
                 }
                 1 => {
                     let lru = || OnDemandPaths::with_capacity(Arc::new(topo.clone()), 2);
                     let (a, b) = (lru(), lru());
-                    let misses = || (a.stats().misses, b.stats().misses);
-                    lockstep(&topo, &a, &b, misses, fresh, bound, families, 80, &mut rng)?;
+                    let misses = || a.stats().misses;
+                    let searches = Searches::Counted(&misses);
+                    lockstep(&topo, &a, &b, searches, fresh, bound, families, 80, &mut rng)?;
+                    // Stopped trees are never interned: the root's delay
+                    // tree is the only one the cache ever held.
+                    prop_assert_eq!((a.stats().evictions, a.stats().resident), (0, 1));
                 }
                 _ => {
                     let mut a = LivePaths::new(topo.clone());
                     let mut b = LivePaths::new(topo.clone());
-                    let misses = || (a.spf_runs(), b.spf_runs());
-                    let tree = lockstep(&topo, &a, &b, misses, fresh, bound, families, 40, &mut rng)?;
+                    let spf = || a.spf_runs();
+                    let searches = Searches::Unmoved(&spf);
+                    let tree = lockstep(&topo, &a, &b, searches, fresh, bound, families, 40, &mut rng)?;
                     // Take on-tree routers and a link down in both views:
                     // every later scan meets routers the joiner cannot
                     // reach.
@@ -661,11 +817,51 @@ mod tests {
                     let (x, y, _) = topo.edges()[rng.gen_range(0..topo.edge_count())];
                     a.set_link_down(x, y, true);
                     b.set_link_down(x, y, true);
-                    let misses = || (a.spf_runs(), b.spf_runs());
-                    lockstep(&topo, &a, &b, misses, tree, bound, families, 40, &mut rng)?;
+                    let spf = || a.spf_runs();
+                    let searches = Searches::Counted(&spf);
+                    lockstep(&topo, &a, &b, searches, tree, bound, families, 40, &mut rng)?;
                 }
             }
         }
+    }
+
+    /// The delay search stops only once every on-tree router that can
+    /// still win has settled, however many that cannot win settle
+    /// first. Joiner 3, bound 12: the cost family's best feasible graft
+    /// is the root (cost 10 over the direct link), so C* = 10 and only
+    /// routers 0 and 2 can win. In delay order router 1 (cost 60, too
+    /// dear) settles first, then the root, then router 2, whose
+    /// shortest-delay path 3-5-2 (cost 6, `ml` 11) wins.
+    #[test]
+    fn the_delay_search_waits_for_every_router_that_can_win() {
+        let mut b = scmp_net::TopologyBuilder::new(6);
+        for (x, y, delay, cost) in [
+            (3, 0, 5, 10),
+            (3, 1, 1, 100),
+            (0, 1, 1, 50),
+            (0, 2, 5, 40),
+            (3, 4, 20, 1),
+            (4, 2, 20, 1),
+            (3, 5, 3, 3),
+            (5, 2, 3, 3),
+        ] {
+            b.add_link(NodeId(x), NodeId(y), scmp_net::LinkWeight::new(delay, cost));
+        }
+        let topo = b.build();
+        let mut tree = MulticastTree::new(6, NodeId(0));
+        for v in [NodeId(1), NodeId(2)] {
+            tree.attach(NodeId(0), v);
+            tree.add_member(v);
+        }
+        let paths = OnDemandPaths::with_capacity(Arc::new(topo.clone()), 4);
+        let mut d = Dcdm::with_tree(&topo, &paths, tree, DelayBound::Fixed(12));
+        let o = d.join(NodeId(3));
+        assert_eq!(o.path, vec![NodeId(2), NodeId(5), NodeId(3)]);
+        assert!(!o.violated_bound);
+        // The root's delay tree (all 6, for `ul`); the cost search 3, 4,
+        // 2, 5, 0 and 1, whose cost 60 > C* stops it; the delay search
+        // 3, 1, 0, 5 and 2, the last router that can win.
+        assert_eq!(paths.stats().settled, 6 + 6 + 5);
     }
 
     /// The complete Fig. 5 walkthrough: joins of g1, g2, g3 reproduce the
